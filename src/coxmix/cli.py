@@ -124,6 +124,14 @@ def _em_config(args, cfg: dict) -> EMConfig:
     )
 
 
+def _em_options(config: EMConfig) -> dict:
+    """The EM settings as they appear in a command's meta options."""
+    return {
+        "k_init": config.k_init, "max_iter": config.max_iterations,
+        "eps_abs": config.eps_abs, "eps_rel": config.eps_rel, "restarts": config.restarts,
+    }
+
+
 def _penalty_spec(args, cfg: dict, kind: str, level: float) -> PenaltySpec:
     return PenaltySpec(
         kind=kind,
@@ -173,9 +181,7 @@ def cmd_fit(args) -> int:
     options = {
         "data": args.data, "penalty": penalty, "level": level,
         "shape": model.spec.shape, "epsilon": model.spec.epsilon,
-        "prune": model.spec.prune_threshold, "k_init": config.k_init,
-        "max_iter": config.max_iterations, "eps_abs": config.eps_abs,
-        "eps_rel": config.eps_rel, "restarts": config.restarts,
+        "prune": model.spec.prune_threshold, **_em_options(config),
         "hazard_kernel": kernel, "bandwidth": bandwidth, "out": out,
     }
     _write_meta(out, "fit", options, config.seed)
@@ -214,9 +220,7 @@ def cmd_tune(args) -> int:
     options = {
         "data": args.data, "penalty": penalty,
         "c_grid": [row.c for row in report.rows], "cn_constant": cn_constant,
-        "k_init": config.k_init, "max_iter": config.max_iterations,
-        "eps_abs": config.eps_abs, "eps_rel": config.eps_rel,
-        "restarts": config.restarts, "hazard_kernel": kernel,
+        **_em_options(config), "hazard_kernel": kernel,
         "bandwidth": bandwidth, "workers": workers,
         "out": out, "out_model": out_model,
     }
@@ -331,9 +335,7 @@ def cmd_study(args) -> int:
     options = {
         "n": n, "censor": censor, "replications": replications,
         "penalty": penalties, "c_grid": c_grid, "cn_constant": cn_constant,
-        "k_init": config.k_init, "max_iter": config.max_iterations,
-        "eps_abs": config.eps_abs, "eps_rel": config.eps_rel,
-        "restarts": config.restarts, "workers": workers, "out": out,
+        **_em_options(config), "workers": workers, "out": out,
         "failures": result.failures, "k_hat_counts": result.k_hat_counts,
     }
     _write_meta(out, "study", options, seed)

@@ -129,14 +129,23 @@ class ComponentFit:
 
 
 class _RiskSets:
-    """Sums over risk sets {j : y_j >= y_i} via cumulative sums in descending time order."""
+    """Per-dataset event index built from (y, delta) with O(n) memory.
 
-    def __init__(self, y: np.ndarray):
+    Holds the risk-set order, so that sums over {j : y_j >= y_i} come from
+    cumulative sums in descending time order; the distinct event-time grid;
+    each event's position on that grid; and each record's index into the
+    zero-padded cumulative increments, which gives Lambda(y_i).
+    """
+
+    def __init__(self, y: np.ndarray, delta: np.ndarray):
         order = np.argsort(y, kind="stable")
-        self.y_sorted = y[order]
         self.rev = order[::-1]
         # count[i] = |{j : y_j >= y_i}|; ties enter the risk set together
-        self.count = y.size - np.searchsorted(self.y_sorted, y, side="left")
+        self.count = y.size - np.searchsorted(y[order], y, side="left")
+        self.ev_mask = delta == 1
+        self.grid = np.unique(y[self.ev_mask])
+        self.grid_pos = np.searchsorted(self.grid, y[self.ev_mask])
+        self.cum_idx = np.searchsorted(self.grid, y, side="right")
 
     def sums(self, values: np.ndarray) -> np.ndarray:
         cum = np.cumsum(values[self.rev], axis=0)
@@ -152,13 +161,13 @@ def _check_weights(data: Dataset, weights: np.ndarray) -> np.ndarray:
     return w
 
 
-def _pl_value(y, delta, x, w, beta, rs: _RiskSets) -> float:
+def _pl_value(x, w, beta, rs: _RiskSets) -> float:
     eta = x @ beta
     shift = float(np.max(eta))
     with np.errstate(over="ignore", under="ignore"):
         e = w * np.exp(eta - shift)
     s0 = rs.sums(e)
-    ev = (delta == 1) & (w > 0)
+    ev = rs.ev_mask & (w > 0)
     s0e = s0[ev]
     if not np.all(np.isfinite(s0e)) or np.any(s0e <= 0):
         return -np.inf
@@ -166,7 +175,7 @@ def _pl_value(y, delta, x, w, beta, rs: _RiskSets) -> float:
     return val if math.isfinite(val) else -np.inf
 
 
-def _pl_derivs(y, delta, x, w, beta, rs: _RiskSets):
+def _pl_derivs(x, w, beta, rs: _RiskSets):
     eta = x @ beta
     shift = float(np.max(eta))
     e = w * np.exp(eta - shift)
@@ -174,7 +183,7 @@ def _pl_derivs(y, delta, x, w, beta, rs: _RiskSets):
     s1 = rs.sums(e[:, None] * x)
     xx = x[:, :, None] * x[:, None, :]
     s2 = rs.sums(e[:, None, None] * xx)
-    ev = (delta == 1) & (w > 0)
+    ev = rs.ev_mask & (w > 0)
     wv = w[ev]
     s0e = s0[ev]
     # degenerate risk sums produce non-finite values here; callers reject them
@@ -194,16 +203,14 @@ def weighted_partial_loglik(data: Dataset, weights: np.ndarray, beta: np.ndarray
     """
     w = _check_weights(data, weights)
     beta = np.asarray(beta, dtype=float)
-    rs = _RiskSets(data.y)
-    return _pl_value(data.y, data.delta, data.x, w, beta, rs)
+    return _pl_value(data.x, w, beta, _RiskSets(data.y, data.delta))
 
 
 def partial_loglik_gradient(data: Dataset, weights: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Analytic gradient of `weighted_partial_loglik` in beta."""
     w = _check_weights(data, weights)
     beta = np.asarray(beta, dtype=float)
-    rs = _RiskSets(data.y)
-    _, grad, _ = _pl_derivs(data.y, data.delta, data.x, w, beta, rs)
+    _, grad, _ = _pl_derivs(data.x, w, beta, _RiskSets(data.y, data.delta))
     return grad
 
 
@@ -211,8 +218,7 @@ def partial_loglik_hessian(data: Dataset, weights: np.ndarray, beta: np.ndarray)
     """Analytic Hessian of `weighted_partial_loglik` in beta (negative semidefinite)."""
     w = _check_weights(data, weights)
     beta = np.asarray(beta, dtype=float)
-    rs = _RiskSets(data.y)
-    _, _, hess = _pl_derivs(data.y, data.delta, data.x, w, beta, rs)
+    _, _, hess = _pl_derivs(data.x, w, beta, _RiskSets(data.y, data.delta))
     return hess
 
 
@@ -235,20 +241,20 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     raise NumericalError("Newton system remained singular despite ridge damping")
 
 
-def _newton(y, delta, x, w, rs: _RiskSets, beta0, max_iter, grad_tol, max_halvings):
+def _newton(x, w, rs: _RiskSets, beta0):
     beta = np.array(beta0, dtype=float, copy=True)
-    ll, grad, hess = _pl_derivs(y, delta, x, w, beta, rs)
+    ll, grad, hess = _pl_derivs(x, w, beta, rs)
     if not math.isfinite(ll):
         raise NumericalError("partial likelihood not finite at the starting point")
     iterations = 0
-    converged = bool(np.max(np.abs(grad)) <= grad_tol)
-    while iterations < max_iter and not converged:
+    converged = bool(np.max(np.abs(grad)) <= DEFAULT_GRAD_TOL)
+    while iterations < DEFAULT_MAX_ITER and not converged:
         step = _newton_step(hess, grad)
         scale = 1.0
         accepted = False
-        for _ in range(max_halvings + 1):
+        for _ in range(DEFAULT_MAX_HALVINGS + 1):
             cand = beta + scale * step
-            cand_ll = _pl_value(y, delta, x, w, cand, rs)
+            cand_ll = _pl_value(x, w, cand, rs)
             if math.isfinite(cand_ll) and cand_ll > ll:
                 accepted = True
                 break
@@ -256,10 +262,46 @@ def _newton(y, delta, x, w, rs: _RiskSets, beta0, max_iter, grad_tol, max_halvin
         if not accepted:
             break
         beta = cand
-        ll, grad, hess = _pl_derivs(y, delta, x, w, beta, rs)
+        ll, grad, hess = _pl_derivs(x, w, beta, rs)
         iterations += 1
-        converged = bool(np.max(np.abs(grad)) <= grad_tol)
+        converged = bool(np.max(np.abs(grad)) <= DEFAULT_GRAD_TOL)
     return beta, ll, iterations, converged
+
+
+def _fit_coefficients(rs: _RiskSets, x, w, beta0):
+    """Newton fit of one weighted Cox component.
+
+    Returns (beta, loglik, iterations, converged) with the partial
+    log-likelihood taken at the caller's weights w.
+    """
+    # the maximizer is invariant to rescaling the weights, and unit-scale
+    # weights keep the risk sums and gradient tolerance well conditioned
+    c = float(np.max(w))
+    w_fit = w / c
+    try:
+        beta, ll, iterations, converged = _newton(x, w_fit, rs, beta0)
+    except NumericalError:
+        # a warm start can be infeasible after the weights shift; zero is
+        # always a finite starting point for the partial likelihood
+        beta, ll, iterations, converged = _newton(x, w_fit, rs, np.zeros(x.shape[1]))
+    # l(c w) = c l(w) - c log(c) sum_{events, w > 0} w
+    ll = c * ll - c * math.log(c) * float(np.sum(w_fit[rs.ev_mask & (w_fit > 0)]))
+    return beta, ll, iterations, converged
+
+
+def _increments(rs: _RiskSets, x, w, beta) -> np.ndarray:
+    eta = x @ beta
+    shift = float(np.max(eta))
+    s0 = rs.sums(w * np.exp(eta - shift))
+    num = w[rs.ev_mask]
+    den = s0[rs.ev_mask]
+    if np.any((num > 0) & (den <= 0)):
+        raise DegenerateComponentError("empty risk-set weight sum at an event time")
+    with np.errstate(invalid="ignore"):
+        raw = np.where(num > 0, num * math.exp(-shift) / np.where(den > 0, den, 1.0), 0.0)
+    inc = np.zeros(rs.grid.size)
+    np.add.at(inc, rs.grid_pos, raw)
+    return inc
 
 
 def fit_weighted_cox(
@@ -268,21 +310,21 @@ def fit_weighted_cox(
     beta_init: np.ndarray | None = None,
     kernel: str = "gaussian",
     bandwidth: float | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    grad_tol: float = DEFAULT_GRAD_TOL,
-    max_halvings: int = DEFAULT_MAX_HALVINGS,
 ) -> ComponentFit:
     """Fit one weighted Cox component by damped Newton iteration.
 
     Returns the coefficient vector together with the profile baseline hazard
-    (Breslow-type increments at event times, smoothed on evaluation).
+    (Breslow-type increments at event times, smoothed on evaluation). If
+    Newton fails from `beta_init`, the fit is retried once from zero. The
+    reported `loglik` is the partial log-likelihood at the given weights,
+    not at the rescaled weights the iteration runs on.
 
     Raises
     ------
     DegenerateComponentError
         If no record has an event and positive weight.
     NumericalError
-        If the Newton system cannot be solved.
+        If the Newton system cannot be solved from either start.
     """
     w = _check_weights(data, weights)
     if not np.any((data.delta == 1) & (w > 0)):
@@ -290,17 +332,11 @@ def fit_weighted_cox(
     beta0 = np.zeros(data.p) if beta_init is None else np.asarray(beta_init, dtype=float)
     if beta0.shape != (data.p,):
         raise ValueError("beta_init has wrong length")
-    rs = _RiskSets(data.y)
-    # the maximizer is invariant to rescaling the weights, and unit-scale
-    # weights keep the risk sums and gradient tolerance well conditioned
-    w_fit = w / float(np.max(w))
-    beta, _, iterations, converged = _newton(
-        data.y, data.delta, data.x, w_fit, rs, beta0, max_iter, grad_tol, max_halvings
-    )
-    ll = _pl_value(data.y, data.delta, data.x, w, beta, rs)
-    times, inc = profile_hazard_increments(data, w, beta)
+    rs = _RiskSets(data.y, data.delta)
+    beta, ll, iterations, converged = _fit_coefficients(rs, data.x, w, beta0)
     h = default_time_bandwidth(data.y) if bandwidth is None else float(bandwidth)
-    baseline = BaselineHazard(event_times=times, increments=inc, kernel=kernel, bandwidth=h)
+    inc = _increments(rs, data.x, w, beta)
+    baseline = BaselineHazard(event_times=rs.grid, increments=inc, kernel=kernel, bandwidth=h)
     return ComponentFit(beta=beta, baseline=baseline, loglik=ll, converged=converged, iterations=iterations)
 
 
@@ -313,23 +349,8 @@ def profile_hazard_increments(
     events aggregated.
     """
     w = _check_weights(data, weights)
-    beta = np.asarray(beta, dtype=float)
-    rs = _RiskSets(data.y)
-    eta = data.x @ beta
-    shift = float(np.max(eta))
-    e = w * np.exp(eta - shift)
-    s0 = rs.sums(e)
-    ev = data.delta == 1
-    num = w[ev]
-    den = s0[ev]
-    if np.any((num > 0) & (den <= 0)):
-        raise DegenerateComponentError("empty risk-set weight sum at an event time")
-    with np.errstate(invalid="ignore"):
-        raw = np.where(num > 0, num * math.exp(-shift) / np.where(den > 0, den, 1.0), 0.0)
-    times = np.unique(data.y[ev])
-    inc = np.zeros(times.size)
-    np.add.at(inc, np.searchsorted(times, data.y[ev]), raw)
-    return times, inc
+    rs = _RiskSets(data.y, data.delta)
+    return rs.grid, _increments(rs, data.x, w, np.asarray(beta, dtype=float))
 
 
 def smooth_baseline_hazard(baseline: BaselineHazard, t):
@@ -340,12 +361,24 @@ def smooth_baseline_hazard(baseline: BaselineHazard, t):
     return float(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
 
 
+def _padded_cumsum(increments: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0.0], np.cumsum(increments)))
+
+
 def cumulative_hazard(baseline: BaselineHazard, t):
     """Step cumulative hazard sum_{T_e <= t} increment_e."""
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    cum = np.concatenate(([0.0], np.cumsum(baseline.increments)))
-    vals = cum[np.searchsorted(baseline.event_times, arr, side="right")]
+    vals = _padded_cumsum(baseline.increments)[np.searchsorted(baseline.event_times, arr, side="right")]
     return float(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
+
+
+def _log_density(eta, rate, cum, event) -> np.ndarray:
+    """delta * (log rate + eta) - exp(eta) * cum, the rate floored at 1e-300."""
+    log_rate = np.log(np.maximum(rate, RATE_FLOOR))
+    with np.errstate(over="ignore"):
+        risk = np.exp(eta)
+    hazard_term = np.where(cum > 0, risk * cum, 0.0)
+    return np.where(event, log_rate + eta, 0.0) - hazard_term
 
 
 def component_log_density(data: Dataset, fit: ComponentFit) -> np.ndarray:
@@ -354,11 +387,6 @@ def component_log_density(data: Dataset, fit: ComponentFit) -> np.ndarray:
     delta * (log rate(y) + beta.x) - exp(beta.x) * cumhaz(y), where the rate is
     the kernel-smoothed baseline floored at 1e-300 before the log.
     """
-    eta = data.x @ fit.beta
     rate = smooth_baseline_hazard(fit.baseline, data.y)
     cum = cumulative_hazard(fit.baseline, data.y)
-    log_rate = np.log(np.maximum(rate, RATE_FLOOR))
-    with np.errstate(over="ignore"):
-        risk = np.exp(eta)
-    hazard_term = np.where(cum > 0, risk * cum, 0.0)
-    return np.where(data.delta == 1, log_rate + eta, 0.0) - hazard_term
+    return _log_density(data.x @ fit.beta, rate, cum, data.delta == 1)

@@ -1,21 +1,19 @@
-"""Right-censored survival data: loading, validation, risk sets, standardization."""
+"""Right-censored survival data: validation, CSV input and output, standardization."""
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DataError",
-    "SurvivalRecord",
     "Dataset",
     "Standardization",
     "load_dataset",
     "save_dataset",
-    "risk_set",
     "standardize_covariates",
 ]
 
@@ -25,17 +23,11 @@ class DataError(Exception):
 
 
 @dataclass(frozen=True)
-class SurvivalRecord:
-    """One subject: observed time, event indicator (1 event, 0 censored), covariates."""
-
-    y: float
-    delta: int
-    x: np.ndarray
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Immutable right-censored sample.
+    """Immutable right-censored sample, validated on construction.
+
+    The arrays are read-only copies. Risk sets and the event-time grid are
+    not stored here; the fitting code builds them once per dataset.
 
     Attributes
     ----------
@@ -45,14 +37,11 @@ class Dataset:
         Event indicators in {0, 1}; at least one event is required.
     x : ndarray, shape (n, p)
         Covariates, finite.
-    sort_index : ndarray, shape (n,)
-        Stable permutation putting y in nondecreasing order.
     """
 
     y: np.ndarray
     delta: np.ndarray
     x: np.ndarray
-    sort_index: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         y = np.array(self.y, dtype=float, copy=True)
@@ -75,8 +64,7 @@ class Dataset:
             raise DataError("dataset contains no event rows")
         if not np.all(np.isfinite(x)):
             raise DataError("covariates must be finite")
-        order = np.argsort(y, kind="stable")
-        for name, arr in (("y", y), ("delta", delta), ("x", x), ("sort_index", order)):
+        for name, arr in (("y", y), ("delta", delta), ("x", x)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -88,19 +76,6 @@ class Dataset:
     def p(self) -> int:
         return self.x.shape[1]
 
-    @property
-    def records(self) -> list[SurvivalRecord]:
-        return [SurvivalRecord(float(self.y[i]), int(self.delta[i]), self.x[i]) for i in range(self.n)]
-
-    def record(self, i: int) -> SurvivalRecord:
-        return SurvivalRecord(float(self.y[i]), int(self.delta[i]), self.x[i])
-
-
-def risk_set(data: Dataset, i: int) -> np.ndarray:
-    """Indices j with y_j >= y_i (the subject itself included)."""
-    if not 0 <= i < data.n:
-        raise IndexError(f"record index {i} out of range")
-    return np.nonzero(data.y >= data.y[i])[0]
 
 
 def load_dataset(

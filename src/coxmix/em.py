@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -14,10 +14,11 @@ from scipy.special import logsumexp
 from .coxfit import (
     BaselineHazard,
     ComponentFit,
-    DegenerateComponentError,
     NumericalError,
-    RATE_FLOOR,
-    _newton,
+    _fit_coefficients,
+    _increments,
+    _log_density,
+    _padded_cumsum,
     _RiskSets,
     component_log_density,
     default_time_bandwidth,
@@ -136,77 +137,51 @@ class FittedModel:
 
 
 class _FitContext:
-    """Per-dataset caches shared across EM iterations: risk-set prefix sums,
-    the distinct event-time grid, and the kernel matrix for smoothing."""
+    """What the EM caches for one dataset on top of its event index: the
+    kernel, the bandwidth, and the n x m matrix K((y_i - T_e)/h)/h that
+    smooths hazard increments into rates at every observed time."""
 
     def __init__(self, data: Dataset, kernel: str, bandwidth: float):
-        self.data = data
-        self.y = data.y
-        self.delta = data.delta
         self.x = data.x
         self.n, self.p = data.x.shape
         self.kernel = kernel
         self.bandwidth = float(bandwidth)
-        self.rs = _RiskSets(self.y)
-        self.ev_mask = self.delta == 1
-        self.grid = np.unique(self.y[self.ev_mask])
-        self.grid_pos = np.searchsorted(self.grid, self.y[self.ev_mask])
-        # index into the zero-padded cumulative increments for Lambda(y_i)
-        self.cum_idx = np.searchsorted(self.grid, self.y, side="right")
-        u = (self.y[:, None] - self.grid[None, :]) / self.bandwidth
+        self.rs = _RiskSets(data.y, data.delta)
+        u = (data.y[:, None] - self.rs.grid[None, :]) / self.bandwidth
         self.kmat = kernel_values(kernel, u) / self.bandwidth
 
     def increments(self, w: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        eta = self.x @ beta
-        shift = float(np.max(eta))
-        s0 = self.rs.sums(w * np.exp(eta - shift))
-        num = w[self.ev_mask]
-        den = s0[self.ev_mask]
-        if np.any((num > 0) & (den <= 0)):
-            raise DegenerateComponentError("empty risk-set weight sum at an event time")
-        raw = np.where(num > 0, num * math.exp(-shift) / np.where(den > 0, den, 1.0), 0.0)
-        inc = np.zeros(self.grid.size)
-        np.add.at(inc, self.grid_pos, raw)
-        return inc
+        return _increments(self.rs, self.x, w, beta)
 
     def log_density(self, beta: np.ndarray, inc: np.ndarray) -> np.ndarray:
-        eta = self.x @ beta
-        rate = self.kmat @ inc
-        cum = np.concatenate(([0.0], np.cumsum(inc)))[self.cum_idx]
-        log_rate = np.log(np.maximum(rate, RATE_FLOOR))
-        with np.errstate(over="ignore"):
-            risk = np.exp(eta)
-        hazard_term = np.where(cum > 0, risk * cum, 0.0)
-        return np.where(self.ev_mask, log_rate + eta, 0.0) - hazard_term
+        cum = _padded_cumsum(inc)[self.rs.cum_idx]
+        return _log_density(self.x @ beta, self.kmat @ inc, cum, self.rs.ev_mask)
+
+    def baseline(self, inc: np.ndarray) -> BaselineHazard:
+        return BaselineHazard(
+            event_times=self.rs.grid, increments=inc, kernel=self.kernel, bandwidth=self.bandwidth
+        )
 
     def fit_component(self, w: np.ndarray, beta0: np.ndarray) -> ComponentFit:
-        w_fit = w / float(np.max(w))
-        try:
-            beta, ll, iterations, converged = _newton(
-                self.y, self.delta, self.x, w_fit, self.rs, beta0, 25, 1e-8, 20
-            )
-        except NumericalError:
-            # a warm start can be infeasible after the weights shift; zero is
-            # always a finite starting point for the partial likelihood
-            beta, ll, iterations, converged = _newton(
-                self.y, self.delta, self.x, w_fit, self.rs, np.zeros(self.x.shape[1]), 25, 1e-8, 20
-            )
-        inc = self.increments(w, beta)
-        baseline = BaselineHazard(
-            event_times=self.grid, increments=inc, kernel=self.kernel, bandwidth=self.bandwidth
+        beta, ll, iterations, converged = _fit_coefficients(self.rs, self.x, w, beta0)
+        return ComponentFit(
+            beta=beta,
+            baseline=self.baseline(self.increments(w, beta)),
+            loglik=ll,
+            converged=converged,
+            iterations=iterations,
         )
-        return ComponentFit(beta=beta, baseline=baseline, loglik=ll, converged=converged, iterations=iterations)
 
     def refit_component(self, w: np.ndarray, previous: ComponentFit) -> ComponentFit:
         # a component starved of event weight keeps its coefficients and gets a
         # zero baseline; the next E-step then removes it naturally
-        if float(np.sum(w[self.ev_mask])) <= 0.0:
-            inc = np.zeros(self.grid.size)
-            baseline = BaselineHazard(
-                event_times=self.grid, increments=inc, kernel=self.kernel, bandwidth=self.bandwidth
-            )
+        if float(np.sum(w[self.rs.ev_mask])) <= 0.0:
             return ComponentFit(
-                beta=previous.beta, baseline=baseline, loglik=-np.inf, converged=False, iterations=0
+                beta=previous.beta,
+                baseline=self.baseline(np.zeros(self.rs.grid.size)),
+                loglik=-np.inf,
+                converged=False,
+                iterations=0,
             )
         return self.fit_component(w, previous.beta)
 
@@ -255,7 +230,7 @@ def _initialize(ctx: _FitContext, k_init: int, rng: np.random.Generator):
     if not 1 <= k_init <= n:
         raise ValueError("k_init must lie in [1, n]")
     k = int(k_init)
-    events = ctx.ev_mask
+    events = ctx.rs.ev_mask
     assign = None
     while assign is None:
         for _ in range(100):
@@ -281,17 +256,7 @@ def _initialize(ctx: _FitContext, k_init: int, rng: np.random.Generator):
             # the other groups' events, and the first E-step would then return
             # the starting assignment unchanged, freezing the split
             w = (1.0 - INIT_MASS_FLOOR) * S[:, j] + INIT_MASS_FLOOR / k
-            inc = ctx.increments(w, fit.beta)
-            baseline = BaselineHazard(
-                event_times=ctx.grid, increments=inc, kernel=ctx.kernel, bandwidth=ctx.bandwidth
-            )
-            fit = ComponentFit(
-                beta=fit.beta,
-                baseline=baseline,
-                loglik=fit.loglik,
-                converged=fit.converged,
-                iterations=fit.iterations,
-            )
+            fit = replace(fit, baseline=ctx.baseline(ctx.increments(w, fit.beta)))
         comps.append(fit)
     return MixtureParams(pi=pi, components=comps), S
 
@@ -304,9 +269,12 @@ def e_step(data: Dataset, params: MixtureParams) -> np.ndarray:
     record with zero density under every component gets a uniform row and
     triggers a warning.
     """
-    logd = np.column_stack([component_log_density(data, comp) for comp in params.components])
-    S, _ = _softmax_rows(params.pi, logd)
+    S, _ = _softmax_rows(params.pi, _log_densities(data, params))
     return S
+
+
+def _log_densities(data: Dataset, params: MixtureParams) -> np.ndarray:
+    return np.column_stack([component_log_density(data, comp) for comp in params.components])
 
 
 def update_mixing_proportions(S: np.ndarray, pi_prev: np.ndarray, spec: PenaltySpec) -> np.ndarray:
@@ -407,8 +375,7 @@ def prune_components(
 
 def observed_loglik(data: Dataset, params: MixtureParams) -> float:
     """Unpenalized observed-data mixture log-likelihood."""
-    logd = np.column_stack([component_log_density(data, comp) for comp in params.components])
-    return _observed_from_logd(params.pi, logd)
+    return _observed_from_logd(params.pi, _log_densities(data, params))
 
 
 def _observed_from_logd(pi: np.ndarray, logd: np.ndarray) -> float:
@@ -431,9 +398,8 @@ def penalized_observed_loglik(data: Dataset, params: MixtureParams, spec: Penalt
 def complete_data_loglik(data: Dataset, params: MixtureParams, S: np.ndarray) -> float:
     """sum_ik s_ik [log pi_k + log f_k(i)], with 0 * (-inf) treated as 0."""
     S = np.asarray(S, dtype=float)
-    logd = np.column_stack([component_log_density(data, comp) for comp in params.components])
     with np.errstate(divide="ignore"):
-        L = np.log(params.pi)[None, :] + logd
+        L = np.log(params.pi)[None, :] + _log_densities(data, params)
     terms = np.where(S > 0, S * L, 0.0)
     return float(np.sum(terms))
 
@@ -543,21 +509,7 @@ def _destandardize(params: MixtureParams, record) -> MixtureParams:
             raise NumericalError(
                 "baseline increments overflowed while mapping back to the original covariate scale"
             )
-        baseline = BaselineHazard(
-            event_times=comp.baseline.event_times,
-            increments=inc,
-            kernel=comp.baseline.kernel,
-            bandwidth=comp.baseline.bandwidth,
-        )
-        comps.append(
-            ComponentFit(
-                beta=beta,
-                baseline=baseline,
-                loglik=comp.loglik,
-                converged=comp.converged,
-                iterations=comp.iterations,
-            )
-        )
+        comps.append(replace(comp, beta=beta, baseline=replace(comp.baseline, increments=inc)))
     return MixtureParams(pi=params.pi, components=comps)
 
 

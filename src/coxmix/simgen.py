@@ -13,6 +13,7 @@ import itertools
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -198,9 +199,7 @@ def _align_to_truth(pi_hat, beta_hat, beta_true):
     return pi_a, beta_a
 
 
-def _study_replication(args):
-    (config, r, censor_upper, kinds, em_config, c_grid, cn_constant,
-     shape, epsilon, prune_threshold, kernel, bandwidth) = args
+def _study_replication(r, *, config, censor_upper, kinds, em_config, **tuning_options):
     data_rng = np.random.default_rng(np.random.SeedSequence([config.seed, r, 0]))
     data, _ = generate_dataset(config, data_rng, censor_upper=censor_upper)
     em_seed = int(np.random.SeedSequence([config.seed, r, 1]).generate_state(1, dtype=np.uint64)[0])
@@ -208,19 +207,7 @@ def _study_replication(args):
     out = {}
     for kind in kinds:
         try:
-            report = select_tuning(
-                data,
-                kind,
-                c_grid=c_grid,
-                config=cfg,
-                cn_constant=cn_constant,
-                shape=shape,
-                epsilon=epsilon,
-                prune_threshold=prune_threshold,
-                kernel=kernel,
-                bandwidth=bandwidth,
-                workers=1,
-            )
+            report = select_tuning(data, kind, config=cfg, workers=1, **tuning_options)
             params = report.best_model.params
             out[kind] = (
                 params.K,
@@ -242,8 +229,6 @@ def run_study(
     shape: float | None = None,
     epsilon: float = DEFAULT_EPSILON,
     prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
-    kernel: str = "gaussian",
-    bandwidth: float | None = None,
     workers: int = 1,
 ) -> StudyResult:
     """Replicate generate/tune/fit and tabulate bias and SD per parameter.
@@ -263,16 +248,16 @@ def run_study(
         cal_rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
         censor_upper = calibrate_censoring(config, cal_rng)
 
-    arg_list = [
-        (config, r, censor_upper, tuple(kinds), em_config, c_grid, cn_constant,
-         shape, epsilon, prune_threshold, kernel, bandwidth)
-        for r in range(replications)
-    ]
+    replicate = partial(
+        _study_replication, config=config, censor_upper=censor_upper, kinds=tuple(kinds),
+        em_config=em_config, c_grid=c_grid, cn_constant=cn_constant, shape=shape, epsilon=epsilon,
+        prune_threshold=prune_threshold,
+    )
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_study_replication, arg_list))
+            outcomes = list(pool.map(replicate, range(replications)))
     else:
-        outcomes = [_study_replication(a) for a in arg_list]
+        outcomes = [replicate(r) for r in range(replications)]
 
     K_true = config.K
     rows = []

@@ -8,7 +8,6 @@ early counts partially as a case and partially as a control.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -112,8 +112,9 @@ def _pick_best(rows: list[TuningRow]) -> int:
     return best
 
 
-def _fit_grid_point(args) -> tuple[TuningRow, FittedModel | None]:
-    data, kind, c, config, cn_constant, shape, epsilon, prune_threshold, kernel, bandwidth = args
+def _fit_grid_point(
+    c, *, data, kind, config, cn_constant, shape, epsilon, prune_threshold, kernel, bandwidth
+) -> tuple[TuningRow, FittedModel | None]:
     level = level_from_c(c, data.n)
     spec = PenaltySpec(
         kind=kind, level=level, shape=shape, epsilon=epsilon, prune_threshold=prune_threshold
@@ -163,15 +164,16 @@ def select_tuning(
         raise ValueError("c_grid must be a nonempty 1-d collection")
     if np.any(grid < 0):
         raise ValueError("grid multipliers must be nonnegative")
-    jobs = [
-        (data, kind, float(c), config, cn_constant, shape, epsilon, prune_threshold, kernel, bandwidth)
-        for c in grid
-    ]
-    if workers > 1 and len(jobs) > 1:
+    fit_point = partial(
+        _fit_grid_point, data=data, kind=kind, config=config, cn_constant=cn_constant, shape=shape,
+        epsilon=epsilon, prune_threshold=prune_threshold, kernel=kernel, bandwidth=bandwidth,
+    )
+    cs = [float(c) for c in grid]
+    if workers > 1 and len(cs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fit_grid_point, jobs))
+            results = list(pool.map(fit_point, cs))
     else:
-        results = [_fit_grid_point(job) for job in jobs]
+        results = [fit_point(c) for c in cs]
     rows = [r for r, _ in results]
     models = [m for _, m in results]
     best = _pick_best(rows)

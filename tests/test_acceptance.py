@@ -227,6 +227,7 @@ def _study_cells(result, kind):
     return pi1, betas
 
 
+@pytest.mark.slow
 def test_criterion_5_scad_selection_bias_study():
     start = time.perf_counter()
     cfg = SimConfig(n=600, censor_target=0.05, seed=2026)
@@ -258,6 +259,7 @@ def test_criterion_5_scad_selection_bias_study():
     assert pi1.k_correct_fraction >= 0.80
 
 
+@pytest.mark.slow
 def test_criterion_6_mcp_censored_bias_study():
     start = time.perf_counter()
     cfg = SimConfig(n=600, censor_target=0.25, seed=4061)

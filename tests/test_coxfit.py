@@ -165,9 +165,11 @@ class TestFit:
 
     def test_reported_loglik_uses_original_weights(self, rng):
         data = simulate_single(30, 1, [0.5], seed=13)
-        w = rng.uniform(0.1, 0.5, size=data.n)
-        fit = fit_weighted_cox(data, w)
-        assert fit.loglik == pytest.approx(brute_force_pl(data, w, fit.beta), abs=1e-8)
+        base = rng.uniform(0.1, 0.5, size=data.n)
+        for scale in (1.0, 1e-3, 1e3):
+            w = scale * base
+            fit = fit_weighted_cox(data, w)
+            assert fit.loglik == pytest.approx(brute_force_pl(data, w, fit.beta), abs=1e-8)
 
     def test_no_event_weight_errors(self, small_data):
         w = np.where(small_data.delta == 1, 0.0, 1.0)

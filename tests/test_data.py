@@ -5,7 +5,6 @@ from coxmix.data import (
     DataError,
     Dataset,
     load_dataset,
-    risk_set,
     save_dataset,
     standardize_covariates,
 )
@@ -15,7 +14,6 @@ class TestDataset:
     def test_basic_construction(self, small_data):
         assert small_data.n == 5
         assert small_data.p == 2
-        assert np.all(np.diff(small_data.y[small_data.sort_index]) >= 0)
 
     def test_arrays_read_only(self, small_data):
         with pytest.raises(ValueError):
@@ -42,10 +40,6 @@ class TestDataset:
             Dataset(y=np.array([1.0, 2.0]), delta=np.array([0, 0]), x=np.zeros((2, 1)))
         with pytest.raises(DataError):
             Dataset(y=np.array([1.0, 2.0]), delta=np.array([1, 1]), x=np.array([[1.0], [np.nan]]))
-
-    def test_risk_set(self, small_data):
-        # record 0 has y=2.0; records with y >= 2.0 are indices 0, 2, 4
-        assert sorted(risk_set(small_data, 0).tolist()) == [0, 2, 4]
 
 
 class TestCsvRoundTrip:
