@@ -295,10 +295,19 @@ def _increments(rs: _RiskSets, x, w, beta) -> np.ndarray:
     s0 = rs.sums(w * np.exp(eta - shift))
     num = w[rs.ev_mask]
     den = s0[rs.ev_mask]
-    if np.any((num > 0) & (den <= 0)):
-        raise DegenerateComponentError("empty risk-set weight sum at an event time")
     with np.errstate(invalid="ignore"):
         raw = np.where(num > 0, num * math.exp(-shift) / np.where(den > 0, den, 1.0), 0.0)
+    lost = (num > 0) & (den <= 0)
+    if np.any(lost):
+        # tiny weights times exp(eta - shift) underflowed the risk-set sum to
+        # zero; log w_i - log sum_j w_j exp(eta_j) recovers the increment
+        with np.errstate(divide="ignore"):
+            log_e = np.log(w) + eta
+        log_s0 = np.logaddexp.accumulate(log_e[rs.rev])[rs.count - 1][rs.ev_mask]
+        with np.errstate(over="ignore"):
+            raw[lost] = np.exp(np.log(num[lost]) - log_s0[lost])
+        if not np.all(np.isfinite(raw[lost])):
+            raise DegenerateComponentError("risk-set weight sum at an event time is out of range")
     inc = np.zeros(rs.grid.size)
     np.add.at(inc, rs.grid_pos, raw)
     return inc

@@ -3,7 +3,9 @@
 Cases at horizon t are subjects with an observed event by t; controls are
 subjects still event-free. Censoring before t is handled with fractional
 weights from a marker-conditional Kaplan-Meier estimate, so a subject censored
-early counts partially as a case and partially as a control.
+early counts partially as a case and partially as a control. Those curves are
+built only for the subjects censored before t and only at event times up to
+t, in O(r * n) time and memory for r such subjects out of n.
 """
 
 from __future__ import annotations
@@ -79,14 +81,22 @@ def compute_marker(model: FittedModel, data: Dataset, mode: str, t: float | None
 
 
 class _ConditionalKM:
-    """Kernel-weighted Kaplan-Meier survival, one curve per subject's marker.
+    """Kernel-weighted Kaplan-Meier survival for the markers of selected rows.
 
     The factor at event time s for subject i is
     1 - sum_j K_h(M_j - M_i) I(y_j = s, d_j = 1) / sum_j K_h(M_j - M_i) I(y_j >= s);
     a factor with an empty risk set is skipped with a warning.
+
+    Curves are built only for `rows` (one row of `curves` each, in that
+    order) and only at the event times up to `horizon`, since the product up
+    to t is a prefix of the full one. Every risk set still sums over all n
+    subjects, so time and memory are O(len(rows) * n).
     """
 
-    def __init__(self, markers: np.ndarray, data: Dataset, bandwidth: float, kernel: str = "gaussian"):
+    def __init__(
+        self, markers: np.ndarray, data: Dataset, bandwidth: float, kernel: str, rows: np.ndarray,
+        horizon: float,
+    ):
         m = np.asarray(markers, dtype=float)
         if m.shape != (data.n,):
             raise ValueError("markers must be a 1-d array with one entry per record")
@@ -94,12 +104,14 @@ class _ConditionalKM:
             raise ValueError("markers must be finite")
         if not bandwidth > 0:
             raise ValueError("marker bandwidth must be positive")
-        self.times = np.unique(data.y[data.delta == 1])
-        with np.errstate(invalid="ignore"):
-            u = (m[None, :] - m[:, None]) / bandwidth
-        if not np.all(np.isfinite(u)):
-            # infinite bandwidth: every weight collapses to K(0)
-            u = np.zeros_like(u)
+        times = np.unique(data.y[data.delta == 1])
+        self.times = times[: np.searchsorted(times, horizon, side="right")]
+        if np.isinf(bandwidth):
+            # every weight collapses to K(0)
+            u = np.zeros((rows.size, data.n))
+        else:
+            with np.errstate(over="ignore"):
+                u = (m[None, :] - m[rows, None]) / bandwidth
         w = kernel_values(kernel, u)
 
         order = np.argsort(data.y, kind="stable")
@@ -110,10 +122,11 @@ class _ConditionalKM:
         start = np.searchsorted(y_sorted, self.times, side="left")
         den = suffix[:, start]
 
-        ev = data.delta == 1
-        ev_pos = np.searchsorted(self.times, data.y[ev])
+        ev = np.flatnonzero(data.delta == 1)
+        ev_pos = np.searchsorted(times, data.y[ev])
+        used = ev_pos < self.times.size
         num = np.zeros_like(den)
-        np.add.at(num.T, ev_pos, w[:, ev].T)
+        np.add.at(num.T, ev_pos[used], w[:, ev[used]].T)
 
         empty = den <= 0.0
         if np.any(empty):
@@ -128,6 +141,7 @@ class _ConditionalKM:
         return self.curves[:, idx]
 
     def at_own_times(self, y: np.ndarray) -> np.ndarray:
+        """Survival of each built row at its own time y (one entry per row)."""
         idx = np.searchsorted(self.times, y, side="right") - 1
         out = np.ones(self.curves.shape[0])
         has = idx >= 0
@@ -144,9 +158,10 @@ def conditional_survival(
     kernel: str = "gaussian",
 ) -> np.ndarray:
     """Kernel-conditional Kaplan-Meier survival at time t, one value per subject."""
+    t = float(t)
     h = default_marker_bandwidth(markers) if bandwidth is None else float(bandwidth)
-    km = _ConditionalKM(markers, data, h, kernel)
-    return km.at_time(float(t))
+    km = _ConditionalKM(markers, data, h, kernel, np.arange(data.n), t)
+    return km.at_time(t)
 
 
 def censoring_weights(
@@ -160,6 +175,10 @@ def censoring_weights(
 
     W = 0 for subjects beyond t or censored exactly at t, W = 1 for events by
     t, and W = 1 - S(t|M_i)/S(Y_i|M_i) for subjects censored before t.
+
+    The "empty weighted risk set" warning is raised only when a factor that
+    one of these weights uses is skipped: one at an event time in (Y_i, t]
+    on the curve of a subject censored before t.
     """
     m = np.asarray(markers, dtype=float)
     y = data.y
@@ -170,9 +189,10 @@ def censoring_weights(
     frac = (y < t) & (delta == 0)
     if np.any(frac):
         h = default_marker_bandwidth(m) if bandwidth is None else float(bandwidth)
-        km = _ConditionalKM(m, data, h, kernel)
-        s_t = km.at_time(t)[frac]
-        s_y = km.at_own_times(y)[frac]
+        rows = np.flatnonzero(frac)
+        km = _ConditionalKM(m, data, h, kernel, rows, t)
+        s_t = km.at_time(t)
+        s_y = km.at_own_times(y[rows])
         zero = s_y <= 0.0
         if np.any(zero):
             warnings.warn("conditional survival vanished at a censoring time; weight set to 1", stacklevel=2)

@@ -225,6 +225,31 @@ class TestProfileIncrements:
         assert inc.sum() > 0
 
 
+    def test_underflowed_risk_sum_matches_unscaled_weights(self):
+        # the last four records' risk sets hold only themselves; at weights
+        # near 2^-1040, w exp(eta - max eta) = w exp(-40) underflows to zero
+        data = Dataset(
+            y=np.arange(1.0, 9.0),
+            delta=np.ones(8, dtype=int),
+            x=np.array([[0.0]] * 4 + [[-40.0]] * 4),
+        )
+        base = np.array([1.0, 0.5, 0.75, 1.0, 1.0, 0.5, 0.75, 1.0])
+        tail = np.arange(8) >= 4
+        # a power of two scales those weights exactly and leaves the tail's
+        # increments w_i / sum_j w_j exp(eta_j) unchanged
+        w = np.where(tail, base * 2.0**-1040, base)
+        _, inc = profile_hazard_increments(data, w, np.ones(1))
+        _, ref = profile_hazard_increments(data, base, np.ones(1))
+        assert np.all(np.isfinite(inc))
+        assert np.allclose(inc[tail], ref[tail], rtol=1e-12, atol=0.0)
+
+    def test_out_of_range_increment_raises(self):
+        # 1 / exp(-800) overflows even in log space
+        data = Dataset(y=np.array([1.0, 2.0]), delta=np.array([1, 1]), x=np.array([[0.0], [-800.0]]))
+        with pytest.raises(DegenerateComponentError):
+            profile_hazard_increments(data, np.ones(2), np.ones(1))
+
+
 class TestKernelsAndBandwidth:
     def test_gaussian_at_zero(self):
         assert kernel_values("gaussian", np.array([0.0]))[0] == pytest.approx(

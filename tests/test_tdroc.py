@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from coxmix.coxfit import cumulative_hazard, fit_weighted_cox
+from coxmix import tdroc
+from coxmix.coxfit import cumulative_hazard, fit_weighted_cox, kernel_values
 from coxmix.data import Dataset
 from coxmix.em import MixtureParams, e_step, FittedModel, fit_mixture, EMConfig
 from coxmix.penalties import PenaltySpec
@@ -49,6 +51,64 @@ def plain_km(data, t):
         r = np.sum(data.y >= u)
         s *= 1.0 - d / r
     return s
+
+
+def dense_conditional_km(markers, data, bandwidth, kernel):
+    """Reference build of every subject's curve over every event time.
+
+    Returns (times, curves) with one row of `curves` per subject. This is
+    the all-rows, all-times algorithm the library restricts; per row it runs
+    the same elementwise operations in the same order.
+    """
+    m = np.asarray(markers, dtype=float)
+    times = np.unique(data.y[data.delta == 1])
+    with np.errstate(invalid="ignore"):
+        u = (m[None, :] - m[:, None]) / bandwidth
+    if not np.all(np.isfinite(u)):
+        u = np.zeros_like(u)
+    w = kernel_values(kernel, u)
+    order = np.argsort(data.y, kind="stable")
+    suffix = np.cumsum(w[:, order][:, ::-1], axis=1)[:, ::-1]
+    den = suffix[:, np.searchsorted(data.y[order], times, side="left")]
+    ev = data.delta == 1
+    num = np.zeros_like(den)
+    np.add.at(num.T, np.searchsorted(times, data.y[ev]), w[:, ev].T)
+    empty = den <= 0.0
+    factors = np.where(empty, 1.0, 1.0 - num / np.where(empty, 1.0, den))
+    return times, np.cumprod(factors, axis=1)
+
+
+def dense_survival_at(times, curves, at):
+    """Each row's curve at its own time in `at` (1 before the first event)."""
+    idx = np.searchsorted(times, at, side="right") - 1
+    rows = np.arange(curves.shape[0])
+    return np.where(idx >= 0, curves[rows, np.maximum(idx, 0)], 1.0)
+
+
+def dense_censoring_weights(markers, data, t, bandwidth, kernel):
+    times, curves = dense_conditional_km(markers, data, bandwidth, kernel)
+    W = np.zeros(data.n)
+    W[(data.y <= t) & (data.delta == 1)] = 1.0
+    frac = (data.y < t) & (data.delta == 0)
+    s_t = dense_survival_at(times, curves, np.full(data.n, t))[frac]
+    s_y = dense_survival_at(times, curves, data.y)[frac]
+    zero = s_y <= 0.0
+    ratio = np.where(zero, 0.0, s_t / np.where(zero, 1.0, s_y))
+    W[frac] = np.clip(1.0 - ratio, 0.0, 1.0)
+    return W
+
+
+def horizon(data, where):
+    """A horizon at, between, before or after the distinct event times."""
+    times = np.unique(data.y[data.delta == 1])
+    if where == "at_event":
+        return float(times[times.size // 2])
+    if where == "between_events":
+        k = times.size // 2
+        return float(0.5 * (times[k] + times[k + 1]))
+    if where == "before_first":
+        return float(times[0] - 1e-3)
+    return float(data.y.max() + 1.0)
 
 
 class TestBandwidthRule:
@@ -184,6 +244,100 @@ class TestConditionalSurvival:
             conditional_survival(np.array([1.0, np.nan]), data, 1.0)
         with pytest.raises(ValueError, match="positive"):
             conditional_survival(np.array([1.0, 2.0]), data, 1.0, bandwidth=0.0)
+
+
+class TestRestrictedBuild:
+    """The library builds curves only for the rows and times it reads; the
+    results must equal the dense build's bit for bit."""
+
+    @staticmethod
+    def make_data(tied):
+        data = simulate_single(80, 1, [0.7], seed=157, censor_frac=0.35)
+        if not tied:
+            return data
+        # one decimal leaves many tied times among events and censorings
+        y = np.maximum(np.round(data.y, 1), 0.1)
+        ev_y = y[data.delta == 1]
+        assert np.unique(ev_y).size < ev_y.size
+        assert np.intersect1d(ev_y, y[data.delta == 0]).size > 0
+        return Dataset(y=y, delta=data.delta, x=data.x)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("where", ["at_event", "between_events", "before_first", "after_last"])
+    @pytest.mark.parametrize("bandwidth", [0.4, np.inf])
+    def test_bit_identical_to_dense_build(self, kernel, tied, where, bandwidth):
+        data = self.make_data(tied)
+        markers = data.x[:, 0]
+        t = horizon(data, where)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            W = censoring_weights(markers, data, t, bandwidth=bandwidth, kernel=kernel)
+            S = conditional_survival(markers, data, t, bandwidth=bandwidth, kernel=kernel)
+            times, curves = dense_conditional_km(markers, data, bandwidth, kernel)
+            W_dense = dense_censoring_weights(markers, data, t, bandwidth, kernel)
+        assert np.array_equal(W, W_dense)
+        assert np.array_equal(S, dense_survival_at(times, curves, np.full(data.n, t)))
+        if where in ("at_event", "between_events"):
+            assert np.any((W > 0.0) & (W < 1.0))  # the fractional weights are exercised
+
+    def test_builds_only_rows_censored_before_horizon(self, monkeypatch):
+        data = simulate_single(120, 1, [0.6], seed=163, censor_frac=0.3)
+        t = float(np.median(data.y))
+        built = []
+
+        class Spy(tdroc._ConditionalKM):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.curves.shape[0])
+
+        monkeypatch.setattr(tdroc, "_ConditionalKM", Spy)
+        censoring_weights(data.x[:, 0], data, t)
+        frac = (data.y < t) & (data.delta == 0)
+        assert built == [int(frac.sum())]
+
+    def test_memory_is_not_quadratic(self):
+        n = 3000
+        gen = np.random.default_rng(167)
+        y = gen.standard_exponential(n)
+        delta = np.ones(n, dtype=int)
+        delta[np.argsort(y)[:: n // 20]] = 0  # 20 censored records spread over time
+        data = Dataset(y=y, delta=delta, x=gen.standard_normal((n, 1)))
+        t = float(np.median(y))
+        markers = data.x[:, 0]
+        assert 0 < np.sum((y < t) & (delta == 0)) <= 20
+        tracemalloc.start()
+        try:
+            censoring_weights(markers, data, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+
+    def test_no_warning_for_curves_no_weight_uses(self):
+        # subject 0's curve starves at y = 2 (no subject near its marker is
+        # still at risk), but only subject 2 is censored before t
+        data = Dataset(
+            y=np.array([1.0, 2.0, 1.5, 3.0]), delta=np.array([1, 1, 0, 0]), x=np.zeros((4, 1))
+        )
+        markers = np.array([0.0, 100.0, 100.5, 100.2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            W = censoring_weights(markers, data, 2.0, bandwidth=1.0, kernel="epanechnikov")
+        assert W[0] == 1.0 and W[1] == 1.0 and W[3] == 0.0
+        assert 0.0 < W[2] < 1.0
+        with pytest.warns(UserWarning, match="empty weighted risk set"):
+            conditional_survival(markers, data, 2.0, bandwidth=1.0, kernel="epanechnikov")
+
+    def test_tiny_bandwidth_keeps_markers_apart(self):
+        # (M_j - M_i) / h overflows to infinity: the kernel weight is zero,
+        # not the K(0) of an infinite bandwidth
+        data = Dataset(
+            y=np.array([1.0, 2.0, 3.0]), delta=np.array([1, 1, 1]), x=np.zeros((3, 1))
+        )
+        with pytest.warns(UserWarning, match="empty weighted risk set"):
+            got = conditional_survival(np.array([0.0, 1.0, 2.0]), data, 2.5, bandwidth=1e-320)
+        assert np.array_equal(got, np.array([0.0, 0.0, 1.0]))
 
 
 class TestCensoringWeights:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coxmix.coxfit import NumericalError
+from coxmix import simgen
 from coxmix.em import EMConfig, observed_loglik
 from coxmix.tuning import (
     TuningReport,
@@ -209,3 +210,17 @@ class TestReportOutputs:
         assert s["grid_points"] == 1
         assert s["best"]["k_hat"] == 2
         assert s["best"]["bic"] == -12.5
+
+
+def test_subnormal_responsibility_does_not_abort_grid_point():
+    # replication 4 of the criterion-5 cell: at c = 0.6 both restarts reach a
+    # component whose event weights are subnormal, and the profile increments
+    # used to raise on the underflowed risk-set sums
+    cell = simgen.SimConfig(n=600, censor_target=0.05, seed=2026)
+    upper = simgen.calibrate_censoring(cell, np.random.default_rng(np.random.SeedSequence([2026])))
+    rng = np.random.default_rng(np.random.SeedSequence([2026, 4, 0]))
+    data, _ = simgen.generate_dataset(cell, rng, upper)
+    em_seed = int(np.random.SeedSequence([2026, 4, 1]).generate_state(1, dtype=np.uint64)[0])
+    config = EMConfig(k_init=10, max_iterations=400, restarts=2, seed=em_seed)
+    report = select_tuning(data, "scad", c_grid=[0.6], config=config, cn_constant=2.0)
+    assert math.isfinite(report.rows[0].bic)
