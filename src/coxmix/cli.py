@@ -1,9 +1,17 @@
 """Command-line front end: simulate, fit, tune, predict, roc, study.
 
-Every option can come from a flag or from a `--config` file of key=value
-lines; flags win. Each command writes a `<output>.meta.json` sidecar holding
-the fully resolved options, the seed, and library versions, so a run can be
-reproduced byte-identically.
+Each command declares each of its options once, in `COMMANDS`: flag, cast,
+default, required, help and choices. That one declaration makes the flag,
+casts the config-file value, supplies the default, enforces the required
+check and names the entry in the meta sidecar.
+
+An option can come from a flag or from a `--config` file of key=value lines;
+flags win. Config keys are the flag names, with dashes or underscores. A key
+that only other commands declare is ignored, so one file can serve several
+commands; a key that no command declares is a usage error. Each command
+writes a `<output>.meta.json` sidecar holding every resolved option, the seed
+(null for predict and roc, which draw no random numbers) and library
+versions, so a run can be reproduced byte-identically.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
@@ -15,6 +23,7 @@ import csv
 import json
 import platform
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -47,48 +56,6 @@ from .tuning import DEFAULT_CN_CONSTANT, report_summary, report_to_csv, select_t
 __all__ = ["main", "build_parser"]
 
 
-def _load_config(path: str | None) -> dict:
-    """Parse key=value lines; '#' starts a comment, dashes match underscores."""
-    if path is None:
-        return {}
-    out = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"config line {lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                out[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise ValueError(f"cannot read config file: {exc}") from exc
-    return out
-
-
-def _resolve(args, cfg: dict, name: str, cast, default=None, required=False):
-    value = getattr(args, name, None)
-    if value is None and name in cfg:
-        raw = cfg[name]
-        try:
-            value = cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad config value for {name}: {raw!r}") from exc
-    if value is None:
-        value = default
-    if value is None and required:
-        raise ValueError(f"missing required option --{name.replace('_', '-')}")
-    return value
-
-
-def _float_list(text: str) -> list[float]:
-    items = [part.strip() for part in str(text).split(",") if part.strip()]
-    if not items:
-        raise ValueError("expected a comma-separated list of numbers")
-    return [float(part) for part in items]
-
-
 def _str_list(text: str) -> list[str]:
     items = [part.strip() for part in str(text).split(",") if part.strip()]
     if not items:
@@ -96,7 +63,57 @@ def _str_list(text: str) -> list[str]:
     return items
 
 
-def _write_meta(out_path: str, command: str, options: dict, seed: int) -> None:
+def _float_list(text: str) -> list[float]:
+    return [float(part) for part in _str_list(text)]
+
+
+class Opt(NamedTuple):
+    """One option of one command; a flag without leading dashes is positional."""
+
+    flag: str
+    cast: Callable = str
+    default: object = None
+    required: bool = False
+    help: str = ""
+    choices: tuple | None = None
+
+    @property
+    def name(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+SEED = Opt("--seed", int, 0, help="master seed for all randomness")
+DATA = Opt("data", help="input dataset CSV")
+KIND = Opt("--penalty", required=True, choices=KINDS, help="penalty kind")
+PENALTY_SHAPE = (
+    Opt("--shape", float, help="penalty shape parameter"),
+    Opt("--epsilon", float, DEFAULT_EPSILON, help="local-linear-approximation offset"),
+    Opt("--prune", float, DEFAULT_PRUNE_THRESHOLD, help="component pruning threshold"),
+)
+GRID = (
+    Opt("--c-grid", _float_list, help="comma-separated grid multipliers"),
+    Opt("--cn-constant", float, DEFAULT_CN_CONSTANT, help="modified-BIC severity constant"),
+)
+EM = (
+    Opt("--k-init", int, DEFAULT_K_INIT, help="initial component count"),
+    Opt("--restarts", int, DEFAULT_RESTARTS, help="random restarts per fit"),
+    Opt("--max-iter", int, DEFAULT_MAX_ITERATIONS, help="iteration cap per run"),
+    Opt("--eps-abs", float, DEFAULT_EPS_ABS, help="absolute convergence tolerance"),
+    Opt("--eps-rel", float, DEFAULT_EPS_REL, help="relative convergence tolerance"),
+    SEED,
+)
+HAZARD = (
+    Opt("--hazard-kernel", default="gaussian", choices=KERNELS, help="baseline hazard smoothing kernel"),
+    Opt("--bandwidth", float, help="smoothing bandwidth"),
+)
+SCORING = (
+    Opt("--model", required=True, help="model JSON"),
+    Opt("--data", required=True, help="dataset CSV to score"),
+    Opt("--marker-mode", default="mixture_event_prob", choices=MARKER_MODES, help="marker definition"),
+)
+
+
+def _write_meta(out_path: str, command: str, options: dict, seed: int | None) -> None:
     meta = {
         "command": command,
         "options": options,
@@ -113,263 +130,238 @@ def _write_meta(out_path: str, command: str, options: dict, seed: int) -> None:
         fh.write("\n")
 
 
-def _em_config(args, cfg: dict) -> EMConfig:
+def _em_config(o) -> EMConfig:
     return EMConfig(
-        k_init=_resolve(args, cfg, "k_init", int, DEFAULT_K_INIT),
-        max_iterations=_resolve(args, cfg, "max_iter", int, DEFAULT_MAX_ITERATIONS),
-        eps_abs=_resolve(args, cfg, "eps_abs", float, DEFAULT_EPS_ABS),
-        eps_rel=_resolve(args, cfg, "eps_rel", float, DEFAULT_EPS_REL),
-        restarts=_resolve(args, cfg, "restarts", int, DEFAULT_RESTARTS),
-        seed=_resolve(args, cfg, "seed", int, 0),
+        k_init=o.k_init, max_iterations=o.max_iter, eps_abs=o.eps_abs,
+        eps_rel=o.eps_rel, restarts=o.restarts, seed=o.seed,
     )
 
 
-def _em_options(config: EMConfig) -> dict:
-    """The EM settings as they appear in a command's meta options."""
-    return {
-        "k_init": config.k_init, "max_iter": config.max_iterations,
-        "eps_abs": config.eps_abs, "eps_rel": config.eps_rel, "restarts": config.restarts,
-    }
+# Each cmd_* takes the resolved options and returns the meta entries that the
+# options cannot know; `main` writes the sidecar.
 
 
-def _penalty_spec(args, cfg: dict, kind: str, level: float) -> PenaltySpec:
-    return PenaltySpec(
-        kind=kind,
-        level=level,
-        shape=_resolve(args, cfg, "shape", float),
-        epsilon=_resolve(args, cfg, "epsilon", float, DEFAULT_EPSILON),
-        prune_threshold=_resolve(args, cfg, "prune", float, DEFAULT_PRUNE_THRESHOLD),
-    )
-
-
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    n = _resolve(args, cfg, "n", int, required=True)
-    censor = _resolve(args, cfg, "censor", float, 0.05)
-    seed = _resolve(args, cfg, "seed", int, 0)
-    out = _resolve(args, cfg, "out", str, "data.csv")
-    labels_out = _resolve(args, cfg, "labels_out", str)
-    sim = SimConfig(n=n, censor_target=censor, seed=seed)
-    rng = np.random.default_rng(seed)
-    data, labels = generate_dataset(sim, rng)
-    save_dataset(data, out)
-    if labels_out is not None:
-        with open(labels_out, "w", newline="", encoding="utf-8") as fh:
+def cmd_simulate(o) -> dict:
+    sim = SimConfig(n=o.n, censor_target=o.censor, seed=o.seed)
+    data, labels = generate_dataset(sim, np.random.default_rng(o.seed))
+    save_dataset(data, o.out)
+    if o.labels_out is not None:
+        with open(o.labels_out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["component"])
             for lab in labels:
                 writer.writerow([str(int(lab) + 1)])
-    options = {"n": n, "censor": censor, "out": out, "labels_out": labels_out}
-    _write_meta(out, "simulate", options, seed)
     censored = 1.0 - float(data.delta.mean())
-    print(f"wrote {out}: {n} rows, censored fraction {censored:.4f}")
-    return 0
+    print(f"wrote {o.out}: {o.n} rows, censored fraction {censored:.4f}")
+    return {}
 
 
-def cmd_fit(args) -> int:
-    cfg = _load_config(args.config)
-    penalty = _resolve(args, cfg, "penalty", str, required=True)
-    level = _resolve(args, cfg, "level", float, required=True)
-    out = _resolve(args, cfg, "out", str, "model.json")
-    kernel = _resolve(args, cfg, "hazard_kernel", str, "gaussian")
-    bandwidth = _resolve(args, cfg, "bandwidth", float)
-    data = load_dataset(args.data)
-    spec = _penalty_spec(args, cfg, penalty, level)
-    config = _em_config(args, cfg)
-    model = fit_mixture(data, spec, config, kernel=kernel, bandwidth=bandwidth)
-    save_model(model, out)
-    options = {
-        "data": args.data, "penalty": penalty, "level": level,
-        "shape": model.spec.shape, "epsilon": model.spec.epsilon,
-        "prune": model.spec.prune_threshold, **_em_options(config),
-        "hazard_kernel": kernel, "bandwidth": bandwidth, "out": out,
-    }
-    _write_meta(out, "fit", options, config.seed)
+def cmd_fit(o) -> dict:
+    data = load_dataset(o.data)
+    spec = PenaltySpec(
+        kind=o.penalty, level=o.level, shape=o.shape, epsilon=o.epsilon, prune_threshold=o.prune
+    )
+    model = fit_mixture(data, spec, _em_config(o), kernel=o.hazard_kernel, bandwidth=o.bandwidth)
+    save_model(model, o.out)
     loglik = penalized_observed_loglik(data, model.params, model.spec)
-    print(f"wrote {out}: K = {model.params.K}, penalized loglik = {loglik:.6f}")
-    return 0
+    print(f"wrote {o.out}: K = {model.params.K}, penalized loglik = {loglik:.6f}")
+    return {"shape": model.spec.shape}
 
 
-def cmd_tune(args) -> int:
-    cfg = _load_config(args.config)
-    penalty = _resolve(args, cfg, "penalty", str, required=True)
-    c_grid = _resolve(args, cfg, "c_grid", _float_list)
-    cn_constant = _resolve(args, cfg, "cn_constant", float, DEFAULT_CN_CONSTANT)
-    kernel = _resolve(args, cfg, "hazard_kernel", str, "gaussian")
-    bandwidth = _resolve(args, cfg, "bandwidth", float)
-    workers = _resolve(args, cfg, "workers", int, 1)
-    out = _resolve(args, cfg, "out", str, "tuning.csv")
-    out_model = _resolve(args, cfg, "out_model", str, "model.json")
-    data = load_dataset(args.data)
-    config = _em_config(args, cfg)
+def cmd_tune(o) -> dict:
+    data = load_dataset(o.data)
     report = select_tuning(
         data,
-        penalty,
-        c_grid=None if c_grid is None else np.asarray(c_grid, dtype=float),
-        config=config,
-        cn_constant=cn_constant,
-        shape=_resolve(args, cfg, "shape", float),
-        epsilon=_resolve(args, cfg, "epsilon", float, DEFAULT_EPSILON),
-        prune_threshold=_resolve(args, cfg, "prune", float, DEFAULT_PRUNE_THRESHOLD),
-        kernel=kernel,
-        bandwidth=bandwidth,
-        workers=workers,
+        o.penalty,
+        c_grid=o.c_grid,
+        config=_em_config(o),
+        cn_constant=o.cn_constant,
+        shape=o.shape,
+        epsilon=o.epsilon,
+        prune_threshold=o.prune,
+        kernel=o.hazard_kernel,
+        bandwidth=o.bandwidth,
+        workers=o.workers,
     )
-    report_to_csv(report, out)
-    save_model(report.best_model, out_model)
-    options = {
-        "data": args.data, "penalty": penalty,
-        "c_grid": [row.c for row in report.rows], "cn_constant": cn_constant,
-        **_em_options(config), "hazard_kernel": kernel,
-        "bandwidth": bandwidth, "workers": workers,
-        "out": out, "out_model": out_model,
-    }
-    _write_meta(out, "tune", options, config.seed)
-    summary = report_summary(report)
-    best = summary["best"]
+    report_to_csv(report, o.out)
+    save_model(report.best_model, o.out_model)
+    best = report_summary(report)["best"]
     print(
-        f"wrote {out} and {out_model}: best c = {best['c']:g}, "
+        f"wrote {o.out} and {o.out_model}: best c = {best['c']:g}, "
         f"K = {best['k_hat']}, BIC = {best['bic']:.6f}"
     )
-    return 0
+    return {"c_grid": [row.c for row in report.rows]}
 
 
-def cmd_predict(args) -> int:
-    cfg = _load_config(args.config)
-    mode = _resolve(args, cfg, "marker_mode", str, "mixture_event_prob")
-    times = _resolve(args, cfg, "times", _float_list)
-    out = _resolve(args, cfg, "out", str, "markers.csv")
-    seed = _resolve(args, cfg, "seed", int, 0)
-    model = load_model(args.model)
-    data = load_dataset(args.data)
+def cmd_predict(o) -> dict:
+    model = load_model(o.model)
+    data = load_dataset(o.data)
+    mode = o.marker_mode
     if mode == "mixture_event_prob":
-        if not times:
+        if not o.times:
             raise ValueError("mixture_event_prob markers need --times")
-        columns = [(f"marker_t{format(t, 'g')}", compute_marker(model, data, mode, t)) for t in times]
+        columns = [(f"marker_t{format(t, 'g')}", compute_marker(model, data, mode, t)) for t in o.times]
     else:
         columns = [("marker", compute_marker(model, data, mode))]
-    with open(out, "w", newline="", encoding="utf-8") as fh:
+    with open(o.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([name for name, _ in columns])
         for i in range(data.n):
             writer.writerow([format(vals[i], ".17g") for _, vals in columns])
-    options = {
-        "model": args.model, "data": args.data, "marker_mode": mode,
-        "times": times, "out": out,
-    }
-    _write_meta(out, "predict", options, seed)
-    print(f"wrote {out}: {data.n} rows, {len(columns)} marker column(s)")
-    return 0
+    print(f"wrote {o.out}: {data.n} rows, {len(columns)} marker column(s)")
+    return {}
 
 
-def cmd_roc(args) -> int:
-    cfg = _load_config(args.config)
-    mode = _resolve(args, cfg, "marker_mode", str, "mixture_event_prob")
-    times = _resolve(args, cfg, "times", _float_list, required=True)
-    bandwidth = _resolve(args, cfg, "bandwidth", float)
-    out_roc = _resolve(args, cfg, "out_roc", str, "roc.csv")
-    out_auc = _resolve(args, cfg, "out", str, "auc.csv")
-    seed = _resolve(args, cfg, "seed", int, 0)
-    model = load_model(args.model)
-    data = load_dataset(args.data)
+def cmd_roc(o) -> dict:
+    model = load_model(o.model)
+    data = load_dataset(o.data)
     auc_rows = []
     roc_rows = []
-    for t in times:
-        markers = compute_marker(model, data, mode, t)
-        weights = censoring_weights(markers, data, t, bandwidth=bandwidth)
+    for t in o.times:
+        markers = compute_marker(model, data, o.marker_mode, t)
+        weights = censoring_weights(markers, data, t, bandwidth=o.bandwidth)
         curve = roc_curve(markers, weights)
         auc_rows.append((t, auc(curve)))
         for c, sens, oms in zip(curve.thresholds, curve.sensitivity, curve.one_minus_specificity):
             roc_rows.append((t, c, sens, oms))
-    with open(out_roc, "w", newline="", encoding="utf-8") as fh:
+    with open(o.out_roc, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["time", "threshold", "sensitivity", "one_minus_specificity"])
         for t, c, sens, oms in roc_rows:
             writer.writerow([format(v, ".17g") for v in (t, c, sens, oms)])
-    with open(out_auc, "w", newline="", encoding="utf-8") as fh:
+    with open(o.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["time", "auc"])
         for t, value in auc_rows:
             writer.writerow([format(t, ".17g"), format(value, ".17g")])
-    options = {
-        "model": args.model, "data": args.data, "marker_mode": mode,
-        "times": times, "bandwidth": bandwidth,
-        "out": out_auc, "out_roc": out_roc,
-    }
-    _write_meta(out_auc, "roc", options, seed)
     for t, value in auc_rows:
         print(f"t = {format(t, 'g')}: AUC = {value:.6f}")
-    return 0
+    return {}
 
 
-def cmd_study(args) -> int:
-    cfg = _load_config(args.config)
-    penalties = _resolve(args, cfg, "penalty", _str_list, required=True)
-    for kind in penalties:
+def cmd_study(o) -> dict:
+    for kind in o.penalty:
         if kind not in KINDS:
             raise ValueError(f"unknown penalty kind {kind!r}; expected one of {KINDS}")
-    n = _resolve(args, cfg, "n", int, required=True)
-    censor = _resolve(args, cfg, "censor", float, 0.05)
-    replications = _resolve(args, cfg, "replications", int, required=True)
-    seed = _resolve(args, cfg, "seed", int, 0)
-    c_grid = _resolve(args, cfg, "c_grid", _float_list)
-    cn_constant = _resolve(args, cfg, "cn_constant", float, DEFAULT_CN_CONSTANT)
-    workers = _resolve(args, cfg, "workers", int, 1)
-    out = _resolve(args, cfg, "out", str, "study.csv")
-    sim = SimConfig(n=n, censor_target=censor, seed=seed)
-    config = _em_config(args, cfg)
+    sim = SimConfig(n=o.n, censor_target=o.censor, seed=o.seed)
     result = run_study(
         sim,
-        replications,
-        kinds=tuple(penalties),
-        em_config=config,
-        c_grid=None if c_grid is None else np.asarray(c_grid, dtype=float),
-        cn_constant=cn_constant,
-        shape=_resolve(args, cfg, "shape", float),
-        epsilon=_resolve(args, cfg, "epsilon", float, DEFAULT_EPSILON),
-        prune_threshold=_resolve(args, cfg, "prune", float, DEFAULT_PRUNE_THRESHOLD),
-        workers=workers,
+        o.replications,
+        kinds=tuple(o.penalty),
+        em_config=_em_config(o),
+        c_grid=o.c_grid,
+        cn_constant=o.cn_constant,
+        shape=o.shape,
+        epsilon=o.epsilon,
+        prune_threshold=o.prune,
+        workers=o.workers,
     )
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(o.out, "w", encoding="utf-8") as fh:
         fh.write(study_to_csv(result))
-    options = {
-        "n": n, "censor": censor, "replications": replications,
-        "penalty": penalties, "c_grid": c_grid, "cn_constant": cn_constant,
-        **_em_options(config), "workers": workers, "out": out,
-        "failures": result.failures, "k_hat_counts": result.k_hat_counts,
-    }
-    _write_meta(out, "study", options, seed)
     failed = sum(result.failures.values())
-    print(f"wrote {out}: {replications} replications per penalty, {failed} failed fits excluded")
-    return 0
+    print(f"wrote {o.out}: {o.replications} replications per penalty, {failed} failed fits excluded")
+    return {"failures": result.failures, "k_hat_counts": result.k_hat_counts}
 
 
-def _add_config_flag(p) -> None:
-    p.add_argument("--config", metavar="FILE", help="key=value option file; flags override it")
-    p.add_argument("--seed", type=int, help="master seed for all randomness")
+COMMANDS = {
+    "simulate": ("generate a synthetic dataset", cmd_simulate, (
+        Opt("--n", int, required=True, help="rows to generate"),
+        Opt("--censor", float, 0.05, help="target censoring fraction"),
+        SEED,
+        Opt("--out", default="data.csv", help="output dataset CSV"),
+        Opt("--labels-out", help="optional true-label CSV"),
+    )),
+    "fit": ("fit a mixture at one penalty level", cmd_fit, (
+        DATA,
+        KIND,
+        Opt("--level", float, required=True, help="penalty level"),
+        *PENALTY_SHAPE,
+        *EM,
+        *HAZARD,
+        Opt("--out", default="model.json", help="output model JSON"),
+    )),
+    "tune": ("select the penalty level by modified BIC", cmd_tune, (
+        DATA,
+        KIND,
+        *PENALTY_SHAPE,
+        *GRID,
+        *EM,
+        *HAZARD,
+        Opt("--workers", int, 1, help="concurrent grid points"),
+        Opt("--out", default="tuning.csv", help="output report CSV"),
+        Opt("--out-model", default="model.json", help="output best-model JSON"),
+    )),
+    "predict": ("write model-based risk markers", cmd_predict, (
+        *SCORING,
+        Opt("--times", _float_list, help="comma-separated horizons for event-probability markers"),
+        Opt("--out", default="markers.csv", help="output marker CSV"),
+    )),
+    "roc": ("time-dependent ROC and AUC", cmd_roc, (
+        *SCORING,
+        Opt("--times", _float_list, required=True, help="comma-separated evaluation horizons"),
+        Opt("--bandwidth", float, help="marker kernel bandwidth"),
+        Opt("--out", default="auc.csv", help="output AUC CSV"),
+        Opt("--out-roc", default="roc.csv", help="output ROC curve CSV"),
+    )),
+    "study": ("Monte-Carlo bias/SD study", cmd_study, (
+        Opt("--penalty", _str_list, required=True, help="comma-separated penalty kinds"),
+        *PENALTY_SHAPE,
+        Opt("--n", int, required=True, help="sample size per replication"),
+        Opt("--censor", float, 0.05, help="target censoring fraction"),
+        Opt("--replications", int, required=True, help="number of replications"),
+        *GRID,
+        *EM,
+        Opt("--workers", int, 1, help="concurrent replications"),
+        Opt("--out", default="study.csv", help="output study CSV"),
+    )),
+}
+
+CONFIG_KEYS = frozenset(opt.name for _, _, options in COMMANDS.values() for opt in options)
 
 
-def _add_em_flags(p) -> None:
-    p.add_argument("--k-init", type=int, help="initial component count")
-    p.add_argument("--restarts", type=int, help="random restarts per fit")
-    p.add_argument("--max-iter", type=int, help="iteration cap per run")
-    p.add_argument("--eps-abs", type=float, help="absolute convergence tolerance")
-    p.add_argument("--eps-rel", type=float, help="relative convergence tolerance")
+def _load_config(path: str | None) -> dict:
+    """Parse key=value lines; '#' starts a comment, dashes match underscores."""
+    if path is None:
+        return {}
+    out = {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"config line {lineno}: expected key=value")
+                key, value = (part.strip() for part in line.split("=", 1))
+                name = key.replace("-", "_")
+                if name not in CONFIG_KEYS:
+                    raise ValueError(f"config line {lineno}: unknown key {key!r}")
+                out[name] = value
+    except OSError as exc:
+        raise ValueError(f"cannot read config file: {exc}") from exc
+    return out
 
 
-def _add_penalty_flags(p, with_choices: bool = True) -> None:
-    if with_choices:
-        p.add_argument("--penalty", choices=KINDS, help="penalty kind")
-    else:
-        p.add_argument("--penalty", type=_str_list, help="comma-separated penalty kinds")
-    p.add_argument("--shape", type=float, help="penalty shape parameter")
-    p.add_argument("--epsilon", type=float, help="local-linear-approximation offset")
-    p.add_argument("--prune", type=float, help="component pruning threshold")
-
-
-def _add_hazard_flags(p) -> None:
-    p.add_argument("--hazard-kernel", choices=KERNELS, help="baseline hazard smoothing kernel")
-    p.add_argument("--bandwidth", type=float, help="smoothing bandwidth")
+def _resolve(args, options) -> dict:
+    """Each option's value: its flag, else the config file, else its default."""
+    cfg = _load_config(args.config)
+    values = {}
+    for opt in options:
+        value = getattr(args, opt.name)
+        if value is None and opt.name in cfg:
+            raw = cfg[opt.name]
+            try:
+                value = opt.cast(raw)
+                if opt.choices is not None and value not in opt.choices:
+                    raise ValueError(f"expected one of {opt.choices}")
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad config value for {opt.name}: {raw!r}") from exc
+        if value is None:
+            value = opt.default
+        if value is None and opt.required:
+            raise ValueError(f"missing required option {opt.flag}")
+        values[opt.name] = value
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,71 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"coxmix {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a synthetic dataset")
-    _add_config_flag(p)
-    p.add_argument("--n", type=int, help="rows to generate")
-    p.add_argument("--censor", type=float, help="target censoring fraction")
-    p.add_argument("--out", help="output dataset CSV")
-    p.add_argument("--labels-out", help="optional true-label CSV")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("fit", help="fit a mixture at one penalty level")
-    p.add_argument("data", help="input dataset CSV")
-    _add_config_flag(p)
-    _add_penalty_flags(p)
-    p.add_argument("--level", type=float, help="penalty level")
-    _add_em_flags(p)
-    _add_hazard_flags(p)
-    p.add_argument("--out", help="output model JSON")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("tune", help="select the penalty level by modified BIC")
-    p.add_argument("data", help="input dataset CSV")
-    _add_config_flag(p)
-    _add_penalty_flags(p)
-    p.add_argument("--c-grid", type=_float_list, help="comma-separated grid multipliers")
-    p.add_argument("--cn-constant", type=float, help="modified-BIC severity constant")
-    _add_em_flags(p)
-    _add_hazard_flags(p)
-    p.add_argument("--workers", type=int, help="concurrent grid points")
-    p.add_argument("--out", help="output report CSV")
-    p.add_argument("--out-model", help="output best-model JSON")
-    p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser("predict", help="write model-based risk markers")
-    p.add_argument("--model", required=True, help="model JSON")
-    p.add_argument("--data", required=True, help="dataset CSV to score")
-    _add_config_flag(p)
-    p.add_argument("--marker-mode", choices=MARKER_MODES, help="marker definition")
-    p.add_argument("--times", type=_float_list, help="comma-separated horizons for event-probability markers")
-    p.add_argument("--out", help="output marker CSV")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("roc", help="time-dependent ROC and AUC")
-    p.add_argument("--model", required=True, help="model JSON")
-    p.add_argument("--data", required=True, help="dataset CSV to evaluate")
-    _add_config_flag(p)
-    p.add_argument("--marker-mode", choices=MARKER_MODES, help="marker definition")
-    p.add_argument("--times", type=_float_list, help="comma-separated evaluation horizons")
-    p.add_argument("--bandwidth", type=float, help="marker kernel bandwidth")
-    p.add_argument("--out", help="output AUC CSV")
-    p.add_argument("--out-roc", help="output ROC curve CSV")
-    p.set_defaults(func=cmd_roc)
-
-    p = sub.add_parser("study", help="Monte-Carlo bias/SD study")
-    _add_config_flag(p)
-    _add_penalty_flags(p, with_choices=False)
-    p.add_argument("--n", type=int, help="sample size per replication")
-    p.add_argument("--censor", type=float, help="target censoring fraction")
-    p.add_argument("--replications", type=int, help="number of replications")
-    p.add_argument("--c-grid", type=_float_list, help="comma-separated grid multipliers")
-    p.add_argument("--cn-constant", type=float, help="modified-BIC severity constant")
-    _add_em_flags(p)
-    p.add_argument("--workers", type=int, help="concurrent replications")
-    p.add_argument("--out", help="output study CSV")
-    p.set_defaults(func=cmd_study)
-
+    for command, (summary, _, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", metavar="FILE", help="key=value option file; flags override it")
+        for opt in options:
+            if opt.flag.startswith("-"):
+                p.add_argument(opt.flag, type=opt.cast, choices=opt.choices, help=opt.help)
+            else:
+                p.add_argument(opt.flag, help=opt.help)
     return parser
 
 
@@ -453,12 +388,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    _, run, options = COMMANDS[args.command]
     try:
-        return args.func(args)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+        values = _resolve(args, options)
+        results = run(argparse.Namespace(**values))
+        seed = values.pop("seed", None)
+        _write_meta(values["out"], args.command, {**values, **results}, seed)
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:
@@ -467,6 +403,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -241,6 +241,8 @@ def run_study(
     """
     if replications < 1:
         raise ValueError("need at least one replication")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if em_config is None:
         em_config = EMConfig(restarts=DEFAULT_RESTARTS, seed=config.seed)
     censor_upper = None
@@ -253,8 +255,10 @@ def run_study(
         em_config=em_config, c_grid=c_grid, cn_constant=cn_constant, shape=shape, epsilon=epsilon,
         prune_threshold=prune_threshold,
     )
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a fork-started pool launches all its processes at once, so never more than tasks
+    pool_size = min(workers, replications)
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             outcomes = list(pool.map(replicate, range(replications)))
     else:
         outcomes = [replicate(r) for r in range(replications)]

@@ -164,13 +164,17 @@ def select_tuning(
         raise ValueError("c_grid must be a nonempty 1-d collection")
     if np.any(grid < 0):
         raise ValueError("grid multipliers must be nonnegative")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     fit_point = partial(
         _fit_grid_point, data=data, kind=kind, config=config, cn_constant=cn_constant, shape=shape,
         epsilon=epsilon, prune_threshold=prune_threshold, kernel=kernel, bandwidth=bandwidth,
     )
     cs = [float(c) for c in grid]
-    if workers > 1 and len(cs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a fork-started pool launches all its processes at once, so never more than tasks
+    pool_size = min(workers, len(cs))
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(fit_point, cs))
     else:
         results = [fit_point(c) for c in cs]

@@ -43,3 +43,25 @@ def small_data():
     delta = np.array([1, 1, 0, 1, 1])
     x = np.array([[0.5, -1.0], [-0.2, 0.3], [1.1, 0.4], [0.0, -0.7], [-0.9, 1.2]])
     return Dataset(y=y, delta=delta, x=x)
+
+
+@pytest.fixture
+def serial_pool():
+    """A ProcessPoolExecutor stand-in that records each max_workers and maps in-process."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    SerialPool.sizes = sizes
+    return SerialPool

@@ -1,13 +1,16 @@
 import csv
 import json
+import re
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coxmix.cli import main
+from coxmix.cli import COMMANDS, build_parser, main
 from coxmix.data import load_dataset, save_dataset
 from coxmix.em import load_model
 
@@ -143,6 +146,46 @@ class TestConfigFile:
         assert "bad config value for n" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "text, key, lineno",
+        [("max_iterations = 5\n", "max_iterations", 1), ("n = 20\nlevle = 0.3\n", "levle", 2)],
+    )
+    def test_unknown_key_is_usage_error(self, tmp_path, data_csv, capsys, text, key, lineno):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(text)
+        code = run_cli(
+            ["fit", data_csv, "--config", str(cfg), "--penalty", "scad", "--level", "0",
+             "--k-init", "1", "--restarts", "1", "--out", str(tmp_path / "m.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"line {lineno}" in err
+        assert repr(key) in err
+
+    def test_keys_of_other_commands_are_ignored(self, tmp_path, data_csv, fitted_model):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("level = 0.3\ntimes = 0.1\nseed = 4\nn = 20\n")
+        out = str(tmp_path / "grid.csv")
+        code = run_cli(
+            ["tune", data_csv, "--config", str(cfg), "--penalty", "scad", "--c-grid", "0.8",
+             "--k-init", "1", "--restarts", "1", "--out", out,
+             "--out-model", str(tmp_path / "best.json")]
+        )
+        assert code == 0
+        meta = json.load(open(out + ".meta.json"))
+        assert "level" not in meta["options"]
+        assert meta["seed"] == 4
+        markers = str(tmp_path / "markers.csv")
+        code = run_cli(
+            ["predict", "--config", str(cfg), "--model", fitted_model, "--data", data_csv,
+             "--out", markers]
+        )
+        assert code == 0
+        meta = json.load(open(markers + ".meta.json"))
+        assert meta["options"]["times"] == [0.1]
+        assert meta["seed"] is None
+
+
 class TestFit:
     def test_fit_writes_model_and_meta(self, tmp_path, data_csv, capsys):
         out = str(tmp_path / "m.json")
@@ -218,6 +261,45 @@ class TestTune:
         assert "numerical failure" in capsys.readouterr().err
 
 
+    def test_meta_reproduces_run(self, tmp_path, data_csv):
+        out = str(tmp_path / "grid.csv")
+        out_model = str(tmp_path / "best.json")
+        code = run_cli(
+            ["tune", data_csv, "--penalty", "scad", "--c-grid", "0.3,0.8",
+             "--shape", "5", "--epsilon", "1e-3", "--prune", "1e-4",
+             "--k-init", "2", "--restarts", "1", "--max-iter", "80", "--seed", "3",
+             "--out", out, "--out-model", out_model]
+        )
+        assert code == 0
+        meta = json.load(open(out + ".meta.json"))
+        options = meta["options"]
+        assert options["shape"] == 5.0
+        assert options["epsilon"] == 1e-3
+        assert options["prune"] == 1e-4
+        rerun_out = str(tmp_path / "grid2.csv")
+        rerun_model = str(tmp_path / "best2.json")
+        lines = [f"seed = {meta['seed']}"]
+        for key, value in {**options, "out": rerun_out, "out_model": rerun_model}.items():
+            if isinstance(value, list):
+                value = ",".join(repr(v) for v in value)
+            if value is not None:
+                lines.append(f"{key} = {value}")
+        cfg = tmp_path / "rerun.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert run_cli(["tune", options["data"], "--config", str(cfg)]) == 0
+        assert open(rerun_out, "rb").read() == open(out, "rb").read()
+        assert open(rerun_model, "rb").read() == open(out_model, "rb").read()
+
+    def test_zero_workers_is_usage_error(self, tmp_path, data_csv, capsys):
+        code = run_cli(
+            ["tune", data_csv, "--penalty", "scad", "--c-grid", "0.8", "--workers", "0",
+             "--k-init", "1", "--restarts", "1", "--out", str(tmp_path / "grid.csv"),
+             "--out-model", str(tmp_path / "best.json")]
+        )
+        assert code == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+
+
 class TestPredictAndRoc:
     def test_predict_event_prob_columns(self, tmp_path, data_csv, fitted_model, capsys):
         out = str(tmp_path / "markers.csv")
@@ -285,6 +367,17 @@ class TestPredictAndRoc:
         assert "missing required option --times" in capsys.readouterr().err
 
 
+    def test_no_seed_option(self, tmp_path, data_csv, fitted_model, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # roc writes its default --out-roc here
+        for command in ("predict", "roc"):
+            out = str(tmp_path / f"{command}.csv")
+            argv = [command, "--model", fitted_model, "--data", data_csv, "--times", "0.1",
+                    "--out", out]
+            assert run_cli(argv + ["--seed", "1"]) == 2
+            assert run_cli(argv) == 0
+            assert json.load(open(out + ".meta.json"))["seed"] is None
+
+
 class TestStudy:
     def test_small_study_round_trip(self, tmp_path, capsys):
         out = str(tmp_path / "study.csv")
@@ -309,3 +402,20 @@ class TestStudy:
         )
         assert code == 2
         assert "unknown penalty kind" in capsys.readouterr().err
+
+
+class TestOptionTable:
+    def test_readme_invocations_parse(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        lines = [line.strip() for line in text.replace("\\\n", " ").splitlines()]
+        commands = [line for line in lines if line.startswith("coxmix ")]
+        parser = build_parser()
+        parsed = {parser.parse_args(shlex.split(line)[1:]).command for line in commands}
+        assert parsed == set(COMMANDS)
+
+    def test_help_lists_every_declared_flag(self, capsys):
+        for command, (_, _, options) in COMMANDS.items():
+            assert main([command, "--help"]) == 0
+            out = capsys.readouterr().out
+            for flag in ["--config", *(opt.flag for opt in options)]:
+                assert re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", out), (command, flag)

@@ -212,6 +212,23 @@ class TestRunStudy:
         assert parallel.k_hat_counts == serial.k_hat_counts
         assert parallel.failures == serial.failures
 
+    def test_pool_never_exceeds_replications(self, tiny_study, monkeypatch, serial_pool):
+        import coxmix.simgen as simgen_mod
+
+        cfg, em, serial = tiny_study
+        monkeypatch.setattr(simgen_mod, "ProcessPoolExecutor", serial_pool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pooled = run_study(
+                cfg, replications=2, kinds=("scad",), em_config=em, c_grid=[0.8], workers=500
+            )
+        assert serial_pool.sizes == [2]
+        assert study_to_csv(pooled) == study_to_csv(serial)
+
+    def test_workers_validated(self):
+        with pytest.raises(ValueError, match="workers"):
+            run_study(SimConfig(n=50), replications=1, workers=0)
+
     def test_replication_count_validated(self):
         with pytest.raises(ValueError):
             run_study(SimConfig(n=50), replications=0)

@@ -175,6 +175,21 @@ class TestSelectTuning:
         with pytest.raises(NumericalError, match="every grid point"):
             select_tuning(tuning_data, "scad", c_grid=[0.3, 0.8], config=QUICK)
 
+    def test_pool_never_exceeds_grid_points(self, tuning_data, monkeypatch, serial_pool):
+        import coxmix.tuning as tuning_mod
+
+        monkeypatch.setattr(tuning_mod, "ProcessPoolExecutor", serial_pool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pooled = select_tuning(tuning_data, "scad", c_grid=[0.3, 0.9], config=QUICK, workers=500)
+            serial = select_tuning(tuning_data, "scad", c_grid=[0.3, 0.9], config=QUICK, workers=1)
+        assert serial_pool.sizes == [2]
+        assert pooled.rows == serial.rows
+
+    def test_workers_validated(self, tuning_data):
+        with pytest.raises(ValueError, match="workers"):
+            select_tuning(tuning_data, "scad", c_grid=[0.5], config=QUICK, workers=0)
+
     def test_grid_validation(self, tuning_data):
         with pytest.raises(ValueError):
             select_tuning(tuning_data, "scad", c_grid=[], config=QUICK)
