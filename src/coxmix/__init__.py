@@ -17,7 +17,6 @@ from .coxfit import (
     fit_weighted_cox,
     partial_loglik_gradient,
     partial_loglik_hessian,
-    profile_hazard_increments,
     smooth_baseline_hazard,
     weighted_partial_loglik,
 )
@@ -33,17 +32,14 @@ from .em import (
     FittedModel,
     MixtureParams,
     check_convergence,
-    complete_data_loglik,
     e_step,
     fit_mixture,
-    initialize,
     load_model,
     model_from_json,
     model_to_json,
     monotonicity_failures,
     observed_loglik,
     penalized_observed_loglik,
-    prune_components,
     save_model,
     update_mixing_proportions,
 )
@@ -72,7 +68,6 @@ from .tdroc import (
     conditional_survival,
     default_marker_bandwidth,
     roc_curve,
-    sensitivity_specificity,
 )
 from .tuning import (
     TuningReport,
@@ -109,7 +104,6 @@ __all__ = [
     "calibrate_censoring",
     "censoring_weights",
     "check_convergence",
-    "complete_data_loglik",
     "component_log_density",
     "compute_marker",
     "conditional_survival",
@@ -120,7 +114,6 @@ __all__ = [
     "fit_mixture",
     "fit_weighted_cox",
     "generate_dataset",
-    "initialize",
     "level_from_c",
     "lla_coefficient",
     "load_dataset",
@@ -135,14 +128,11 @@ __all__ = [
     "penalized_observed_loglik",
     "penalty_derivative",
     "penalty_value",
-    "profile_hazard_increments",
-    "prune_components",
     "roc_curve",
     "run_study",
     "save_dataset",
     "save_model",
     "select_tuning",
-    "sensitivity_specificity",
     "smooth_baseline_hazard",
     "standardize_covariates",
     "study_to_csv",

@@ -21,7 +21,6 @@ __all__ = [
     "partial_loglik_gradient",
     "partial_loglik_hessian",
     "fit_weighted_cox",
-    "profile_hazard_increments",
     "smooth_baseline_hazard",
     "cumulative_hazard",
     "component_log_density",
@@ -347,19 +346,6 @@ def fit_weighted_cox(
     inc = _increments(rs, data.x, w, beta)
     baseline = BaselineHazard(event_times=rs.grid, increments=inc, kernel=kernel, bandwidth=h)
     return ComponentFit(beta=beta, baseline=baseline, loglik=ll, converged=converged, iterations=iterations)
-
-
-def profile_hazard_increments(
-    data: Dataset, weights: np.ndarray, beta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Profile hazard increments w_i / sum_{j: y_j >= y_i} w_j exp(beta.x_j) at events.
-
-    Returns (event_times, increments) over the distinct event times, with tied
-    events aggregated.
-    """
-    w = _check_weights(data, weights)
-    rs = _RiskSets(data.y, data.delta)
-    return rs.grid, _increments(rs, data.x, w, np.asarray(beta, dtype=float))
 
 
 def smooth_baseline_hazard(baseline: BaselineHazard, t):

@@ -77,7 +77,6 @@ class Dataset:
         return self.x.shape[1]
 
 
-
 def load_dataset(
     path: str,
     time_col: str = "time",
@@ -117,20 +116,22 @@ def load_dataset(
             if len(row) != len(header):
                 raise DataError(f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}")
 
-            def cell(idx: int, name: str) -> float:
+            def cell(idx: int, name: str, finite: str | None = None) -> float:
+                """The parsed cell; `finite` names the quantity when it must be finite."""
                 raw = row[idx].strip()
                 if raw == "":
                     raise DataError(f"{path}: row {row_no}, column {name!r}: missing value")
                 try:
-                    return float(raw)
+                    value = float(raw)
                 except ValueError:
                     raise DataError(
                         f"{path}: row {row_no}, column {name!r}: cannot parse {raw!r}"
                     ) from None
+                if finite and not np.isfinite(value):
+                    raise DataError(f"{path}: row {row_no}, column {name!r}: non-finite {finite}")
+                return value
 
-            t = cell(t_idx, time_col)
-            if not np.isfinite(t):
-                raise DataError(f"{path}: row {row_no}, column {time_col!r}: non-finite time")
+            t = cell(t_idx, time_col, "time")
             if t < 0:
                 raise DataError(f"{path}: row {row_no}: negative time {t!r}")
             s = cell(s_idx, status_col)
@@ -138,7 +139,7 @@ def load_dataset(
                 raise DataError(f"{path}: row {row_no}: status must be 0 or 1, got {row[s_idx].strip()!r}")
             times.append(t)
             status.append(int(s))
-            covs.append([cell(j, covariate_cols[k]) for k, j in enumerate(x_idx)])
+            covs.append([cell(j, covariate_cols[k], "covariate") for k, j in enumerate(x_idx)])
 
     if not times:
         raise DataError(f"{path}: no data rows")
@@ -178,9 +179,6 @@ class Standardization:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.scale
-
-    def invert(self, x_std: np.ndarray) -> np.ndarray:
-        return x_std * self.scale + self.mean
 
     def original_beta(self, beta_std: np.ndarray) -> np.ndarray:
         return np.asarray(beta_std, dtype=float) / self.scale

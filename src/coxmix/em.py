@@ -31,13 +31,10 @@ __all__ = [
     "EMConfig",
     "MixtureParams",
     "FittedModel",
-    "initialize",
     "e_step",
     "update_mixing_proportions",
-    "prune_components",
     "observed_loglik",
     "penalized_observed_loglik",
-    "complete_data_loglik",
     "check_convergence",
     "monotonicity_failures",
     "fit_mixture",
@@ -118,14 +115,8 @@ class FittedModel:
     spec: PenaltySpec
     seed: int
     history: list[float] = field(default_factory=list)
-    responsibilities: np.ndarray | None = None
-    config: EMConfig | None = None
     diagnostics: dict | None = None
     distinct: bool = True
-
-    @property
-    def selected_K(self) -> int:
-        return self.params.K
 
     @property
     def kernel(self) -> str:
@@ -211,24 +202,10 @@ def _softmax_rows(pi: np.ndarray, logd: np.ndarray) -> tuple[np.ndarray, float]:
     return S, rowdev
 
 
-def initialize(
-    data: Dataset,
-    config: EMConfig,
-    rng: np.random.Generator,
-    kernel: str = "gaussian",
-    bandwidth: float | None = None,
-) -> tuple[MixtureParams, np.ndarray]:
+def _initialize(ctx: _FitContext, k_init: int, rng: np.random.Generator):
     """Random hard assignment into k_init groups, equal initial proportions,
     and per-group Cox fits. Returns (params, responsibilities)."""
-    h = default_time_bandwidth(data.y) if bandwidth is None else float(bandwidth)
-    ctx = _FitContext(data, kernel, h)
-    return _initialize(ctx, config.k_init, rng)
-
-
-def _initialize(ctx: _FitContext, k_init: int, rng: np.random.Generator):
     n = ctx.n
-    if not 1 <= k_init <= n:
-        raise ValueError("k_init must lie in [1, n]")
     k = int(k_init)
     events = ctx.rs.ev_mask
     assign = None
@@ -350,27 +327,9 @@ def _prune_mask(pi: np.ndarray, spec: PenaltySpec) -> np.ndarray:
     return keep
 
 
-def _apply_prune(pi, components, S, keep):
+def _apply_prune(pi, components, keep):
     pi2 = pi[keep]
-    pi2 = pi2 / pi2.sum()
-    comps = [c for c, k in zip(components, keep) if k]
-    S2 = S[:, keep]
-    rows = S2.sum(axis=1, keepdims=True)
-    S2 = np.where(rows > 0, S2 / np.where(rows > 0, rows, 1.0), 1.0 / len(comps))
-    return pi2, comps, S2
-
-
-def prune_components(
-    params: MixtureParams, S: np.ndarray, spec: PenaltySpec
-) -> tuple[MixtureParams, np.ndarray]:
-    """Drop components whose proportion fell below the prune threshold,
-    renormalizing the survivors and the responsibility rows. The last
-    component is never removed."""
-    keep = _prune_mask(params.pi, spec)
-    if np.all(keep):
-        return params, S
-    pi2, comps, S2 = _apply_prune(params.pi, params.components, S, keep)
-    return MixtureParams(pi=pi2, components=comps), S2
+    return pi2 / pi2.sum(), [c for c, k in zip(components, keep) if k]
 
 
 def observed_loglik(data: Dataset, params: MixtureParams) -> float:
@@ -393,15 +352,6 @@ def _penalty_total(pi: np.ndarray, spec: PenaltySpec, n: int) -> float:
 def penalized_observed_loglik(data: Dataset, params: MixtureParams, spec: PenaltySpec) -> float:
     """Observed log-likelihood minus n * level * sum_k [log(eps + p(pi_k)) - log(eps)]."""
     return observed_loglik(data, params) - _penalty_total(params.pi, spec, data.n)
-
-
-def complete_data_loglik(data: Dataset, params: MixtureParams, S: np.ndarray) -> float:
-    """sum_ik s_ik [log pi_k + log f_k(i)], with 0 * (-inf) treated as 0."""
-    S = np.asarray(S, dtype=float)
-    with np.errstate(divide="ignore"):
-        L = np.log(params.pi)[None, :] + _log_densities(data, params)
-    terms = np.where(S > 0, S * L, 0.0)
-    return float(np.sum(terms))
 
 
 def check_convergence(current: float, previous: float, config: EMConfig) -> bool:
@@ -437,7 +387,6 @@ def monotonicity_failures(history) -> list[tuple[int, float]]:
 @dataclass
 class _EMRun:
     params: MixtureParams
-    responsibilities: np.ndarray
     history: list[float]
     converged: bool
     iterations: int
@@ -451,7 +400,7 @@ def _pen_value(ctx: _FitContext, logd: np.ndarray, pi: np.ndarray, spec: Penalty
 
 
 def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.random.Generator) -> _EMRun:
-    params, _ = _initialize(ctx, min(config.k_init, ctx.n), rng)
+    params, _ = _initialize(ctx, config.k_init, rng)
     logd = ctx.all_log_densities(params)
     ll = _pen_value(ctx, logd, params.pi, spec)
     history = [ll]
@@ -469,7 +418,7 @@ def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.rando
         comps = params.components
         if not np.all(keep):
             prune_events += int(np.sum(~keep))
-            pi_new, comps, S = _apply_prune(pi_new, comps, S, keep)
+            pi_new, comps = _apply_prune(pi_new, comps, keep)
             pi_dev = max(pi_dev, abs(float(pi_new.sum()) - 1.0))
             logd = logd[:, keep]
             # responsibilities must reflect the reduced model before refitting
@@ -485,11 +434,8 @@ def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.rando
             ll = ll_new
             break
         ll = ll_new
-    S, dev = _softmax_rows(params.pi, logd)
-    row_dev = max(row_dev, dev)
     return _EMRun(
         params=params,
-        responsibilities=S,
         history=history,
         converged=converged,
         iterations=iterations,
@@ -599,8 +545,6 @@ def fit_mixture(
         spec=spec,
         seed=config.seed,
         history=list(best.history),
-        responsibilities=best.responsibilities[:, order],
-        config=config,
         diagnostics={
             "responsibility_row_max_dev": row_dev,
             "pi_sum_max_dev": pi_dev,
@@ -660,7 +604,7 @@ def model_to_json(model: FittedModel) -> str:
 
 
 def model_from_json(text: str) -> FittedModel:
-    """Rebuild a FittedModel from its JSON form (responsibilities and config are not stored)."""
+    """Rebuild a FittedModel from its JSON form; diagnostics are not stored."""
     raw = json.loads(text)
     spec = PenaltySpec(
         kind=raw["penalty"],

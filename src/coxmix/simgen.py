@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -21,7 +20,7 @@ from .coxfit import NumericalError
 from .data import Dataset
 from .em import DEFAULT_RESTARTS, EMConfig
 from .penalties import DEFAULT_EPSILON, DEFAULT_PRUNE_THRESHOLD
-from .tuning import DEFAULT_CN_CONSTANT, select_tuning
+from .tuning import DEFAULT_CN_CONSTANT, _map_in_pool, select_tuning
 
 __all__ = [
     "SimConfig",
@@ -241,8 +240,6 @@ def run_study(
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     if em_config is None:
         em_config = EMConfig(restarts=DEFAULT_RESTARTS, seed=config.seed)
     censor_upper = None
@@ -255,13 +252,7 @@ def run_study(
         em_config=em_config, c_grid=c_grid, cn_constant=cn_constant, shape=shape, epsilon=epsilon,
         prune_threshold=prune_threshold,
     )
-    # a fork-started pool launches all its processes at once, so never more than tasks
-    pool_size = min(workers, replications)
-    if pool_size > 1:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            outcomes = list(pool.map(replicate, range(replications)))
-    else:
-        outcomes = [replicate(r) for r in range(replications)]
+    outcomes = _map_in_pool(replicate, list(range(replications)), workers)
 
     K_true = config.K
     rows = []

@@ -26,7 +26,6 @@ __all__ = [
     "compute_marker",
     "conditional_survival",
     "censoring_weights",
-    "sensitivity_specificity",
     "RocCurve",
     "roc_curve",
     "auc",
@@ -201,23 +200,6 @@ def censoring_weights(
     return W
 
 
-def sensitivity_specificity(
-    markers: np.ndarray, weights: np.ndarray, threshold: float
-) -> tuple[float, float]:
-    """Weighted sensitivity P(M > c | case) and specificity P(M <= c | control)."""
-    m = np.asarray(markers, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    total_case = float(w.sum())
-    total_ctrl = float((1.0 - w).sum())
-    if total_case <= 0:
-        raise ValueError("no case mass at this horizon: every weight is zero")
-    if total_ctrl <= 0:
-        raise ValueError("no control mass at this horizon: every weight is one")
-    sens = float(np.sum(w * (m > threshold))) / total_case
-    spec = float(np.sum((1.0 - w) * (m <= threshold))) / total_ctrl
-    return sens, spec
-
-
 @dataclass(frozen=True)
 class RocCurve:
     """ROC polygon at one horizon: descending thresholds with infinite sentinels."""
@@ -230,7 +212,9 @@ class RocCurve:
 def roc_curve(markers: np.ndarray, weights: np.ndarray) -> RocCurve:
     """Weighted ROC curve over all distinct marker thresholds.
 
-    The first point is (0, 0) at threshold +inf and the last is (1, 1) at
+    At threshold c the sensitivity is P(M > c | case) and 1 - specificity is
+    P(M > c | control), with case weights W and control weights 1 - W. The
+    first point is (0, 0) at threshold +inf and the last is (1, 1) at
     threshold -inf; both coordinates are nondecreasing along the curve.
     """
     m = np.asarray(markers, dtype=float)

@@ -125,17 +125,28 @@ def _fit_grid_point(
         return TuningRow(float(c), level, 0, float("nan"), float("nan"), 0, False), None
     loglik = observed_loglik(data, model.params)
     score = bic_score(loglik, data.n, model.params.K, data.p, cn_constant)
-    diag = model.diagnostics or {}
     row = TuningRow(
         c=float(c),
         level=level,
         k_hat=model.params.K,
         bic=score,
         loglik=loglik,
-        iterations=int(diag.get("iterations", 0)),
-        converged=bool(diag.get("converged", False)),
+        iterations=int(model.diagnostics["iterations"]),
+        converged=bool(model.diagnostics["converged"]),
     )
     return row, model
+
+
+def _map_in_pool(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], spread over up to `workers` processes."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    # a fork-started pool launches all its processes at once, so never more than tasks
+    pool_size = min(workers, len(items))
+    if pool_size <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        return list(pool.map(fn, items))
 
 
 def select_tuning(
@@ -162,22 +173,13 @@ def select_tuning(
     grid = default_c_grid() if c_grid is None else np.asarray(list(c_grid), dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("c_grid must be a nonempty 1-d collection")
-    if np.any(grid < 0):
-        raise ValueError("grid multipliers must be nonnegative")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    if np.any(grid < 0) or not np.all(np.isfinite(grid)):
+        raise ValueError("grid multipliers must be finite and nonnegative")
     fit_point = partial(
         _fit_grid_point, data=data, kind=kind, config=config, cn_constant=cn_constant, shape=shape,
         epsilon=epsilon, prune_threshold=prune_threshold, kernel=kernel, bandwidth=bandwidth,
     )
-    cs = [float(c) for c in grid]
-    # a fork-started pool launches all its processes at once, so never more than tasks
-    pool_size = min(workers, len(cs))
-    if pool_size > 1:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(fit_point, cs))
-    else:
-        results = [fit_point(c) for c in cs]
+    results = _map_in_pool(fit_point, [float(c) for c in grid], workers)
     rows = [r for r, _ in results]
     models = [m for _, m in results]
     best = _pick_best(rows)

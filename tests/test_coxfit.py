@@ -14,9 +14,10 @@ from coxmix.coxfit import (
     kernel_values,
     partial_loglik_gradient,
     partial_loglik_hessian,
-    profile_hazard_increments,
     smooth_baseline_hazard,
     weighted_partial_loglik,
+    _increments,
+    _RiskSets,
 )
 from coxmix.data import Dataset
 
@@ -181,22 +182,28 @@ class TestFit:
             fit_weighted_cox(small_data, np.ones(5), beta_init=np.zeros(3))
 
 
+def profile_increments(data, w, beta):
+    """(event_times, increments) of the profile baseline at beta."""
+    rs = _RiskSets(data.y, data.delta)
+    return rs.grid, _increments(rs, data.x, np.asarray(w, dtype=float), np.asarray(beta, dtype=float))
+
+
 class TestProfileIncrements:
     def test_single_record(self):
         data = Dataset(y=np.array([1.0]), delta=np.array([1]), x=np.zeros((1, 1)))
-        times, inc = profile_hazard_increments(data, np.ones(1), np.array([2.7]))
+        times, inc = profile_increments(data, np.ones(1), np.array([2.7]))
         assert times.tolist() == [1.0]
         assert inc.tolist() == [1.0]
 
     def test_nelson_aalen_two_events(self):
         data = Dataset(y=np.array([1.0, 2.0]), delta=np.array([1, 1]), x=np.zeros((2, 1)))
-        times, inc = profile_hazard_increments(data, np.ones(2), np.zeros(1))
+        times, inc = profile_increments(data, np.ones(2), np.zeros(1))
         assert np.allclose(times, [1.0, 2.0])
         assert np.allclose(inc, [0.5, 1.0], atol=1e-14)
 
     def test_tied_events_aggregate(self):
         data = Dataset(y=np.array([1.0, 1.0, 2.0]), delta=np.array([1, 1, 1]), x=np.zeros((3, 1)))
-        times, inc = profile_hazard_increments(data, np.ones(3), np.zeros(1))
+        times, inc = profile_increments(data, np.ones(3), np.zeros(1))
         assert np.allclose(times, [1.0, 2.0])
         assert np.allclose(inc, [2.0 / 3.0, 1.0], atol=1e-14)
 
@@ -204,7 +211,7 @@ class TestProfileIncrements:
         data = simulate_single(30, 2, [0.5, -0.5], seed=17, censor_frac=0.2)
         w = rng.uniform(0.05, 1.0, size=data.n)
         beta = np.array([0.4, -0.2])
-        times, inc = profile_hazard_increments(data, w, beta)
+        times, inc = profile_increments(data, w, beta)
         expected = {}
         for i in range(data.n):
             if data.delta[i] != 1:
@@ -219,7 +226,7 @@ class TestProfileIncrements:
         assert np.allclose(inc, [expected[t] for t in sorted(expected)], atol=1e-12)
 
     def test_censored_rows_carry_no_mass(self, small_data):
-        times, inc = profile_hazard_increments(small_data, np.ones(5), np.zeros(2))
+        times, inc = profile_increments(small_data, np.ones(5), np.zeros(2))
         # y=3.0 is censored; it must not appear among the jump times
         assert 3.0 not in times.tolist()
         assert inc.sum() > 0
@@ -238,8 +245,8 @@ class TestProfileIncrements:
         # a power of two scales those weights exactly and leaves the tail's
         # increments w_i / sum_j w_j exp(eta_j) unchanged
         w = np.where(tail, base * 2.0**-1040, base)
-        _, inc = profile_hazard_increments(data, w, np.ones(1))
-        _, ref = profile_hazard_increments(data, base, np.ones(1))
+        _, inc = profile_increments(data, w, np.ones(1))
+        _, ref = profile_increments(data, base, np.ones(1))
         assert np.all(np.isfinite(inc))
         assert np.allclose(inc[tail], ref[tail], rtol=1e-12, atol=0.0)
 
@@ -247,7 +254,7 @@ class TestProfileIncrements:
         # 1 / exp(-800) overflows even in log space
         data = Dataset(y=np.array([1.0, 2.0]), delta=np.array([1, 1]), x=np.array([[0.0], [-800.0]]))
         with pytest.raises(DegenerateComponentError):
-            profile_hazard_increments(data, np.ones(2), np.ones(1))
+            profile_increments(data, np.ones(2), np.ones(1))
 
 
 class TestKernelsAndBandwidth:

@@ -9,6 +9,7 @@ from scipy.optimize import minimize
 from coxmix.coxfit import (
     component_log_density,
     cumulative_hazard,
+    default_time_bandwidth,
     fit_weighted_cox,
     smooth_baseline_hazard,
 )
@@ -16,18 +17,19 @@ from coxmix.data import Dataset
 from coxmix.em import (
     EMConfig,
     MixtureParams,
+    _apply_prune,
+    _FitContext,
+    _initialize,
+    _prune_mask,
     check_convergence,
-    complete_data_loglik,
     e_step,
     fit_mixture,
-    initialize,
     load_model,
     model_from_json,
     model_to_json,
     monotonicity_failures,
     observed_loglik,
     penalized_observed_loglik,
-    prune_components,
     save_model,
     update_mixing_proportions,
 )
@@ -177,47 +179,34 @@ class TestPrune:
     def test_unchanged_above_threshold(self, small_data):
         params = two_component_params(small_data)
         spec = PenaltySpec(kind="scad", level=0.1)
-        S = np.full((small_data.n, 2), 0.5)
-        out, S2 = prune_components(params, S, spec)
-        assert out.K == 2
-        assert np.allclose(out.pi, params.pi)
+        assert _prune_mask(params.pi, spec).tolist() == [True, True]
 
-    def test_below_threshold_removed(self, small_data):
-        fit = fit_weighted_cox(small_data, np.ones(small_data.n))
-        params = MixtureParams(pi=np.array([0.999995, 0.000005]), components=[fit, fit])
+    def test_below_threshold_removed(self):
+        pi = np.array([0.999995, 0.000005])
         spec = PenaltySpec(kind="scad", level=0.1, prune_threshold=1e-5)
-        S = np.column_stack([np.full(small_data.n, 0.999995), np.full(small_data.n, 0.000005)])
-        out, S2 = prune_components(params, S, spec)
-        assert out.K == 1
-        assert out.pi.tolist() == [1.0]
-        assert S2.shape == (small_data.n, 1)
-        assert np.allclose(S2, 1.0)
+        keep = _prune_mask(pi, spec)
+        assert keep.tolist() == [True, False]
+        pi2, comps = _apply_prune(pi, ["a", "b"], keep)
+        assert comps == ["a"]
+        assert pi2.tolist() == [1.0]
 
-    def test_renormalization(self, small_data):
-        fit = fit_weighted_cox(small_data, np.ones(small_data.n))
+    def test_renormalization(self):
         pi = np.array([0.6, 0.399992, 8e-6])
-        params = MixtureParams(pi=pi, components=[fit, fit, fit])
         spec = PenaltySpec(kind="scad", level=0.1, prune_threshold=1e-5)
-        S = np.tile(pi, (small_data.n, 1))
-        out, S2 = prune_components(params, S, spec)
-        assert out.K == 2
-        assert out.pi.sum() == pytest.approx(1.0, abs=1e-15)
-        assert out.pi[0] == pytest.approx(0.6 / 0.999992, rel=1e-12)
-        assert np.allclose(S2.sum(axis=1), 1.0, atol=1e-12)
+        pi2, comps = _apply_prune(pi, ["a", "b", "c"], _prune_mask(pi, spec))
+        assert comps == ["a", "b"]
+        assert pi2.sum() == pytest.approx(1.0, abs=1e-15)
+        assert pi2[0] == pytest.approx(0.6 / 0.999992, rel=1e-12)
 
-    def test_last_component_survives(self, small_data):
-        fit = fit_weighted_cox(small_data, np.ones(small_data.n))
-        params = MixtureParams(pi=np.array([1.0]), components=[fit])
+    def test_last_component_survives(self):
+        # a lone component is kept even below the threshold
         spec = PenaltySpec(kind="scad", level=0.1, prune_threshold=0.5)
-        out, _ = prune_components(params, np.ones((small_data.n, 1)), spec)
-        assert out.K == 1
+        assert _prune_mask(np.array([0.3]), spec).tolist() == [True]
 
-    def test_all_below_threshold_errors(self, small_data):
-        fit = fit_weighted_cox(small_data, np.ones(small_data.n))
-        params = MixtureParams(pi=np.array([0.5, 0.5]), components=[fit, fit])
+    def test_all_below_threshold_errors(self):
         spec = PenaltySpec(kind="scad", level=0.1, prune_threshold=0.9)
         with pytest.raises(NumericalError, match="prune threshold"):
-            prune_components(params, np.full((small_data.n, 2), 0.5), spec)
+            _prune_mask(np.array([0.5, 0.5]), spec)
 
 
 class TestLoglikFunctions:
@@ -265,31 +254,6 @@ class TestLoglikFunctions:
         assert observed_loglik(small_data, two) == pytest.approx(
             observed_loglik(small_data, one), abs=1e-12
         )
-
-    def test_complete_data_matches_brute_force(self, rng):
-        data = Dataset(
-            y=np.array([1.0, 2.0, 3.0]),
-            delta=np.array([1, 0, 1]),
-            x=np.array([[0.5], [-0.3], [1.0]]),
-        )
-        params = two_component_params(data)
-        S = rng.dirichlet(np.ones(2), size=3)
-        logd = np.column_stack([component_log_density(data, c) for c in params.components])
-        expected = float(np.sum(S * (np.log(params.pi)[None, :] + logd)))
-        assert complete_data_loglik(data, params, S) == pytest.approx(expected, abs=1e-12)
-
-    def test_complete_data_hard_assignments(self, small_data):
-        params = two_component_params(small_data)
-        S = np.zeros((small_data.n, 2))
-        S[:, 0] = [1, 0, 1, 0, 1]
-        S[:, 1] = [0, 1, 0, 1, 0]
-        logd = np.column_stack(
-            [component_log_density(small_data, c) for c in params.components]
-        )
-        expected = float(
-            np.sum(np.where(S == 1, np.log(params.pi)[None, :] + logd, 0.0))
-        )
-        assert complete_data_loglik(small_data, params, S) == pytest.approx(expected, abs=1e-12)
 
 
 class TestConvergence:
@@ -346,24 +310,29 @@ class TestEMConfig:
             EMConfig(seed=2**64)
 
 
+def initial_split(data, k_init, seed):
+    ctx = _FitContext(data, "gaussian", default_time_bandwidth(data.y))
+    return _initialize(ctx, k_init, np.random.default_rng(seed))
+
+
 class TestInitialize:
     def test_single_component(self, small_data):
-        params, S = initialize(small_data, EMConfig(k_init=1, restarts=1), np.random.default_rng(0))
+        params, S = initial_split(small_data, 1, 0)
         assert params.K == 1
         assert np.allclose(S, 1.0)
         assert params.pi.tolist() == [1.0]
 
     def test_equal_initial_proportions(self, rng):
         data = simulate_single(60, 2, [0.5, -0.5], seed=8)
-        params, S = initialize(data, EMConfig(k_init=4, restarts=1), np.random.default_rng(3))
+        params, S = initial_split(data, 4, 3)
         assert np.allclose(params.pi, 0.25)
         assert S.shape == (60, 4)
         assert np.allclose(S.sum(axis=1), 1.0)
         assert set(np.unique(S)) <= {0.0, 1.0}
 
     def test_fixed_seed_reproducible(self, small_data):
-        a = initialize(small_data, EMConfig(k_init=2, restarts=1), np.random.default_rng(9))
-        b = initialize(small_data, EMConfig(k_init=2, restarts=1), np.random.default_rng(9))
+        a = initial_split(small_data, 2, 9)
+        b = initial_split(small_data, 2, 9)
         assert np.array_equal(a[1], b[1])
 
     def test_event_starved_split_shrinks(self):
@@ -371,12 +340,8 @@ class TestInitialize:
         data = Dataset(
             y=np.array([1.0, 2.0, 3.0]), delta=np.array([1, 0, 0]), x=np.zeros((3, 1))
         )
-        params, S = initialize(data, EMConfig(k_init=2, restarts=1), np.random.default_rng(0))
+        params, S = initial_split(data, 2, 0)
         assert params.K == 1
-
-    def test_k_init_cannot_exceed_n(self, small_data):
-        with pytest.raises(ValueError):
-            initialize(small_data, EMConfig(k_init=50, restarts=1), np.random.default_rng(0))
 
 
 class TestFitMixture:
@@ -385,7 +350,7 @@ class TestFitMixture:
         spec = PenaltySpec(kind="scad", level=0.0)
         model = fit_mixture(data, spec, EMConfig(k_init=1, restarts=1, seed=4))
         direct = fit_weighted_cox(data, np.ones(data.n))
-        assert model.selected_K == 1
+        assert model.params.K == 1
         assert np.allclose(model.params.components[0].beta, direct.beta, atol=1e-6)
         assert np.allclose(
             model.params.components[0].baseline.increments,
@@ -457,7 +422,6 @@ class TestFitMixture:
         model = fit_mixture(
             data, PenaltySpec(kind="scad", level=0.0), EMConfig(k_init=1, restarts=1, seed=1)
         )
-        assert model.selected_K == model.params.K
         assert model.kernel == "gaussian"
         assert model.bandwidth == model.params.components[0].baseline.bandwidth
         assert model.distinct

@@ -213,10 +213,10 @@ class TestRunStudy:
         assert parallel.failures == serial.failures
 
     def test_pool_never_exceeds_replications(self, tiny_study, monkeypatch, serial_pool):
-        import coxmix.simgen as simgen_mod
+        import coxmix.tuning as tuning_mod
 
         cfg, em, serial = tiny_study
-        monkeypatch.setattr(simgen_mod, "ProcessPoolExecutor", serial_pool)
+        monkeypatch.setattr(tuning_mod, "ProcessPoolExecutor", serial_pool)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             pooled = run_study(

@@ -18,7 +18,6 @@ from coxmix.tdroc import (
     conditional_survival,
     default_marker_bandwidth,
     roc_curve,
-    sensitivity_specificity,
 )
 
 from conftest import simulate_single
@@ -181,24 +180,12 @@ class TestSensitivitySpecificity:
     def test_hand_example(self):
         m = np.array([3.0, 2.0, 1.0, 0.0])
         w = np.array([1.0, 0.5, 0.0, 0.5])
-        sens, spec = sensitivity_specificity(m, w, 1.5)
-        # case mass above 1.5: 1 + 0.5 of total 2; control mass at or below: 1 + 0.5 of total 2
-        assert sens == pytest.approx(0.75)
-        assert spec == pytest.approx(0.75)
-
-    def test_threshold_extremes(self, rng):
-        m = rng.normal(size=10)
-        w = rng.uniform(0.1, 0.9, size=10)
-        sens, spec = sensitivity_specificity(m, w, -np.inf)
-        assert sens == 1.0 and spec == 0.0
-        sens, spec = sensitivity_specificity(m, w, np.inf)
-        assert sens == 0.0 and spec == 1.0
-
-    def test_degenerate_errors(self):
-        with pytest.raises(ValueError, match="no case mass"):
-            sensitivity_specificity(np.array([1.0]), np.array([0.0]), 0.5)
-        with pytest.raises(ValueError, match="no control mass"):
-            sensitivity_specificity(np.array([1.0]), np.array([1.0]), 0.5)
+        curve = roc_curve(m, w)
+        # M > 1.5 selects the first two subjects, as threshold 1.0 on the curve does
+        i = curve.thresholds.tolist().index(1.0)
+        # case mass above: 1 + 0.5 of total 2; control mass at or below: 1 + 0.5 of total 2
+        assert curve.sensitivity[i] == pytest.approx(0.75)
+        assert 1.0 - curve.one_minus_specificity[i] == pytest.approx(0.75)
 
 
 class TestConditionalSurvival:

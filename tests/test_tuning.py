@@ -195,6 +195,10 @@ class TestSelectTuning:
             select_tuning(tuning_data, "scad", c_grid=[], config=QUICK)
         with pytest.raises(ValueError):
             select_tuning(tuning_data, "scad", c_grid=[-0.1, 0.5], config=QUICK)
+        for bad in (np.inf, np.nan):
+            # rejected up front, not by the fit of the bad grid point
+            with pytest.raises(ValueError, match="grid multipliers must be finite"):
+                select_tuning(tuning_data, "scad", c_grid=[0.5, bad], config=QUICK)
 
 
 class TestReportOutputs:
