@@ -31,6 +31,10 @@ KERNELS = ("gaussian", "epanechnikov")
 # floor applied before taking log of the smoothed hazard
 RATE_FLOOR = 1e-300
 
+# kernel matrices are built this many entries at a time, so smoothing never
+# holds a full len(t) x m array of temporaries
+_KERNEL_BLOCK_ENTRIES = 1 << 17
+
 DEFAULT_MAX_ITER = 25
 DEFAULT_GRAD_TOL = 1e-8
 DEFAULT_MAX_HALVINGS = 20
@@ -348,16 +352,28 @@ def fit_weighted_cox(
     return ComponentFit(beta=beta, baseline=baseline, loglik=ll, converged=converged, iterations=iterations)
 
 
+def _kernel_blocks(kernel: str, bandwidth: float, t: np.ndarray, grid: np.ndarray):
+    """Yield (rows, K((t[rows] - grid)/h)/h) over consecutive row blocks of t."""
+    step = max(1, _KERNEL_BLOCK_ENTRIES // max(grid.size, 1))
+    for start in range(0, t.size, step):
+        rows = slice(start, start + step)
+        yield rows, kernel_values(kernel, (t[rows, None] - grid[None, :]) / bandwidth) / bandwidth
+
+
 def smooth_baseline_hazard(baseline: BaselineHazard, t):
     """Kernel-smoothed hazard rate (1/h) sum_e K((t - T_e)/h) * increment_e."""
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    u = (arr[:, None] - baseline.event_times[None, :]) / baseline.bandwidth
-    vals = kernel_values(baseline.kernel, u) @ baseline.increments / baseline.bandwidth
+    vals = np.empty(arr.size)
+    for rows, block in _kernel_blocks(baseline.kernel, baseline.bandwidth, arr, baseline.event_times):
+        vals[rows] = block @ baseline.increments
     return float(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
 
 
 def _padded_cumsum(increments: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0.0], np.cumsum(increments)))
+    """Cumulative sums along the last axis, each row led by a zero."""
+    out = np.zeros(increments.shape[:-1] + (increments.shape[-1] + 1,))
+    np.cumsum(increments, axis=-1, out=out[..., 1:])
+    return out
 
 
 def cumulative_hazard(baseline: BaselineHazard, t):
@@ -380,8 +396,11 @@ def component_log_density(data: Dataset, fit: ComponentFit) -> np.ndarray:
     """Log density of each record under one component.
 
     delta * (log rate(y) + beta.x) - exp(beta.x) * cumhaz(y), where the rate is
-    the kernel-smoothed baseline floored at 1e-300 before the log.
+    the kernel-smoothed baseline floored at 1e-300 before the log. The rate
+    is evaluated only where delta = 1, the one place it enters.
     """
-    rate = smooth_baseline_hazard(fit.baseline, data.y)
+    event = data.delta == 1
+    rate = np.zeros(data.n)
+    rate[event] = smooth_baseline_hazard(fit.baseline, data.y[event])
     cum = cumulative_hazard(fit.baseline, data.y)
-    return _log_density(data.x @ fit.beta, rate, cum, data.delta == 1)
+    return _log_density(data.x @ fit.beta, rate, cum, event)

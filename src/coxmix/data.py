@@ -170,12 +170,11 @@ class Standardization:
     """Per-column centering and scaling applied before fitting.
 
     `scale` holds the sample standard deviation (ddof=1), replaced by 1 for
-    constant columns, which are flagged in `constant`.
+    constant columns.
     """
 
     mean: np.ndarray
     scale: np.ndarray
-    constant: np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.scale
@@ -200,6 +199,6 @@ def standardize_covariates(data: Dataset) -> tuple[Dataset, Standardization]:
     if np.any(constant):
         warnings.warn("constant covariate columns left unscaled", stacklevel=2)
         scale = np.where(constant, 1.0, scale)
-    record = Standardization(mean=mean, scale=scale, constant=constant)
+    record = Standardization(mean=mean, scale=scale)
     std = Dataset(y=data.y, delta=data.delta, x=record.apply(data.x))
     return std, record

@@ -17,12 +17,12 @@ from .coxfit import (
     NumericalError,
     _fit_coefficients,
     _increments,
+    _kernel_blocks,
     _log_density,
     _padded_cumsum,
     _RiskSets,
     component_log_density,
     default_time_bandwidth,
-    kernel_values,
 )
 from .data import Dataset, standardize_covariates
 from .penalties import PenaltySpec, lla_coefficient, log_scale_term
@@ -116,7 +116,6 @@ class FittedModel:
     seed: int
     history: list[float] = field(default_factory=list)
     diagnostics: dict | None = None
-    distinct: bool = True
 
     @property
     def kernel(self) -> str:
@@ -129,8 +128,12 @@ class FittedModel:
 
 class _FitContext:
     """What the EM caches for one dataset on top of its event index: the
-    kernel, the bandwidth, and the n x m matrix K((y_i - T_e)/h)/h that
-    smooths hazard increments into rates at every observed time."""
+    kernel, the bandwidth, and the symmetric m x m matrix
+    G[a, b] = K((T_a - T_b)/h)/h over the distinct event times.
+
+    The smoothed rate enters a record's log density only when it is an event,
+    and an event's time is a grid point, so G gives every rate the EM reads.
+    """
 
     def __init__(self, data: Dataset, kernel: str, bandwidth: float):
         self.x = data.x
@@ -138,15 +141,23 @@ class _FitContext:
         self.kernel = kernel
         self.bandwidth = float(bandwidth)
         self.rs = _RiskSets(data.y, data.delta)
-        u = (data.y[:, None] - self.rs.grid[None, :]) / self.bandwidth
-        self.kmat = kernel_values(kernel, u) / self.bandwidth
+        grid = self.rs.grid
+        self.gmat = np.empty((grid.size, grid.size))
+        for rows, block in _kernel_blocks(kernel, self.bandwidth, grid, grid):
+            self.gmat[rows] = block
 
     def increments(self, w: np.ndarray, beta: np.ndarray) -> np.ndarray:
         return _increments(self.rs, self.x, w, beta)
 
-    def log_density(self, beta: np.ndarray, inc: np.ndarray) -> np.ndarray:
-        cum = _padded_cumsum(inc)[self.rs.cum_idx]
-        return _log_density(self.x @ beta, self.kmat @ inc, cum, self.rs.ev_mask)
+    def log_density(self, params: MixtureParams) -> np.ndarray:
+        """n x K log densities of every record under every component."""
+        inc = np.array([comp.baseline.increments for comp in params.components])
+        betas = np.array([comp.beta for comp in params.components]).T
+        # G is symmetric, so row k of inc @ G is component k's rate on the grid
+        rate = np.zeros((self.n, params.K))
+        rate[self.rs.ev_mask] = (inc @ self.gmat)[:, self.rs.grid_pos].T
+        cum = _padded_cumsum(inc)[:, self.rs.cum_idx].T
+        return _log_density(self.x @ betas, rate, cum, self.rs.ev_mask[:, None])
 
     def baseline(self, inc: np.ndarray) -> BaselineHazard:
         return BaselineHazard(
@@ -175,12 +186,6 @@ class _FitContext:
                 iterations=0,
             )
         return self.fit_component(w, previous.beta)
-
-    def all_log_densities(self, params: MixtureParams) -> np.ndarray:
-        out = np.empty((self.n, params.K))
-        for k, comp in enumerate(params.components):
-            out[:, k] = self.log_density(comp.beta, comp.baseline.increments)
-        return out
 
 
 def _softmax_rows(pi: np.ndarray, logd: np.ndarray) -> tuple[np.ndarray, float]:
@@ -401,7 +406,7 @@ def _pen_value(ctx: _FitContext, logd: np.ndarray, pi: np.ndarray, spec: Penalty
 
 def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.random.Generator) -> _EMRun:
     params, _ = _initialize(ctx, config.k_init, rng)
-    logd = ctx.all_log_densities(params)
+    logd = ctx.log_density(params)
     ll = _pen_value(ctx, logd, params.pi, spec)
     history = [ll]
     row_dev = 0.0
@@ -426,7 +431,7 @@ def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.rando
             row_dev = max(row_dev, dev)
         new_comps = [ctx.refit_component(S[:, k], comp) for k, comp in enumerate(comps)]
         params = MixtureParams(pi=pi_new, components=new_comps)
-        logd = ctx.all_log_densities(params)
+        logd = ctx.log_density(params)
         ll_new = _pen_value(ctx, logd, params.pi, spec)
         history.append(ll_new)
         if check_convergence(ll_new, ll, config):
@@ -529,8 +534,7 @@ def fit_mixture(
         pi=best.params.pi[order], components=[best.params.components[int(k)] for k in order]
     )
     params = _destandardize(ordered, record)
-    distinct = _distinct_components(params)
-    if not distinct:
+    if not _distinct_components(params):
         warnings.warn("fitted components are not pairwise distinct", stacklevel=2)
     drops = monotonicity_failures(best.history)
     if drops and spec.level == 0.0 and best.prune_events == 0:
@@ -554,7 +558,6 @@ def fit_mixture(
             "prune_events": best.prune_events,
             "monotonicity_failures": drops,
         },
-        distinct=distinct,
     )
 
 

@@ -123,8 +123,9 @@ class TestStandardization:
         with pytest.warns(UserWarning, match="constant"):
             std, record = standardize_covariates(data)
         assert record.scale[0] == 1.0
-        assert bool(record.constant[0]) is True
+        assert record.mean[0] == 2.0
         assert np.allclose(std.x[:, 0], 0.0)
+        assert np.allclose(std.x[:, 1], [-1.0, 0.0, 1.0])
 
     def test_original_beta_maps_linear_predictor(self, small_data):
         std, record = standardize_covariates(small_data)

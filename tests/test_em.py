@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,19 +8,25 @@ import pytest
 from scipy.optimize import minimize
 
 from coxmix.coxfit import (
+    BaselineHazard,
+    ComponentFit,
+    _log_density,
+    _RiskSets,
     component_log_density,
     cumulative_hazard,
     default_time_bandwidth,
     fit_weighted_cox,
+    kernel_values,
     smooth_baseline_hazard,
 )
-from coxmix.data import Dataset
+from coxmix.data import Dataset, standardize_covariates
 from coxmix.em import (
     EMConfig,
     MixtureParams,
     _apply_prune,
     _FitContext,
     _initialize,
+    _log_densities,
     _prune_mask,
     check_convergence,
     e_step,
@@ -315,6 +322,76 @@ def initial_split(data, k_init, seed):
     return _initialize(ctx, k_init, np.random.default_rng(seed))
 
 
+def random_params(grid, p, K, kernel, h, seed):
+    gen = np.random.default_rng(seed)
+    comps = [
+        ComponentFit(
+            beta=gen.normal(0.0, 0.7, size=p),
+            baseline=BaselineHazard(
+                event_times=grid, increments=gen.gamma(2.0, 0.5 / grid.size, size=grid.size),
+                kernel=kernel, bandwidth=h,
+            ),
+            loglik=float("nan"),
+            converged=True,
+            iterations=0,
+        )
+        for _ in range(K)
+    ]
+    return MixtureParams(pi=np.full(K, 1.0 / K), components=comps)
+
+
+def dense_log_densities(data, params, ctx):
+    """Per-component oracle through the full n x m kernel matrix."""
+    rs = _RiskSets(data.y, data.delta)
+    h = ctx.bandwidth
+    kmat = kernel_values(ctx.kernel, (data.y[:, None] - rs.grid[None, :]) / h) / h
+    cols = []
+    for comp in params.components:
+        inc = comp.baseline.increments
+        cum = np.concatenate(([0.0], np.cumsum(inc)))[rs.cum_idx]
+        cols.append(_log_density(data.x @ comp.beta, kmat @ inc, cum, rs.ev_mask))
+    return np.column_stack(cols)
+
+
+class TestFitContext:
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("censor_frac", [0.0, 0.3])
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    def test_log_density_matches_dense_and_public_paths(self, kernel, tied, censor_frac, K):
+        data = simulate_single(150, 2, [0.8, -0.5], seed=71, censor_frac=censor_frac)
+        if tied:
+            data = Dataset(y=np.ceil(data.y * 20.0) / 20.0, delta=data.delta, x=data.x)
+        std, _ = standardize_covariates(data)
+        ctx = _FitContext(std, kernel, default_time_bandwidth(std.y))
+        assert tied == (ctx.rs.grid.size < int(np.sum(std.delta)))
+        params = random_params(ctx.rs.grid, std.p, K, kernel, ctx.bandwidth, seed=K)
+        got = ctx.log_density(params)
+        assert got.shape == (std.n, K)
+        np.testing.assert_allclose(got, dense_log_densities(std, params, ctx), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, _log_densities(std, params), rtol=1e-12, atol=0)
+
+    def test_build_memory_is_quadratic_in_events_only(self):
+        data = simulate_single(3000, 2, [0.5, -0.5], seed=5)
+        h = default_time_bandwidth(data.y)
+        tracemalloc.start()
+        try:
+            ctx = _FitContext(data, "gaussian", h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = ctx.rs.grid.size
+        assert peak < 1.25 * m * m * 8
+
+    def test_no_attribute_spans_records_by_events(self):
+        data = simulate_single(400, 2, [0.5, -0.5], seed=6, censor_frac=0.3)
+        ctx = _FitContext(data, "epanechnikov", default_time_bandwidth(data.y))
+        n, m = data.n, ctx.rs.grid.size
+        assert m < n
+        arrays = [v for obj in (ctx, ctx.rs) for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.size < n * m for a in arrays)
+
+
 class TestInitialize:
     def test_single_component(self, small_data):
         params, S = initial_split(small_data, 1, 0)
@@ -419,12 +496,30 @@ class TestFitMixture:
 
     def test_model_properties(self):
         data = simulate_single(40, 1, [0.5], seed=53)
-        model = fit_mixture(
-            data, PenaltySpec(kind="scad", level=0.0), EMConfig(k_init=1, restarts=1, seed=1)
-        )
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="fitted components are not pairwise distinct")
+            model = fit_mixture(
+                data, PenaltySpec(kind="scad", level=0.0), EMConfig(k_init=1, restarts=1, seed=1)
+            )
         assert model.kernel == "gaussian"
         assert model.bandwidth == model.params.components[0].baseline.bandwidth
-        assert model.distinct
+
+    def test_indistinct_components_warn(self):
+        # a constant covariate standardizes to zero, so every component keeps beta = 0
+        base = simulate_single(40, 1, [0.5], seed=53)
+        data = Dataset(y=base.y, delta=base.delta, x=np.full((40, 1), 3.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = fit_mixture(
+                data,
+                PenaltySpec(kind="scad", level=0.0),
+                EMConfig(k_init=2, max_iterations=20, restarts=1, seed=1),
+            )
+        messages = [str(w.message) for w in caught]
+        assert "constant covariate columns left unscaled" in messages
+        assert "fitted components are not pairwise distinct" in messages
+        assert model.params.K == 2
+        assert np.array_equal(model.params.components[0].beta, model.params.components[1].beta)
 
 
 class TestSerialization:
