@@ -39,6 +39,9 @@ DEFAULT_MAX_ITER = 25
 DEFAULT_GRAD_TOL = 1e-8
 DEFAULT_MAX_HALVINGS = 20
 RIDGE_FACTOR = 1e-8
+# a Newton line search stops once the largest gain left is within
+# GAIN_TOL * max(1, |l|), the rounding of the log-likelihood
+GAIN_TOL = 4.0 * float(np.finfo(float).eps)
 
 
 class NumericalError(Exception):
@@ -113,7 +116,12 @@ class BaselineHazard:
 
 @dataclass(frozen=True)
 class ComponentFit:
-    """One fitted component: coefficients, baseline hazard, and fit diagnostics."""
+    """One fitted component: coefficients, baseline hazard, and fit diagnostics.
+
+    `converged` is True when Newton ended with max |gradient| <= 1e-8, or when
+    no step along the Newton direction could raise the partial likelihood by
+    more than its rounding. `iterations` counts accepted Newton steps.
+    """
 
     beta: np.ndarray
     baseline: BaselineHazard
@@ -132,27 +140,45 @@ class ComponentFit:
 
 
 class _RiskSets:
-    """Per-dataset event index built from (y, delta) with O(n) memory.
+    """Per-dataset Cox index built from (x, y, delta) with O(n p^2) memory.
 
-    Holds the risk-set order, so that sums over {j : y_j >= y_i} come from
-    cumulative sums in descending time order; the distinct event-time grid;
-    each event's position on that grid; and each record's index into the
-    zero-padded cumulative increments, which gives Lambda(y_i).
+    Sums over the risk set {j : y_j >= y_i} are cumulative sums in descending
+    time order, the risk order. The index holds:
+    - `rev`, the risk order;
+    - `xc`, the column-centred covariates in risk order, and `z`, the design
+      [1, xc, upper triangle of xc xc^T] in the same order. The partial
+      likelihood and its derivatives do not change when x is shifted, and
+      centring keeps the second-moment sums free of cancellation;
+    - `ev`, the event rows in risk order, `ev_row`, the cumulative-sum row
+      that closes each one's risk set, and `ev_grid`, its grid position;
+    - the distinct event-time grid, each event's position on it in record
+      order (`grid_pos`), and each record's index into the zero-padded
+      cumulative increments (`cum_idx`), which gives Lambda(y_i).
     """
 
-    def __init__(self, y: np.ndarray, delta: np.ndarray):
+    def __init__(self, x: np.ndarray, y: np.ndarray, delta: np.ndarray):
         order = np.argsort(y, kind="stable")
         self.rev = order[::-1]
         # count[i] = |{j : y_j >= y_i}|; ties enter the risk set together
-        self.count = y.size - np.searchsorted(y[order], y, side="left")
+        count = y.size - np.searchsorted(y[order], y, side="left")
         self.ev_mask = delta == 1
         self.grid = np.unique(y[self.ev_mask])
         self.grid_pos = np.searchsorted(self.grid, y[self.ev_mask])
         self.cum_idx = np.searchsorted(self.grid, y, side="right")
-
-    def sums(self, values: np.ndarray) -> np.ndarray:
-        cum = np.cumsum(values[self.rev], axis=0)
-        return cum[self.count - 1]
+        self.ev = np.flatnonzero(self.ev_mask[self.rev])
+        self.ev_row = count[self.rev][self.ev] - 1
+        self.ev_grid = np.searchsorted(self.grid, y[self.rev][self.ev])
+        self.center = x.mean(axis=0)
+        self.xc = x[self.rev] - self.center
+        p = x.shape[1]
+        self.triu = np.triu_indices(p)
+        # sym[i, j] is the column of z's second-moment block holding x_i x_j
+        self.sym = np.empty((p, p), dtype=np.intp)
+        self.sym[self.triu] = np.arange(self.triu[0].size)
+        self.sym[self.triu[1], self.triu[0]] = self.sym[self.triu]
+        self.z = np.hstack(
+            [np.ones((y.size, 1)), self.xc, self.xc[:, self.triu[0]] * self.xc[:, self.triu[1]]]
+        )
 
 
 def _check_weights(data: Dataset, weights: np.ndarray) -> np.ndarray:
@@ -164,39 +190,59 @@ def _check_weights(data: Dataset, weights: np.ndarray) -> np.ndarray:
     return w
 
 
-def _pl_value(x, w, beta, rs: _RiskSets) -> float:
-    eta = x @ beta
+def _risk_weights(rs: _RiskSets, w, beta):
+    """(w, eta, max eta, w exp(eta - max eta)) in risk order, eta on centred x."""
+    w_r = w[rs.rev]
+    eta = rs.xc @ beta
     shift = float(np.max(eta))
-    with np.errstate(over="ignore", under="ignore"):
-        e = w * np.exp(eta - shift)
-    s0 = rs.sums(e)
-    ev = rs.ev_mask & (w > 0)
-    s0e = s0[ev]
+    return w_r, eta, shift, w_r * np.exp(eta - shift)
+
+
+def _weighted_events(rs: _RiskSets, w_r):
+    """(w, position, cumulative-sum row) of the events with positive weight."""
+    wv = w_r[rs.ev]
+    keep = wv > 0
+    if np.all(keep):
+        return wv, rs.ev, rs.ev_row
+    return wv[keep], rs.ev[keep], rs.ev_row[keep]
+
+
+def _loglik(wv, eta_ev, shift: float, s0e) -> float:
     if not np.all(np.isfinite(s0e)) or np.any(s0e <= 0):
         return -np.inf
-    val = float(np.sum(w[ev] * (eta[ev] - shift - np.log(s0e))))
+    val = float(np.sum(wv * (eta_ev - shift - np.log(s0e))))
     return val if math.isfinite(val) else -np.inf
 
 
-def _pl_derivs(x, w, beta, rs: _RiskSets):
-    eta = x @ beta
-    shift = float(np.max(eta))
-    e = w * np.exp(eta - shift)
-    s0 = rs.sums(e)
-    s1 = rs.sums(e[:, None] * x)
-    xx = x[:, :, None] * x[:, None, :]
-    s2 = rs.sums(e[:, None, None] * xx)
-    ev = rs.ev_mask & (w > 0)
-    wv = w[ev]
-    s0e = s0[ev]
+def _pl_value(rs: _RiskSets, w, beta) -> float:
+    w_r, eta, shift, e = _risk_weights(rs, w, beta)
+    wv, ev, rows = _weighted_events(rs, w_r)
+    return _loglik(wv, eta[ev], shift, np.cumsum(e)[rows])
+
+
+def _pl_derivs(rs: _RiskSets, w, beta):
+    """(l, gradient, Hessian) from one cumulative sum over e * z.
+
+    With s = (s0, S1, S2) the risk-set sums of z at the events, a = w / s0 and
+    xbar = S1 / s0:
+        g = w^T x_ev - a^T S1,    H = -[a^T S2 - w^T (xbar xbar^T)],
+    the second moments packed as z's upper triangle. The log-likelihood takes
+    s0 from the same cumulative sum as `_pl_value`, so the two agree bit for bit.
+    """
+    w_r, eta, shift, e = _risk_weights(rs, w, beta)
+    wv, ev, rows = _weighted_events(rs, w_r)
+    s = np.cumsum(e[:, None] * rs.z, axis=0)[rows]
+    s0 = s[:, 0]
+    ll = _loglik(wv, eta[ev], shift, s0)
+    p = rs.xc.shape[1]
+    s1 = s[:, 1 : p + 1]
     # degenerate risk sums produce non-finite values here; callers reject them
     with np.errstate(divide="ignore", invalid="ignore"):
-        xbar = s1[ev] / s0e[:, None]
-        ll = float(np.sum(wv * (eta[ev] - shift - np.log(s0e))))
-        grad = (wv[:, None] * (x[ev] - xbar)).sum(axis=0)
-        second = s2[ev] / s0e[:, None, None] - xbar[:, :, None] * xbar[:, None, :]
-        hess = -(wv[:, None, None] * second).sum(axis=0)
-    return ll, grad, hess
+        a = wv / s0
+        xbar = s1 / s0[:, None]
+        grad = wv @ rs.xc[ev] - a @ s1
+        second = a @ s[:, p + 1 :] - wv @ (xbar[:, rs.triu[0]] * xbar[:, rs.triu[1]])
+    return ll, grad, -second[rs.sym]
 
 
 def weighted_partial_loglik(data: Dataset, weights: np.ndarray, beta: np.ndarray) -> float:
@@ -206,14 +252,14 @@ def weighted_partial_loglik(data: Dataset, weights: np.ndarray, beta: np.ndarray
     """
     w = _check_weights(data, weights)
     beta = np.asarray(beta, dtype=float)
-    return _pl_value(data.x, w, beta, _RiskSets(data.y, data.delta))
+    return _pl_value(_RiskSets(data.x, data.y, data.delta), w, beta)
 
 
 def partial_loglik_gradient(data: Dataset, weights: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Analytic gradient of `weighted_partial_loglik` in beta."""
     w = _check_weights(data, weights)
     beta = np.asarray(beta, dtype=float)
-    _, grad, _ = _pl_derivs(data.x, w, beta, _RiskSets(data.y, data.delta))
+    _, grad, _ = _pl_derivs(_RiskSets(data.x, data.y, data.delta), w, beta)
     return grad
 
 
@@ -221,7 +267,7 @@ def partial_loglik_hessian(data: Dataset, weights: np.ndarray, beta: np.ndarray)
     """Analytic Hessian of `weighted_partial_loglik` in beta (negative semidefinite)."""
     w = _check_weights(data, weights)
     beta = np.asarray(beta, dtype=float)
-    _, _, hess = _pl_derivs(data.x, w, beta, _RiskSets(data.y, data.delta))
+    _, _, hess = _pl_derivs(_RiskSets(data.x, data.y, data.delta), w, beta)
     return hess
 
 
@@ -244,20 +290,29 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     raise NumericalError("Newton system remained singular despite ridge damping")
 
 
-def _newton(x, w, rs: _RiskSets, beta0):
+def _newton(rs: _RiskSets, w, beta0):
     beta = np.array(beta0, dtype=float, copy=True)
-    ll, grad, hess = _pl_derivs(x, w, beta, rs)
+    ll, grad, hess = _pl_derivs(rs, w, beta)
     if not math.isfinite(ll):
         raise NumericalError("partial likelihood not finite at the starting point")
     iterations = 0
     converged = bool(np.max(np.abs(grad)) <= DEFAULT_GRAD_TOL)
     while iterations < DEFAULT_MAX_ITER and not converged:
         step = _newton_step(hess, grad)
+        # l is concave, so l(beta + s step) <= l + s g'step; once that bound is
+        # within rounding of l, no shorter step can raise l representably
+        slope = float(grad @ step)
+        if not slope > 0.0:
+            break
+        floor = GAIN_TOL * max(1.0, abs(ll))
         scale = 1.0
         accepted = False
         for _ in range(DEFAULT_MAX_HALVINGS + 1):
+            if scale * slope <= floor:
+                converged = True
+                break
             cand = beta + scale * step
-            cand_ll = _pl_value(x, w, cand, rs)
+            cand_ll = _pl_value(rs, w, cand)
             if math.isfinite(cand_ll) and cand_ll > ll:
                 accepted = True
                 break
@@ -265,13 +320,13 @@ def _newton(x, w, rs: _RiskSets, beta0):
         if not accepted:
             break
         beta = cand
-        ll, grad, hess = _pl_derivs(x, w, beta, rs)
+        ll, grad, hess = _pl_derivs(rs, w, beta)
         iterations += 1
         converged = bool(np.max(np.abs(grad)) <= DEFAULT_GRAD_TOL)
     return beta, ll, iterations, converged
 
 
-def _fit_coefficients(rs: _RiskSets, x, w, beta0):
+def _fit_coefficients(rs: _RiskSets, w, beta0):
     """Newton fit of one weighted Cox component.
 
     Returns (beta, loglik, iterations, converged) with the partial
@@ -282,37 +337,37 @@ def _fit_coefficients(rs: _RiskSets, x, w, beta0):
     c = float(np.max(w))
     w_fit = w / c
     try:
-        beta, ll, iterations, converged = _newton(x, w_fit, rs, beta0)
+        beta, ll, iterations, converged = _newton(rs, w_fit, beta0)
     except NumericalError:
         # a warm start can be infeasible after the weights shift; zero is
         # always a finite starting point for the partial likelihood
-        beta, ll, iterations, converged = _newton(x, w_fit, rs, np.zeros(x.shape[1]))
+        beta, ll, iterations, converged = _newton(rs, w_fit, np.zeros(rs.xc.shape[1]))
     # l(c w) = c l(w) - c log(c) sum_{events, w > 0} w
     ll = c * ll - c * math.log(c) * float(np.sum(w_fit[rs.ev_mask & (w_fit > 0)]))
     return beta, ll, iterations, converged
 
 
-def _increments(rs: _RiskSets, x, w, beta) -> np.ndarray:
-    eta = x @ beta
-    shift = float(np.max(eta))
-    s0 = rs.sums(w * np.exp(eta - shift))
-    num = w[rs.ev_mask]
-    den = s0[rs.ev_mask]
+def _increments(rs: _RiskSets, w, beta) -> np.ndarray:
+    w_r, eta, shift, e = _risk_weights(rs, w, beta)
+    num = w_r[rs.ev]
+    den = np.cumsum(e)[rs.ev_row]
+    # eta on the caller's covariates is the index's eta plus this offset
+    offset = float(rs.center @ beta)
     with np.errstate(invalid="ignore"):
-        raw = np.where(num > 0, num * math.exp(-shift) / np.where(den > 0, den, 1.0), 0.0)
+        raw = np.where(num > 0, num * math.exp(-shift - offset) / np.where(den > 0, den, 1.0), 0.0)
     lost = (num > 0) & (den <= 0)
     if np.any(lost):
         # tiny weights times exp(eta - shift) underflowed the risk-set sum to
         # zero; log w_i - log sum_j w_j exp(eta_j) recovers the increment
         with np.errstate(divide="ignore"):
-            log_e = np.log(w) + eta
-        log_s0 = np.logaddexp.accumulate(log_e[rs.rev])[rs.count - 1][rs.ev_mask]
+            log_e = np.log(w_r) + eta
+        log_s0 = np.logaddexp.accumulate(log_e)[rs.ev_row]
         with np.errstate(over="ignore"):
-            raw[lost] = np.exp(np.log(num[lost]) - log_s0[lost])
+            raw[lost] = np.exp(np.log(num[lost]) - log_s0[lost] - offset)
         if not np.all(np.isfinite(raw[lost])):
             raise DegenerateComponentError("risk-set weight sum at an event time is out of range")
     inc = np.zeros(rs.grid.size)
-    np.add.at(inc, rs.grid_pos, raw)
+    np.add.at(inc, rs.ev_grid, raw)
     return inc
 
 
@@ -331,6 +386,13 @@ def fit_weighted_cox(
     reported `loglik` is the partial log-likelihood at the given weights,
     not at the rescaled weights the iteration runs on.
 
+    `converged` means max |gradient| <= 1e-8 at the weights rescaled to a
+    maximum of 1, or no representable gain left along the Newton direction:
+    the partial likelihood is concave, so once s g'step falls within
+    4 eps max(1, |l|) no step length s can raise it. A search that runs out
+    of halvings with a larger predicted gain, or a direction that is not an
+    ascent direction, reports False.
+
     Raises
     ------
     DegenerateComponentError
@@ -344,10 +406,10 @@ def fit_weighted_cox(
     beta0 = np.zeros(data.p) if beta_init is None else np.asarray(beta_init, dtype=float)
     if beta0.shape != (data.p,):
         raise ValueError("beta_init has wrong length")
-    rs = _RiskSets(data.y, data.delta)
-    beta, ll, iterations, converged = _fit_coefficients(rs, data.x, w, beta0)
+    rs = _RiskSets(data.x, data.y, data.delta)
+    beta, ll, iterations, converged = _fit_coefficients(rs, w, beta0)
     h = default_time_bandwidth(data.y) if bandwidth is None else float(bandwidth)
-    inc = _increments(rs, data.x, w, beta)
+    inc = _increments(rs, w, beta)
     baseline = BaselineHazard(event_times=rs.grid, increments=inc, kernel=kernel, bandwidth=h)
     return ComponentFit(beta=beta, baseline=baseline, loglik=ll, converged=converged, iterations=iterations)
 

@@ -140,14 +140,14 @@ class _FitContext:
         self.n, self.p = data.x.shape
         self.kernel = kernel
         self.bandwidth = float(bandwidth)
-        self.rs = _RiskSets(data.y, data.delta)
+        self.rs = _RiskSets(data.x, data.y, data.delta)
         grid = self.rs.grid
         self.gmat = np.empty((grid.size, grid.size))
         for rows, block in _kernel_blocks(kernel, self.bandwidth, grid, grid):
             self.gmat[rows] = block
 
     def increments(self, w: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        return _increments(self.rs, self.x, w, beta)
+        return _increments(self.rs, w, beta)
 
     def log_density(self, params: MixtureParams) -> np.ndarray:
         """n x K log densities of every record under every component."""
@@ -165,7 +165,7 @@ class _FitContext:
         )
 
     def fit_component(self, w: np.ndarray, beta0: np.ndarray) -> ComponentFit:
-        beta, ll, iterations, converged = _fit_coefficients(self.rs, self.x, w, beta0)
+        beta, ll, iterations, converged = _fit_coefficients(self.rs, w, beta0)
         return ComponentFit(
             beta=beta,
             baseline=self.baseline(self.increments(w, beta)),

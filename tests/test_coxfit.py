@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import coxmix.coxfit as coxfit
 from coxmix.coxfit import (
     BaselineHazard,
     DegenerateComponentError,
@@ -17,6 +18,8 @@ from coxmix.coxfit import (
     smooth_baseline_hazard,
     weighted_partial_loglik,
     _increments,
+    _pl_derivs,
+    _pl_value,
     _RiskSets,
 )
 from coxmix.data import Dataset
@@ -114,6 +117,123 @@ class TestDerivatives:
         assert np.all(eigvals <= 1e-10)
 
 
+def three_sums_derivs(data, w, beta):
+    """(l, gradient, Hessian) from separate risk-set sums of e, e x and e x x^T.
+
+    The pass the fused one replaced, on the raw covariates: the oracle for
+    `_pl_derivs`.
+    """
+    x = data.x
+    order = np.argsort(data.y, kind="stable")
+    rev = order[::-1]
+    count = data.n - np.searchsorted(data.y[order], data.y, side="left")
+
+    def sums(values):
+        return np.cumsum(values[rev], axis=0)[count - 1]
+
+    eta = x @ beta
+    shift = float(np.max(eta))
+    e = w * np.exp(eta - shift)
+    s0 = sums(e)
+    s1 = sums(e[:, None] * x)
+    s2 = sums(e[:, None, None] * (x[:, :, None] * x[:, None, :]))
+    ev = (data.delta == 1) & (w > 0)
+    wv = w[ev]
+    s0e = s0[ev]
+    xbar = s1[ev] / s0e[:, None]
+    ll = float(np.sum(wv * (eta[ev] - shift - np.log(s0e))))
+    grad = (wv[:, None] * (x[ev] - xbar)).sum(axis=0)
+    second = s2[ev] / s0e[:, None, None] - xbar[:, :, None] * xbar[:, None, :]
+    hess = -(wv[:, None, None] * second).sum(axis=0)
+    return ll, grad, hess
+
+
+def fused_derivs(data, w, beta):
+    return _pl_derivs(_RiskSets(data.x, data.y, data.delta), w, np.asarray(beta, dtype=float))
+
+
+def oracle_case(p, tied, weights, seed=31):
+    data = simulate_single(120, p, np.linspace(0.6, -0.4, p), seed=seed, censor_frac=0.25)
+    if tied:
+        data = Dataset(y=np.ceil(data.y * 10.0) / 10.0, delta=data.delta, x=data.x)
+    gen = np.random.default_rng(seed + p)
+    w = gen.uniform(0.05, 1.0, size=data.n)
+    if weights == "zero_at_events":
+        w[np.flatnonzero(data.delta == 1)[::3]] = 0.0
+    elif weights == "tiny":
+        w = w * 2.0**-1000
+    return data, w, gen.normal(scale=0.5, size=p)
+
+
+def max_rel_err(got, want):
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
+
+
+class TestFusedDerivatives:
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("weights", ["uniform", "zero_at_events", "tiny"])
+    def test_matches_three_sums(self, p, tied, weights):
+        data, w, beta = oracle_case(p, tied, weights)
+        if tied:
+            assert np.unique(data.y[data.delta == 1]).size < int(data.delta.sum())
+        ll, grad, hess = fused_derivs(data, w, beta)
+        ll_o, grad_o, hess_o = three_sums_derivs(data, w, beta)
+        assert abs(ll - ll_o) <= 1e-12 * abs(ll_o)
+        assert max_rel_err(grad, grad_o) <= 1e-12
+        assert max_rel_err(hess, hess_o) <= 1e-12
+        assert np.array_equal(hess, hess.T)
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_offset_covariates_lose_no_more_than_three_sums(self, p):
+        data, w, beta = oracle_case(p, False, "uniform")
+        shifted = Dataset(y=data.y, delta=data.delta, x=data.x + 1e4)
+        # shifted.x - 1e4 is exact, and the derivatives do not change under
+        # a shift of x, so the centred input gives the reference values
+        centred = Dataset(y=data.y, delta=data.delta, x=shifted.x - 1e4)
+        ref = three_sums_derivs(centred, w, beta)
+        fused = fused_derivs(shifted, w, beta)
+        parent = three_sums_derivs(shifted, w, beta)
+        for got, old, want in zip(fused, parent, ref):
+            assert np.max(np.abs(np.subtract(got, want))) <= np.max(np.abs(np.subtract(old, want)))
+
+    @pytest.mark.parametrize("weights", ["uniform", "zero_at_events", "tiny"])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_loglik_equals_pl_value_bitwise(self, weights, tied, rng):
+        data, w, _ = oracle_case(3, tied, weights)
+        rs = _RiskSets(data.x, data.y, data.delta)
+        for _ in range(5):
+            beta = rng.normal(size=3)
+            assert _pl_derivs(rs, w, beta)[0] == _pl_value(rs, w, beta)
+
+
+class TestNewtonStop:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_restart_at_optimum_converges_without_search(self, seed, monkeypatch):
+        data = simulate_single(600, 2, [0.8, -0.5], seed=seed, censor_frac=0.2)
+        w = np.random.default_rng(seed).uniform(0.05, 1.0, size=data.n)
+        fit = fit_weighted_cox(data, w)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return _pl_value(*args, **kwargs)
+
+        monkeypatch.setattr(coxfit, "_pl_value", counting)
+        again = fit_weighted_cox(data, w, beta_init=fit.beta)
+        assert again.converged
+        assert len(calls) <= 1
+        assert fit.converged
+
+    def test_non_ascent_direction_is_not_convergence(self, monkeypatch):
+        data = simulate_single(50, 2, [0.8, -0.5], seed=21)
+        # a step pointing downhill makes g'step negative with |g| above tolerance
+        monkeypatch.setattr(coxfit, "_newton_step", lambda hess, grad: -grad)
+        fit = fit_weighted_cox(data, np.ones(data.n))
+        assert not fit.converged
+        assert fit.iterations == 0
+
+
 class TestFit:
     def test_matches_generic_optimizer(self):
         data = simulate_single(50, 2, [0.8, -0.5], seed=21)
@@ -184,8 +304,8 @@ class TestFit:
 
 def profile_increments(data, w, beta):
     """(event_times, increments) of the profile baseline at beta."""
-    rs = _RiskSets(data.y, data.delta)
-    return rs.grid, _increments(rs, data.x, np.asarray(w, dtype=float), np.asarray(beta, dtype=float))
+    rs = _RiskSets(data.x, data.y, data.delta)
+    return rs.grid, _increments(rs, np.asarray(w, dtype=float), np.asarray(beta, dtype=float))
 
 
 class TestProfileIncrements:
