@@ -36,7 +36,6 @@ RATE_FLOOR = 1e-300
 _KERNEL_BLOCK_ENTRIES = 1 << 17
 
 DEFAULT_MAX_ITER = 25
-DEFAULT_GRAD_TOL = 1e-8
 DEFAULT_MAX_HALVINGS = 20
 RIDGE_FACTOR = 1e-8
 # a Newton line search stops once the largest gain left is within
@@ -118,14 +117,13 @@ class BaselineHazard:
 class ComponentFit:
     """One fitted component: coefficients, baseline hazard, and fit diagnostics.
 
-    `converged` is True when Newton ended with max |gradient| <= 1e-8, or when
-    no step along the Newton direction could raise the partial likelihood by
+    `converged` is True when Newton ended with no representable gain left
+    along the Newton direction: no step could raise the partial likelihood by
     more than its rounding. `iterations` counts accepted Newton steps.
     """
 
     beta: np.ndarray
     baseline: BaselineHazard
-    loglik: float
     converged: bool
     iterations: int
 
@@ -296,15 +294,15 @@ def _newton(rs: _RiskSets, w, beta0):
     if not math.isfinite(ll):
         raise NumericalError("partial likelihood not finite at the starting point")
     iterations = 0
-    converged = bool(np.max(np.abs(grad)) <= DEFAULT_GRAD_TOL)
-    while iterations < DEFAULT_MAX_ITER and not converged:
+    converged = False
+    while iterations < DEFAULT_MAX_ITER:
         step = _newton_step(hess, grad)
         # l is concave, so l(beta + s step) <= l + s g'step; once that bound is
         # within rounding of l, no shorter step can raise l representably
         slope = float(grad @ step)
-        if not slope > 0.0:
-            break
         floor = GAIN_TOL * max(1.0, abs(ll))
+        if not slope >= -floor:
+            break
         scale = 1.0
         accepted = False
         for _ in range(DEFAULT_MAX_HALVINGS + 1):
@@ -322,29 +320,21 @@ def _newton(rs: _RiskSets, w, beta0):
         beta = cand
         ll, grad, hess = _pl_derivs(rs, w, beta)
         iterations += 1
-        converged = bool(np.max(np.abs(grad)) <= DEFAULT_GRAD_TOL)
     return beta, ll, iterations, converged
 
 
 def _fit_coefficients(rs: _RiskSets, w, beta0):
-    """Newton fit of one weighted Cox component.
-
-    Returns (beta, loglik, iterations, converged) with the partial
-    log-likelihood taken at the caller's weights w.
-    """
+    """Newton fit of one weighted Cox component: (beta, iterations, converged)."""
     # the maximizer is invariant to rescaling the weights, and unit-scale
-    # weights keep the risk sums and gradient tolerance well conditioned
-    c = float(np.max(w))
-    w_fit = w / c
+    # weights keep the risk sums well conditioned
+    w_fit = w / float(np.max(w))
     try:
-        beta, ll, iterations, converged = _newton(rs, w_fit, beta0)
+        beta, _, iterations, converged = _newton(rs, w_fit, beta0)
     except NumericalError:
         # a warm start can be infeasible after the weights shift; zero is
         # always a finite starting point for the partial likelihood
-        beta, ll, iterations, converged = _newton(rs, w_fit, np.zeros(rs.xc.shape[1]))
-    # l(c w) = c l(w) - c log(c) sum_{events, w > 0} w
-    ll = c * ll - c * math.log(c) * float(np.sum(w_fit[rs.ev_mask & (w_fit > 0)]))
-    return beta, ll, iterations, converged
+        beta, _, iterations, converged = _newton(rs, w_fit, np.zeros(rs.xc.shape[1]))
+    return beta, iterations, converged
 
 
 def _increments(rs: _RiskSets, w, beta) -> np.ndarray:
@@ -382,16 +372,14 @@ def fit_weighted_cox(
 
     Returns the coefficient vector together with the profile baseline hazard
     (Breslow-type increments at event times, smoothed on evaluation). If
-    Newton fails from `beta_init`, the fit is retried once from zero. The
-    reported `loglik` is the partial log-likelihood at the given weights,
-    not at the rescaled weights the iteration runs on.
+    Newton fails from `beta_init`, the fit is retried once from zero.
 
-    `converged` means max |gradient| <= 1e-8 at the weights rescaled to a
-    maximum of 1, or no representable gain left along the Newton direction:
-    the partial likelihood is concave, so once s g'step falls within
-    4 eps max(1, |l|) no step length s can raise it. A search that runs out
-    of halvings with a larger predicted gain, or a direction that is not an
-    ascent direction, reports False.
+    `converged` means no representable gain is left along the Newton
+    direction: the partial likelihood is concave, so once s g'step falls
+    within 4 eps max(1, |l|) no step length s can raise it. A zero slope, at
+    an exact optimum, counts. A search that runs out of halvings with a
+    larger predicted gain, a slope below -4 eps max(1, |l|) or a NaN slope,
+    or 25 accepted steps without that test passing, reports False.
 
     Raises
     ------
@@ -407,11 +395,11 @@ def fit_weighted_cox(
     if beta0.shape != (data.p,):
         raise ValueError("beta_init has wrong length")
     rs = _RiskSets(data.x, data.y, data.delta)
-    beta, ll, iterations, converged = _fit_coefficients(rs, w, beta0)
+    beta, iterations, converged = _fit_coefficients(rs, w, beta0)
     h = default_time_bandwidth(data.y) if bandwidth is None else float(bandwidth)
     inc = _increments(rs, w, beta)
     baseline = BaselineHazard(event_times=rs.grid, increments=inc, kernel=kernel, bandwidth=h)
-    return ComponentFit(beta=beta, baseline=baseline, loglik=ll, converged=converged, iterations=iterations)
+    return ComponentFit(beta=beta, baseline=baseline, converged=converged, iterations=iterations)
 
 
 def _kernel_blocks(kernel: str, bandwidth: float, t: np.ndarray, grid: np.ndarray):

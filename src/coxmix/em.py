@@ -84,7 +84,8 @@ class EMConfig:
 
 @dataclass(frozen=True)
 class MixtureParams:
-    """Mixing proportions plus per-component fits."""
+    """Mixing proportions plus per-component fits whose baselines share one
+    event-time grid, kernel and bandwidth, which the model JSON stores once."""
 
     pi: np.ndarray
     components: list[ComponentFit]
@@ -99,6 +100,11 @@ class MixtureParams:
             raise ValueError("mixing proportions must lie in [0, 1]")
         if abs(float(pi.sum()) - 1.0) > 1e-9:
             raise ValueError("mixing proportions must sum to 1")
+        first = self.components[0].baseline
+        for b in (comp.baseline for comp in self.components[1:]):
+            same = (b.kernel, b.bandwidth) == (first.kernel, first.bandwidth)
+            if not (same and np.array_equal(b.event_times, first.event_times)):
+                raise ValueError("component baselines must share event times, kernel and bandwidth")
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
 
@@ -116,14 +122,6 @@ class FittedModel:
     seed: int
     history: list[float] = field(default_factory=list)
     diagnostics: dict | None = None
-
-    @property
-    def kernel(self) -> str:
-        return self.params.components[0].baseline.kernel
-
-    @property
-    def bandwidth(self) -> float:
-        return self.params.components[0].baseline.bandwidth
 
 
 class _FitContext:
@@ -165,11 +163,10 @@ class _FitContext:
         )
 
     def fit_component(self, w: np.ndarray, beta0: np.ndarray) -> ComponentFit:
-        beta, ll, iterations, converged = _fit_coefficients(self.rs, w, beta0)
+        beta, iterations, converged = _fit_coefficients(self.rs, w, beta0)
         return ComponentFit(
             beta=beta,
             baseline=self.baseline(self.increments(w, beta)),
-            loglik=ll,
             converged=converged,
             iterations=iterations,
         )
@@ -181,18 +178,23 @@ class _FitContext:
             return ComponentFit(
                 beta=previous.beta,
                 baseline=self.baseline(np.zeros(self.rs.grid.size)),
-                loglik=-np.inf,
                 converged=False,
                 iterations=0,
             )
         return self.fit_component(w, previous.beta)
 
 
-def _softmax_rows(pi: np.ndarray, logd: np.ndarray) -> tuple[np.ndarray, float]:
-    K = pi.size
+def _log_joint(pi: np.ndarray, logd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L = log pi + log f per record and component, and its row log-sum-exp."""
     with np.errstate(divide="ignore"):
         L = np.log(pi)[None, :] + logd
-    lse = logsumexp(L, axis=1)
+    return L, logsumexp(L, axis=1)
+
+
+def _softmax_rows(pi: np.ndarray, logd: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(responsibilities, largest row-sum deviation from 1, observed log-likelihood)."""
+    K = pi.size
+    L, lse = _log_joint(pi, logd)
     bad = ~np.isfinite(lse)
     if np.any(bad):
         warnings.warn(
@@ -204,7 +206,7 @@ def _softmax_rows(pi: np.ndarray, logd: np.ndarray) -> tuple[np.ndarray, float]:
     if np.any(bad):
         S[bad] = 1.0 / K
     rowdev = float(np.max(np.abs(S.sum(axis=1) - 1.0)))
-    return S, rowdev
+    return S, rowdev, float(np.sum(lse))
 
 
 def _initialize(ctx: _FitContext, k_init: int, rng: np.random.Generator):
@@ -251,7 +253,7 @@ def e_step(data: Dataset, params: MixtureParams) -> np.ndarray:
     record with zero density under every component gets a uniform row and
     triggers a warning.
     """
-    S, _ = _softmax_rows(params.pi, _log_densities(data, params))
+    S, _, _ = _softmax_rows(params.pi, _log_densities(data, params))
     return S
 
 
@@ -339,13 +341,8 @@ def _apply_prune(pi, components, keep):
 
 def observed_loglik(data: Dataset, params: MixtureParams) -> float:
     """Unpenalized observed-data mixture log-likelihood."""
-    return _observed_from_logd(params.pi, _log_densities(data, params))
-
-
-def _observed_from_logd(pi: np.ndarray, logd: np.ndarray) -> float:
-    with np.errstate(divide="ignore"):
-        L = np.log(pi)[None, :] + logd
-    return float(np.sum(logsumexp(L, axis=1)))
+    _, lse = _log_joint(params.pi, _log_densities(data, params))
+    return float(np.sum(lse))
 
 
 def _penalty_total(pi: np.ndarray, spec: PenaltySpec, n: int) -> float:
@@ -400,22 +397,18 @@ class _EMRun:
     prune_events: int
 
 
-def _pen_value(ctx: _FitContext, logd: np.ndarray, pi: np.ndarray, spec: PenaltySpec) -> float:
-    return _observed_from_logd(pi, logd) - _penalty_total(pi, spec, ctx.n)
-
-
 def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.random.Generator) -> _EMRun:
     params, _ = _initialize(ctx, config.k_init, rng)
     logd = ctx.log_density(params)
-    ll = _pen_value(ctx, logd, params.pi, spec)
-    history = [ll]
+    # each E-step also yields the objective at the (pi, log f) it reads
+    S, dev, observed = _softmax_rows(params.pi, logd)
+    history = [observed - _penalty_total(params.pi, spec, ctx.n)]
     row_dev = 0.0
     pi_dev = 0.0
     converged = False
     iterations = 0
     prune_events = 0
     for iterations in range(1, config.max_iterations + 1):
-        S, dev = _softmax_rows(params.pi, logd)
         row_dev = max(row_dev, dev)
         pi_new = update_mixing_proportions(S, params.pi, spec)
         pi_dev = max(pi_dev, abs(float(pi_new.sum()) - 1.0))
@@ -427,18 +420,16 @@ def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.rando
             pi_dev = max(pi_dev, abs(float(pi_new.sum()) - 1.0))
             logd = logd[:, keep]
             # responsibilities must reflect the reduced model before refitting
-            S, dev = _softmax_rows(pi_new, logd)
+            S, dev, _ = _softmax_rows(pi_new, logd)
             row_dev = max(row_dev, dev)
         new_comps = [ctx.refit_component(S[:, k], comp) for k, comp in enumerate(comps)]
         params = MixtureParams(pi=pi_new, components=new_comps)
         logd = ctx.log_density(params)
-        ll_new = _pen_value(ctx, logd, params.pi, spec)
-        history.append(ll_new)
-        if check_convergence(ll_new, ll, config):
+        S, dev, observed = _softmax_rows(params.pi, logd)
+        history.append(observed - _penalty_total(params.pi, spec, ctx.n))
+        if check_convergence(history[-1], history[-2], config):
             converged = True
-            ll = ll_new
             break
-        ll = ll_new
     return _EMRun(
         params=params,
         history=history,
@@ -627,7 +618,6 @@ def model_from_json(text: str) -> FittedModel:
             ComponentFit(
                 beta=np.asarray(beta, dtype=float),
                 baseline=baseline,
-                loglik=float("nan"),
                 converged=True,
                 iterations=0,
             )

@@ -81,11 +81,12 @@ def _check_pi(pi: float) -> float:
 
 
 def penalty_value(spec: PenaltySpec, pi: float) -> float:
-    """Penalty p(pi) for SCAD/MCP, the exact integral of `penalty_derivative`
-    from 0 with p(0) = 0. LS has no standalone primitive."""
+    """Penalty p(pi), the exact integral of `penalty_derivative` from 0 with
+    p(0) = 0. For LS, p(pi) = pi at every level: the level scales the
+    log-scale term outside p."""
     pi = _check_pi(pi)
     if spec.kind == "ls":
-        raise ValueError("LS penalty acts on the log scale directly; no primitive p(pi)")
+        return pi
     level = spec.level
     if level == 0.0:
         return 0.0
@@ -105,10 +106,10 @@ def penalty_value(spec: PenaltySpec, pi: float) -> float:
 
 
 def penalty_derivative(spec: PenaltySpec, pi: float) -> float:
-    """Derivative p'(pi) for SCAD/MCP."""
+    """Derivative p'(pi); 1 for LS."""
     pi = _check_pi(pi)
     if spec.kind == "ls":
-        raise ValueError("LS penalty acts on the log scale directly; no primitive p(pi)")
+        return 1.0
     level = spec.level
     if level == 0.0:
         return 0.0
@@ -124,20 +125,12 @@ def penalty_derivative(spec: PenaltySpec, pi: float) -> float:
 
 
 def log_scale_term(spec: PenaltySpec, pi: float) -> float:
-    """Per-component penalty contribution log(eps + p(pi)) - log(eps),
-    with p(pi) = pi itself for LS."""
-    pi = _check_pi(pi)
-    inner = pi if spec.kind == "ls" else penalty_value(spec, pi)
-    return math.log1p(inner / spec.epsilon)
+    """Per-component penalty contribution log(eps + p(pi)) - log(eps)."""
+    return math.log1p(penalty_value(spec, pi) / spec.epsilon)
 
 
 def lla_coefficient(spec: PenaltySpec, pi_prev: float) -> float:
-    """Slope of the local linear approximation of the log-scale term at pi_prev.
-
-    For LS this is the exact derivative 1/(eps + pi); for SCAD/MCP it is
-    p'(pi)/(eps + p(pi)).
+    """Slope p'(pi)/(eps + p(pi)) of the local linear approximation of the
+    log-scale term at pi_prev; for LS, 1/(eps + pi) is its exact derivative.
     """
-    pi_prev = _check_pi(pi_prev)
-    if spec.kind == "ls":
-        return 1.0 / (spec.epsilon + pi_prev)
     return penalty_derivative(spec, pi_prev) / (spec.epsilon + penalty_value(spec, pi_prev))

@@ -133,18 +133,12 @@ class _ConditionalKM:
         factors = np.where(empty, 1.0, 1.0 - num / np.where(empty, 1.0, den))
         self.curves = np.cumprod(factors, axis=1)
 
-    def at_time(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        if idx < 0:
-            return np.ones(self.curves.shape[0])
-        return self.curves[:, idx]
-
-    def at_own_times(self, y: np.ndarray) -> np.ndarray:
-        """Survival of each built row at its own time y (one entry per row)."""
-        idx = np.searchsorted(self.times, y, side="right") - 1
+    def at(self, t) -> np.ndarray:
+        """Survival of each built row at t: one time for all rows, or one per row."""
+        idx = np.searchsorted(self.times, t, side="right") - 1
+        idx = np.broadcast_to(idx, self.curves.shape[:1])
         out = np.ones(self.curves.shape[0])
-        has = idx >= 0
-        rows = np.nonzero(has)[0]
+        rows = np.flatnonzero(idx >= 0)
         out[rows] = self.curves[rows, idx[rows]]
         return out
 
@@ -160,7 +154,7 @@ def conditional_survival(
     t = float(t)
     h = default_marker_bandwidth(markers) if bandwidth is None else float(bandwidth)
     km = _ConditionalKM(markers, data, h, kernel, np.arange(data.n), t)
-    return km.at_time(t)
+    return km.at(t)
 
 
 def censoring_weights(
@@ -190,8 +184,8 @@ def censoring_weights(
         h = default_marker_bandwidth(m) if bandwidth is None else float(bandwidth)
         rows = np.flatnonzero(frac)
         km = _ConditionalKM(m, data, h, kernel, rows, t)
-        s_t = km.at_time(t)
-        s_y = km.at_own_times(y[rows])
+        s_t = km.at(t)
+        s_y = km.at(y[rows])
         zero = s_y <= 0.0
         if np.any(zero):
             warnings.warn("conditional survival vanished at a censoring time; weight set to 1", stacklevel=2)

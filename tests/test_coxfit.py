@@ -264,6 +264,9 @@ class TestFit:
         data = Dataset(y=np.array([1.0, 2.0, 3.0]), delta=np.array([1, 1, 1]), x=np.zeros((3, 1)))
         fit = fit_weighted_cox(data, np.ones(3))
         assert fit.beta[0] == 0.0
+        # g = 0 exactly: a zero slope is an optimum, not a failed search
+        assert fit.converged
+        assert fit.iterations == 0
 
     def test_duplicated_rows_equal_double_weights(self):
         base = simulate_single(25, 2, [0.6, -0.4], seed=5)
@@ -283,14 +286,6 @@ class TestFit:
         f2 = fit_weighted_cox(data, w * 0.001)
         assert np.allclose(f1.beta, f2.beta, atol=1e-8)
         assert np.allclose(f1.baseline.increments, f2.baseline.increments, atol=1e-12)
-
-    def test_reported_loglik_uses_original_weights(self, rng):
-        data = simulate_single(30, 1, [0.5], seed=13)
-        base = rng.uniform(0.1, 0.5, size=data.n)
-        for scale in (1.0, 1e-3, 1e3):
-            w = scale * base
-            fit = fit_weighted_cox(data, w)
-            assert fit.loglik == pytest.approx(brute_force_pl(data, w, fit.beta), abs=1e-8)
 
     def test_no_event_weight_errors(self, small_data):
         w = np.where(small_data.delta == 1, 0.0, 1.0)
@@ -490,9 +485,7 @@ class TestComponentLogDensity:
         )
         data = Dataset(y=np.array([1.0, 2.0]), delta=np.array([1, 0]), x=np.zeros((2, 1)))
         fit = fit_weighted_cox(data, np.ones(2))
-        fit = type(fit)(
-            beta=np.array([0.0]), baseline=bl, loglik=0.0, converged=True, iterations=1
-        )
+        fit = type(fit)(beta=np.array([0.0]), baseline=bl, converged=True, iterations=1)
         logd = component_log_density(data, fit)
         assert logd[1] == pytest.approx(-0.5, abs=1e-14)
 
@@ -517,10 +510,9 @@ class TestComponentLogDensity:
         )
         # event far outside the kernel support: rate is exactly 0 -> floored log
         data = Dataset(y=np.array([50.0]), delta=np.array([1]), x=np.zeros((1, 1)))
-        fit_obj = type("F", (), {})()
         from coxmix.coxfit import ComponentFit
 
-        fit = ComponentFit(beta=np.array([0.0]), baseline=bl, loglik=0.0, converged=True, iterations=0)
+        fit = ComponentFit(beta=np.array([0.0]), baseline=bl, converged=True, iterations=0)
         logd = component_log_density(data, fit)
         assert np.isfinite(logd[0])
         assert logd[0] < -600

@@ -72,6 +72,20 @@ class TestMixtureParams:
         params = MixtureParams(pi=np.array([0.5, 0.5]), components=[fit, fit])
         assert params.K == 2
 
+    def test_baselines_must_share_grid_kernel_and_bandwidth(self, small_data):
+        # the model JSON stores one grid, kernel and bandwidth, so a mixed
+        # model would silently change on a save and load
+        fit = fit_weighted_cox(small_data, np.ones(small_data.n))
+        other = simulate_single(8, 2, [0.5, -0.5], seed=3)
+        odd = [
+            fit_weighted_cox(other, np.ones(other.n), bandwidth=fit.baseline.bandwidth),
+            fit_weighted_cox(small_data, np.ones(small_data.n), kernel="epanechnikov"),
+            fit_weighted_cox(small_data, np.ones(small_data.n), bandwidth=2.0 * fit.baseline.bandwidth),
+        ]
+        for comp in odd:
+            with pytest.raises(ValueError, match="share event times, kernel and bandwidth"):
+                MixtureParams(pi=np.array([0.5, 0.5]), components=[fit, comp])
+
 
 class TestEStep:
     def test_single_component_all_ones(self, small_data):
@@ -333,7 +347,6 @@ def random_params(grid, p, K, kernel, h, seed):
                 event_times=grid, increments=gen.gamma(2.0, 0.5 / grid.size, size=grid.size),
                 kernel=kernel, bandwidth=h,
             ),
-            loglik=float("nan"),
             converged=True,
             iterations=0,
         )
@@ -490,6 +503,15 @@ class TestFitMixture:
         assert isinstance(d["monotonicity_failures"], list)
         assert d["prune_events"] >= 0
 
+    def test_last_history_value_is_public_objective(self):
+        data = simulate_single(60, 2, [0.6, -0.6], seed=47, censor_frac=0.2)
+        for spec in (PenaltySpec(kind="scad", level=0.05), PenaltySpec(kind="ls", level=0.01)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                model = fit_mixture(data, spec, EMConfig(k_init=3, max_iterations=100, restarts=2, seed=5))
+            want = penalized_observed_loglik(data, model.params, model.spec)
+            assert model.history[-1] == pytest.approx(want, rel=1e-9, abs=0)
+
     def test_logged_drops_match_history(self):
         data = simulate_single(70, 2, [0.9, -0.7], seed=51, censor_frac=0.1)
         spec = PenaltySpec(kind="scad", level=0.0, prune_threshold=1e-6)
@@ -525,8 +547,9 @@ class TestFitMixture:
             model = fit_mixture(
                 data, PenaltySpec(kind="scad", level=0.0), EMConfig(k_init=1, restarts=1, seed=1)
             )
-        assert model.kernel == "gaussian"
-        assert model.bandwidth == model.params.components[0].baseline.bandwidth
+        baseline = model.params.components[0].baseline
+        assert baseline.kernel == "gaussian"
+        assert baseline.bandwidth == default_time_bandwidth(data.y)
 
     def test_indistinct_components_warn(self):
         # a constant covariate standardizes to zero, so every component keeps beta = 0

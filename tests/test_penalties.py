@@ -134,11 +134,14 @@ class TestLogScaleTerm:
     def test_ls_uses_pi_directly(self):
         assert log_scale_term(LS, 0.5) == pytest.approx(math.log(0.5001) - math.log(1e-4), rel=1e-14)
 
-    def test_ls_has_no_primitive(self):
-        with pytest.raises(ValueError, match="log scale"):
-            penalty_value(LS, 0.5)
-        with pytest.raises(ValueError, match="log scale"):
-            penalty_derivative(LS, 0.5)
+    def test_ls_matches_closed_forms_bitwise(self):
+        # LS is p(pi) = pi inside the shared formulas; its closed forms are the oracle
+        for pi in np.concatenate((np.linspace(0.0, 1.0, 1001), [1e-300, 1e-12, 1e-5, 1.0 - 1e-16])):
+            pi = float(pi)
+            assert penalty_value(LS, pi) == pi
+            assert penalty_derivative(LS, pi) == 1.0
+            assert log_scale_term(LS, pi) == math.log1p(pi / LS.epsilon)
+            assert lla_coefficient(LS, pi) == 1.0 / (LS.epsilon + pi)
 
     def test_nondecreasing_in_pi(self):
         grid = np.linspace(0.0, 1.0, 401)
