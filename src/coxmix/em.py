@@ -15,13 +15,13 @@ from .coxfit import (
     BaselineHazard,
     ComponentFit,
     NumericalError,
+    _component_log_densities,
     _fit_coefficients,
     _increments,
-    _kernel_blocks,
     _log_density,
     _padded_cumsum,
     _RiskSets,
-    component_log_density,
+    _smoother,
     default_time_bandwidth,
 )
 from .data import Dataset, standardize_covariates
@@ -126,11 +126,12 @@ class FittedModel:
 
 class _FitContext:
     """What the EM caches for one dataset on top of its event index: the
-    kernel, the bandwidth, and the symmetric m x m matrix
-    G[a, b] = K((T_a - T_b)/h)/h over the distinct event times.
+    kernel, the bandwidth, and the smoother from increments on the distinct
+    event times to rates at those same times.
 
     The smoothed rate enters a record's log density only when it is an event,
-    and an event's time is a grid point, so G gives every rate the EM reads.
+    and an event's time is a grid point, so the grid rates are every rate
+    the EM reads.
     """
 
     def __init__(self, data: Dataset, kernel: str, bandwidth: float):
@@ -139,10 +140,7 @@ class _FitContext:
         self.kernel = kernel
         self.bandwidth = float(bandwidth)
         self.rs = _RiskSets(data.x, data.y, data.delta)
-        grid = self.rs.grid
-        self.gmat = np.empty((grid.size, grid.size))
-        for rows, block in _kernel_blocks(kernel, self.bandwidth, grid, grid):
-            self.gmat[rows] = block
+        self.smooth = _smoother(self.rs.grid, kernel, self.bandwidth, self.rs.grid)
 
     def increments(self, w: np.ndarray, beta: np.ndarray) -> np.ndarray:
         return _increments(self.rs, w, beta)
@@ -151,9 +149,8 @@ class _FitContext:
         """n x K log densities of every record under every component."""
         inc = np.array([comp.baseline.increments for comp in params.components])
         betas = np.array([comp.beta for comp in params.components]).T
-        # G is symmetric, so row k of inc @ G is component k's rate on the grid
         rate = np.zeros((self.n, params.K))
-        rate[self.rs.ev_mask] = (inc @ self.gmat)[:, self.rs.grid_pos].T
+        rate[self.rs.ev_mask] = self.smooth(inc)[:, self.rs.grid_pos].T
         cum = _padded_cumsum(inc)[:, self.rs.cum_idx].T
         return _log_density(self.x @ betas, rate, cum, self.rs.ev_mask[:, None])
 
@@ -258,7 +255,7 @@ def e_step(data: Dataset, params: MixtureParams) -> np.ndarray:
 
 
 def _log_densities(data: Dataset, params: MixtureParams) -> np.ndarray:
-    return np.column_stack([component_log_density(data, comp) for comp in params.components])
+    return _component_log_densities(data, params.components)
 
 
 def update_mixing_proportions(S: np.ndarray, pi_prev: np.ndarray, spec: PenaltySpec) -> np.ndarray:

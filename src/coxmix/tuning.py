@@ -12,7 +12,7 @@ import numpy as np
 
 from .coxfit import NumericalError
 from .data import Dataset
-from .em import EMConfig, FittedModel, fit_mixture, observed_loglik
+from .em import EMConfig, FittedModel, _penalty_total, fit_mixture
 from .penalties import (
     DEFAULT_EPSILON,
     DEFAULT_PRUNE_THRESHOLD,
@@ -123,7 +123,9 @@ def _fit_grid_point(
         model = fit_mixture(data, spec, config, kernel=kernel, bandwidth=bandwidth)
     except NumericalError:
         return TuningRow(float(c), level, 0, float("nan"), float("nan"), 0, False), None
-    loglik = observed_loglik(data, model.params)
+    # the fit's last objective is the penalized observed log-likelihood at its
+    # final parameters, so adding the penalty back gives the observed one
+    loglik = model.history[-1] + _penalty_total(model.params.pi, spec, data.n)
     score = bic_score(loglik, data.n, model.params.K, data.p, cn_constant)
     row = TuningRow(
         c=float(c),

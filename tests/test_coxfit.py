@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from coxmix.coxfit import (
     _pl_derivs,
     _pl_value,
     _RiskSets,
+    _smoother,
 )
 from coxmix.data import Dataset
 
@@ -475,6 +477,123 @@ class TestBaselineEvaluation:
                 kernel="gaussian",
                 bandwidth=0.0,
             )
+
+
+def dense_rates(grid, kernel, h, t, inc):
+    """K((t - T)/h)/h @ inc through the full len(t) x m kernel matrix."""
+    with np.errstate(over="ignore"):
+        return (kernel_values(kernel, (t[:, None] - grid[None, :]) / h) / h @ inc.T).T
+
+
+def assert_rate_contract(got, want, inc, h):
+    """Relative error <= 1e-12 where the rate is >= 1e-8 sum(inc)/h, absolute
+    error <= 1e-14 sum(inc)/h everywhere."""
+    scale = inc.sum(axis=1, keepdims=True) / h
+    err = np.abs(got - want)
+    assert np.all(err <= 1e-14 * scale)
+    big = want >= 1e-8 * scale
+    assert np.all(err[big] <= 1e-12 * want[big])
+
+
+def smoothing_grid(kind, gen):
+    """(grid, bandwidth) of distinct event times."""
+    if kind == "untied":
+        data = simulate_single(2000, 2, [0.8, -0.5], seed=int(gen.integers(1000)), censor_frac=0.1)
+        return np.unique(data.y[data.delta == 1]), default_time_bandwidth(data.y)
+    # times rounded to a 1/20 lattice, many on box edges and window ends
+    times = np.ceil(gen.gamma(2.0, 1.0, size=1500) * 20.0) / 20.0
+    return np.unique(times), 0.25
+
+
+def smoothing_targets(grid, h, gen):
+    mid = 0.5 * (grid[1:] + grid[:-1])
+    between = gen.uniform(grid[0], grid[-1], size=200)
+    steps = h * np.array([0.5, 2.0, 10.0])
+    return np.concatenate([grid, mid, between, grid[0] - steps, grid[-1] + steps])
+
+
+class TestSmoother:
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("grid_kind", ["untied", "tied"])
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    def test_matches_dense_sum(self, kernel, grid_kind, K):
+        gen = np.random.default_rng(K)
+        grid, h = smoothing_grid(grid_kind, gen)
+        t = smoothing_targets(grid, h, gen)
+        inc = gen.gamma(2.0, 0.5 / grid.size, size=(K, grid.size))
+        got = _smoother(grid, kernel, h, t)(inc)
+        assert got.shape == (K, t.size)
+        assert_rate_contract(got, dense_rates(grid, kernel, h, t, inc), inc, h)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    def test_far_targets_are_exactly_zero(self, kernel):
+        gen = np.random.default_rng(3)
+        grid, h = smoothing_grid("untied", gen)
+        below = grid[0] - h * np.array([40.5, 1e3, 1e300])
+        t = np.concatenate([below, grid[-1] + h * np.array([40.5, 1e6]), [np.inf]])
+        inc = gen.gamma(2.0, 0.5, size=(3, grid.size))
+        assert np.all(dense_rates(grid, kernel, h, t, inc) == 0.0)
+        assert np.all(_smoother(grid, kernel, h, t)(inc) == 0.0)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    def test_zero_increments(self, kernel):
+        gen = np.random.default_rng(4)
+        grid, h = smoothing_grid("untied", gen)
+        t = smoothing_targets(grid, h, gen)
+        inc = gen.gamma(2.0, 0.5 / grid.size, size=(3, grid.size))
+        inc[0] = 0.0
+        inc[1, ::2] = 0.0
+        inc[2, : grid.size // 2] = 0.0
+        got = _smoother(grid, kernel, h, t)(inc)
+        assert np.all(got[0] == 0.0)
+        assert_rate_contract(got, dense_rates(grid, kernel, h, t, inc), inc, h)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    def test_bandwidth_beyond_range_is_one_box(self, kernel):
+        gen = np.random.default_rng(5)
+        grid = np.sort(gen.uniform(0.0, 1.0, size=300))
+        h = 1e3
+        t = np.concatenate([grid, [-5.0, 0.5, 7.0, 2e3]])
+        inc = gen.gamma(2.0, 0.01, size=(3, grid.size))
+        got = _smoother(grid, kernel, h, t)(inc)
+        assert_rate_contract(got, dense_rates(grid, kernel, h, t, inc), inc, h)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    def test_distant_clusters_keep_memory_linear(self, kernel):
+        gen = np.random.default_rng(6)
+        h = 0.5
+        m = 400
+        far = 1e4 * h
+        grid = np.sort(np.concatenate([gen.uniform(0.0, 3.0, m // 2), gen.uniform(far, far + 3.0, m // 2)]))
+        t = np.concatenate([grid, grid + 0.3 * h])
+        inc = gen.gamma(2.0, 0.01, size=(3, m))
+        tracemalloc.start()
+        try:
+            got = _smoother(grid, kernel, h, t)(inc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # boxes spanning the gap between the clusters would take 10^4 x 16 nodes
+        assert peak < 4096 * m
+        assert_rate_contract(got, dense_rates(grid, kernel, h, t, inc), inc, h)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    def test_no_targets(self, kernel):
+        grid = np.array([1.0, 2.0, 3.5])
+        assert _smoother(grid, kernel, 0.7, np.array([]))(np.ones((3, 3))).shape == (3, 0)
+        bl = BaselineHazard(event_times=grid, increments=np.array([0.1, 0.2, 0.3]), kernel=kernel, bandwidth=0.7)
+        assert smooth_baseline_hazard(bl, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    def test_scalar_and_vector_public_calls_agree(self, kernel):
+        gen = np.random.default_rng(7)
+        grid, h = smoothing_grid("untied", gen)
+        inc = gen.gamma(2.0, 0.5 / grid.size, size=grid.size)
+        bl = BaselineHazard(event_times=grid, increments=inc, kernel=kernel, bandwidth=h)
+        t = smoothing_targets(grid, h, gen)[::97]
+        vec = smooth_baseline_hazard(bl, t)
+        assert [smooth_baseline_hazard(bl, float(v)) for v in t] == pytest.approx(vec, rel=1e-12, abs=0.0)
+        assert_rate_contract(vec[None, :], dense_rates(grid, kernel, h, t, inc[None, :]), inc[None, :], h)
 
 
 class TestComponentLogDensity:
