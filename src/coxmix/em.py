@@ -9,7 +9,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .coxfit import (
     BaselineHazard,
@@ -182,26 +181,38 @@ class _FitContext:
 
 
 def _log_joint(pi: np.ndarray, logd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """L = log pi + log f per record and component, and its row log-sum-exp."""
+    """Responsibilities and the row log-sum-exp of L = log pi + log f.
+
+    Each record's L is shifted by its largest entry and exponentiated once;
+    the sums of those exponentials give both the log-sum-exp and the
+    responsibilities. A record that is -inf under every component, or has a
+    +inf or NaN entry, gets a non-finite log-sum-exp and responsibilities.
+    The work runs on a K x n copy, so every per-record reduction reads
+    contiguous memory; the responsibilities are its n x K transpose.
+    """
     with np.errstate(divide="ignore"):
-        L = np.log(pi)[None, :] + logd
-    return L, logsumexp(L, axis=1)
+        L = np.add(np.log(pi)[:, None], logd.T, order="C")
+    top = L.max(axis=0)
+    top[~np.isfinite(top)] = 0.0
+    L -= top
+    np.exp(L, out=L)
+    total = L.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lse = np.log(total) + top
+        L /= total
+    return L.T, lse
 
 
 def _softmax_rows(pi: np.ndarray, logd: np.ndarray) -> tuple[np.ndarray, float, float]:
     """(responsibilities, largest row-sum deviation from 1, observed log-likelihood)."""
-    K = pi.size
-    L, lse = _log_joint(pi, logd)
+    S, lse = _log_joint(pi, logd)
     bad = ~np.isfinite(lse)
     if np.any(bad):
         warnings.warn(
             "records with zero density under every component; uniform responsibilities assigned",
             stacklevel=3,
         )
-    safe_lse = np.where(bad, 0.0, lse)
-    S = np.exp(L - safe_lse[:, None])
-    if np.any(bad):
-        S[bad] = 1.0 / K
+        S[bad] = 1.0 / pi.size
     rowdev = float(np.max(np.abs(S.sum(axis=1) - 1.0)))
     return S, rowdev, float(np.sum(lse))
 

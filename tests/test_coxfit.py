@@ -219,13 +219,43 @@ class TestNewtonStop:
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return _pl_value(*args, **kwargs)
+            return _pl_derivs(*args, **kwargs)
 
-        monkeypatch.setattr(coxfit, "_pl_value", counting)
+        monkeypatch.setattr(coxfit, "_pl_derivs", counting)
         again = fit_weighted_cox(data, w, beta_init=fit.beta)
         assert again.converged
-        assert len(calls) <= 1
+        # the start point and at most one trial point
+        assert len(calls) <= 2
         assert fit.converged
+
+    def test_rejected_trials_are_not_steps(self, monkeypatch):
+        data = simulate_single(600, 2, [0.8, -0.5], seed=3, censor_frac=0.2)
+        w = np.random.default_rng(3).uniform(0.05, 1.0, size=data.n)
+        plain = fit_weighted_cox(data, w)
+        newton_step = coxfit._newton_step
+        # a 64-fold step overshoots, so the first trials of a search fail
+        monkeypatch.setattr(coxfit, "_newton_step", lambda hess, grad: 64.0 * newton_step(hess, grad))
+        values, points = [], []
+
+        def recording(rs, w, beta):
+            out = _pl_derivs(rs, w, beta)
+            values.append(out[0])
+            points.append(beta.tobytes())
+            return out
+
+        monkeypatch.setattr(coxfit, "_pl_derivs", recording)
+        fit = fit_weighted_cox(data, w)
+        # a trial is accepted exactly when it beats the last accepted l
+        best, accepted = values[0], 0
+        for ll in values[1:]:
+            if ll > best:
+                best, accepted = ll, accepted + 1
+        assert fit.converged
+        assert fit.iterations == accepted
+        assert len(values) - 1 > fit.iterations
+        # one derivative pass per point, accepted or not
+        assert len(set(points)) == len(points)
+        assert np.max(np.abs(fit.beta - plain.beta)) <= 1e-8
 
     def test_non_ascent_direction_is_not_convergence(self, monkeypatch):
         data = simulate_single(50, 2, [0.8, -0.5], seed=21)

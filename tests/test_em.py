@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import logsumexp
 
 from coxmix.coxfit import (
     BaselineHazard,
@@ -119,6 +120,70 @@ class TestEStep:
         S = e_step(data, params)
         assert np.allclose(S.sum(axis=1), 1.0, atol=1e-10)
         assert np.all(S >= 0)
+
+
+def oracle_softmax(pi, logd):
+    """(responsibilities, observed log-likelihood) through scipy's logsumexp,
+    the E-step the shifted single-exponential one replaced."""
+    with np.errstate(divide="ignore"):
+        L = np.log(pi)[None, :] + logd
+    lse = logsumexp(L, axis=1)
+    # exp(L - lse) would carry the rounding of L - lse, up to |lse| eps
+    # (8e-14 near -745), so the rows are shifted by their maximum first
+    top = np.max(L, axis=1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(invalid="ignore"):
+        S = np.exp(L - top - logsumexp(L - top, axis=1, keepdims=True))
+    S[~np.isfinite(lse)] = 1.0 / pi.size
+    return S, float(np.sum(lse))
+
+
+def estep_case(case):
+    gen = np.random.default_rng(17)
+    logd = gen.normal(-5.0, 3.0, size=(200, 3))
+    pi = np.array([0.5, 0.3, 0.2])
+    if case == "zero_pi":
+        pi = np.array([0.6, 0.0, 0.4])
+    elif case == "all_minus_inf":
+        logd[[7, 150]] = -np.inf
+        logd[40, 1] = -np.inf
+    elif case == "one_component":
+        pi, logd = np.array([1.0]), logd[:, :1]
+    elif case == "underflow":
+        # exp(-745) is the last subnormal, and below it exp gives 0
+        logd = -745.0 + gen.normal(0.0, 2.0, size=logd.shape)
+    return pi, logd
+
+
+class TestEStepOracle:
+    @pytest.mark.parametrize("case", ["plain", "zero_pi", "all_minus_inf", "one_component", "underflow"])
+    def test_softmax_rows_and_observed_loglik_match_logsumexp(self, case, small_data, monkeypatch):
+        pi, logd = estep_case(case)
+        want_S, want_ll = oracle_softmax(pi, logd)
+        if case == "all_minus_inf":
+            with pytest.warns(UserWarning, match="zero density under every component"):
+                S, dev, ll = em._softmax_rows(pi, logd)
+            assert np.all(S[[7, 150]] == 1.0 / 3)
+            assert ll == want_ll == -np.inf
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                S, dev, ll = em._softmax_rows(pi, logd)
+            assert abs(ll - want_ll) <= 1e-14 * abs(want_ll)
+        np.testing.assert_allclose(S, want_S, rtol=1e-14, atol=0)
+        assert dev <= 1e-15
+        fit = fit_weighted_cox(small_data, np.ones(small_data.n))
+        params = MixtureParams(pi=pi, components=[fit] * pi.size)
+        monkeypatch.setattr(em, "_log_densities", lambda data, params: logd)
+        got = observed_loglik(small_data, params)
+        if case == "all_minus_inf":
+            assert got == -np.inf
+        else:
+            assert abs(got - want_ll) <= 1e-14 * abs(want_ll)
+
+    def test_underflow_case_defeats_unshifted_exp(self):
+        pi, logd = estep_case("underflow")
+        assert np.any(np.exp(np.log(pi) + logd).sum(axis=1) == 0.0)
 
 
 class TestPiUpdate:
