@@ -5,7 +5,8 @@ subjects still event-free. Censoring before t is handled with fractional
 weights from a marker-conditional Kaplan-Meier estimate, so a subject censored
 early counts partially as a case and partially as a control. Those curves are
 built only for the subjects censored before t and only at event times up to
-t, in O(r * n) time and memory for r such subjects out of n.
+t, in O(r * n) time for r such subjects out of n. The rows are built a block
+at a time, so memory is O(block * n + r) and grows linearly in n.
 """
 
 from __future__ import annotations
@@ -79,6 +80,23 @@ def compute_marker(model: FittedModel, data: Dataset, mode: str, t: float | None
     return 1.0 - surv
 
 
+# kernel entries (rows x subjects) of one block of curves built at once
+_BLOCK_ENTRIES = 2**17
+
+
+def _marker_inputs(markers: np.ndarray, data: Dataset, bandwidth: float | None) -> tuple[np.ndarray, float]:
+    """Checked markers and the marker bandwidth (the rule of thumb if None)."""
+    m = np.asarray(markers, dtype=float)
+    if m.shape != (data.n,):
+        raise ValueError("markers must be a 1-d array with one entry per record")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("markers must be finite")
+    h = default_marker_bandwidth(m) if bandwidth is None else float(bandwidth)
+    if not h > 0:
+        raise ValueError("marker bandwidth must be positive")
+    return m, h
+
+
 class _ConditionalKM:
     """Kernel-weighted Kaplan-Meier survival for the markers of selected rows.
 
@@ -86,61 +104,68 @@ class _ConditionalKM:
     1 - sum_j K_h(M_j - M_i) I(y_j = s, d_j = 1) / sum_j K_h(M_j - M_i) I(y_j >= s);
     a factor with an empty risk set is skipped with a warning.
 
-    Curves are built only for `rows` (one row of `curves` each, in that
-    order) and only at the event times up to `horizon`, since the product up
-    to t is a prefix of the full one. Every risk set still sums over all n
-    subjects, so time and memory are O(len(rows) * n).
+    Row i of `at` holds the times at which the curve of subject `rows[i]` is
+    read, and row i of `curves` holds the survival there (1 before the first
+    event time). Only event times up to the latest time in `at` enter, since
+    the product up to t is a prefix of the full one. Rows are built in blocks
+    of about `_BLOCK_ENTRIES` kernel entries, each row with the same
+    operations in the same order whatever block it falls in. Every risk set
+    still sums over all n subjects, so time is O(len(rows) * n) and memory
+    O(block * n + len(rows)).
     """
 
     def __init__(
         self, markers: np.ndarray, data: Dataset, bandwidth: float, kernel: str, rows: np.ndarray,
-        horizon: float,
+        at: np.ndarray,
     ):
-        m = np.asarray(markers, dtype=float)
-        if m.shape != (data.n,):
-            raise ValueError("markers must be a 1-d array with one entry per record")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("markers must be finite")
-        if not bandwidth > 0:
-            raise ValueError("marker bandwidth must be positive")
         times = np.unique(data.y[data.delta == 1])
-        self.times = times[: np.searchsorted(times, horizon, side="right")]
-        if np.isinf(bandwidth):
-            # every weight collapses to K(0)
-            u = np.zeros((rows.size, data.n))
-        else:
-            with np.errstate(over="ignore"):
-                u = (m[None, :] - m[rows, None]) / bandwidth
-        w = kernel_values(kernel, u)
+        times = times[: np.searchsorted(times, at.max(), side="right")]
+        idx = np.searchsorted(times, at, side="right") - 1
+        self.curves = np.ones(at.shape)
+        if times.size == 0:
+            return
 
         order = np.argsort(data.y, kind="stable")
         y_sorted = data.y[order]
-        w_sorted = w[:, order]
-        # suffix sums give the weighted risk set mass at each event time
-        suffix = np.cumsum(w_sorted[:, ::-1], axis=1)[:, ::-1]
-        start = np.searchsorted(y_sorted, self.times, side="left")
-        den = suffix[:, start]
+        m_sorted = markers[order]
+        start = np.searchsorted(y_sorted, times, side="left")
+        # event columns in y order up to the last time, split into tie
+        # rounds: round k adds the k-th tied event at each time, so tied
+        # events are summed in index order; round 0 has one event at every
+        # time and starts the sums
+        ev_cols = np.flatnonzero(data.delta[order] == 1)
+        ev_pos = np.searchsorted(times, y_sorted[ev_cols])
+        used = ev_pos < times.size
+        ev_cols, ev_pos = ev_cols[used], ev_pos[used]
+        rank = np.arange(ev_pos.size) - np.searchsorted(ev_pos, ev_pos, side="left")
+        rounds = [(ev_pos[rank == k], ev_cols[rank == k]) for k in range(rank.max() + 1)]
 
-        ev = np.flatnonzero(data.delta == 1)
-        ev_pos = np.searchsorted(times, data.y[ev])
-        used = ev_pos < self.times.size
-        num = np.zeros_like(den)
-        np.add.at(num.T, ev_pos[used], w[:, ev[used]].T)
-
-        empty = den <= 0.0
-        if np.any(empty):
+        step = max(1, _BLOCK_ENTRIES // data.n)
+        any_empty = False
+        for lo in range(0, rows.size, step):
+            block = rows[lo : lo + step]
+            if np.isinf(bandwidth):
+                # every weight collapses to K(0)
+                u = np.zeros((block.size, data.n))
+            else:
+                with np.errstate(over="ignore"):
+                    u = (m_sorted[None, :] - markers[block, None]) / bandwidth
+            w = kernel_values(kernel, u)
+            # suffix sums give the weighted risk set mass at each event time
+            den = np.cumsum(w[:, ::-1], axis=1)[:, ::-1][:, start]
+            num = w[:, rounds[0][1]]
+            for pos, cols in rounds[1:]:
+                num[:, pos] += w[:, cols]
+            empty = den <= 0.0
+            any_empty = any_empty or bool(np.any(empty))
+            factors = np.where(empty, 1.0, 1.0 - num / np.where(empty, 1.0, den))
+            curves = np.cumprod(factors, axis=1)
+            i = idx[lo : lo + step]
+            self.curves[lo : lo + step] = np.where(
+                i >= 0, np.take_along_axis(curves, np.maximum(i, 0), axis=1), 1.0
+            )
+        if any_empty:
             warnings.warn("empty weighted risk set; the corresponding factor is skipped", stacklevel=3)
-        factors = np.where(empty, 1.0, 1.0 - num / np.where(empty, 1.0, den))
-        self.curves = np.cumprod(factors, axis=1)
-
-    def at(self, t) -> np.ndarray:
-        """Survival of each built row at t: one time for all rows, or one per row."""
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        idx = np.broadcast_to(idx, self.curves.shape[:1])
-        out = np.ones(self.curves.shape[0])
-        rows = np.flatnonzero(idx >= 0)
-        out[rows] = self.curves[rows, idx[rows]]
-        return out
 
 
 def conditional_survival(
@@ -151,10 +176,9 @@ def conditional_survival(
     kernel: str = "gaussian",
 ) -> np.ndarray:
     """Kernel-conditional Kaplan-Meier survival at time t, one value per subject."""
-    t = float(t)
-    h = default_marker_bandwidth(markers) if bandwidth is None else float(bandwidth)
-    km = _ConditionalKM(markers, data, h, kernel, np.arange(data.n), t)
-    return km.at(t)
+    m, h = _marker_inputs(markers, data, bandwidth)
+    km = _ConditionalKM(m, data, h, kernel, np.arange(data.n), np.full((data.n, 1), float(t)))
+    return km.curves[:, 0]
 
 
 def censoring_weights(
@@ -173,7 +197,7 @@ def censoring_weights(
     one of these weights uses is skipped: one at an event time in (Y_i, t]
     on the curve of a subject censored before t.
     """
-    m = np.asarray(markers, dtype=float)
+    m, h = _marker_inputs(markers, data, bandwidth)
     y = data.y
     delta = data.delta
     t = float(t)
@@ -181,11 +205,9 @@ def censoring_weights(
     W[(y <= t) & (delta == 1)] = 1.0
     frac = (y < t) & (delta == 0)
     if np.any(frac):
-        h = default_marker_bandwidth(m) if bandwidth is None else float(bandwidth)
         rows = np.flatnonzero(frac)
-        km = _ConditionalKM(m, data, h, kernel, rows, t)
-        s_t = km.at(t)
-        s_y = km.at(y[rows])
+        km = _ConditionalKM(m, data, h, kernel, rows, np.column_stack((np.full(rows.size, t), y[rows])))
+        s_t, s_y = km.curves.T
         zero = s_y <= 0.0
         if np.any(zero):
             warnings.warn("conditional survival vanished at a censoring time; weight set to 1", stacklevel=2)

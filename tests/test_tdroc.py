@@ -268,6 +268,28 @@ class TestRestrictedBuild:
         if where in ("at_event", "between_events"):
             assert np.any((W > 0.0) & (W < 1.0))  # the fractional weights are exercised
 
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("rows_per_block", [1, 3])
+    def test_bit_identical_across_blocks_and_tie_rounds(self, monkeypatch, kernel, tied, rows_per_block):
+        data = self.make_data(tied)
+        if tied:
+            _, counts = np.unique(data.y[data.delta == 1], return_counts=True)
+            assert counts.max() >= 3  # several tie rounds at one time
+        monkeypatch.setattr(tdroc, "_BLOCK_ENTRIES", rows_per_block * data.n)
+        markers = data.x[:, 0]
+        times, curves = dense_conditional_km(markers, data, 0.4, kernel)
+        for where in ("at_event", "between_events", "before_first", "after_last"):
+            t = horizon(data, where)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                W = censoring_weights(markers, data, t, bandwidth=0.4, kernel=kernel)
+                S = conditional_survival(markers, data, t, bandwidth=0.4, kernel=kernel)
+                W_dense = dense_censoring_weights(markers, data, t, 0.4, kernel)
+            assert np.array_equal(W, W_dense)
+            assert np.array_equal(S, dense_survival_at(times, curves, np.full(data.n, t)))
+        assert np.sum((data.y < t) & (data.delta == 0)) > 3 * rows_per_block  # many blocks
+
     def test_builds_only_rows_censored_before_horizon(self, monkeypatch):
         data = simulate_single(120, 1, [0.6], seed=163, censor_frac=0.3)
         t = float(np.median(data.y))
@@ -300,6 +322,25 @@ class TestRestrictedBuild:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
+
+    @pytest.mark.parametrize("n", [3000, 12000])
+    @pytest.mark.parametrize("func", [censoring_weights, conditional_survival])
+    def test_memory_per_subject_stays_flat_as_censored_rows_grow(self, n, func):
+        gen = np.random.default_rng(173)
+        y = gen.standard_exponential(n)
+        delta = (gen.uniform(size=n) >= 0.3).astype(int)
+        data = Dataset(y=y, delta=delta, x=gen.standard_normal((n, 1)))
+        t = float(np.quantile(y, 0.75))
+        assert np.sum((y < t) & (delta == 0)) > n // 5  # r grows with n
+        tracemalloc.start()
+        try:
+            func(data.x[:, 0], data, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one block of kernel entries is about 1 MB whatever n is: some 2.2 kB
+        # per subject at n = 3000, against 32 kB and 149 kB with all rows at once
+        assert peak / n < 4096
 
     def test_no_warning_for_curves_no_weight_uses(self):
         # subject 0's curve starves at y = 2 (no subject near its marker is
@@ -358,6 +399,18 @@ class TestCensoringWeights:
             expected = 1.0 - plain_km(data, t) / plain_km(data, float(data.y[i]))
             assert W[i] == pytest.approx(expected, abs=1e-12)
             assert 0.0 <= W[i] <= 1.0
+
+    def test_inputs_checked_when_no_one_is_censored_before_t(self):
+        data = Dataset(
+            y=np.array([1.0, 2.0, 3.0, 4.0]), delta=np.array([1, 1, 0, 0]), x=np.zeros((4, 1))
+        )
+        for t in (2.5, 3.5):  # nobody, then subject 2, censored before t
+            with pytest.raises(ValueError, match="finite"):
+                censoring_weights(np.array([np.nan, 1.0, 2.0, 3.0]), data, t)
+            with pytest.raises(ValueError, match="one entry per record"):
+                censoring_weights(np.array([1.0, 2.0]), data, t)
+            with pytest.raises(ValueError, match="positive"):
+                censoring_weights(np.arange(4.0), data, t, bandwidth=0.0)
 
     def test_uncensored_data_weights_are_indicators(self):
         data = simulate_single(30, 1, [0.5], seed=109, censor_frac=0.0)
