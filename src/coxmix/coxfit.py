@@ -90,24 +90,46 @@ class BaselineHazard:
     bandwidth: float
 
     def __post_init__(self) -> None:
-        t = np.array(self.event_times, dtype=float, copy=True)
-        inc = np.array(self.increments, dtype=float, copy=True)
-        if t.ndim != 1 or inc.shape != t.shape:
-            raise ValueError("event_times and increments must be matching 1-d arrays")
-        if t.size and np.any(np.diff(t) <= 0):
-            raise ValueError("event_times must be strictly increasing")
-        if not np.all(np.isfinite(t)) or not np.all(np.isfinite(inc)):
-            raise ValueError("baseline hazard entries must be finite")
-        if np.any(inc < 0):
-            raise ValueError("hazard increments must be nonnegative")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {KERNELS}")
-        if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
-            raise ValueError("bandwidth must be positive and finite")
-        t.setflags(write=False)
-        inc.setflags(write=False)
+        t, inc = _baseline_arrays(self.event_times, self.increments, self.kernel, self.bandwidth)
         object.__setattr__(self, "event_times", t)
         object.__setattr__(self, "increments", inc)
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    """A fresh float copy of value; ragged or non-numeric input names the field."""
+    try:
+        return np.array(value, dtype=float, copy=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a rectangular array of numbers") from exc
+
+
+def _check_smoothing(kernel: str, bandwidth: float) -> None:
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+    if not (bandwidth > 0 and math.isfinite(bandwidth)):
+        raise ValueError("bandwidth must be positive and finite")
+
+
+def _baseline_arrays(event_times, increments, kernel: str, bandwidth: float, rows: int | None = None):
+    """Checked read-only copies of a baseline's event times (m) and its
+    increments: m of them, or `rows` x m for components sharing the grid."""
+    t = _float_array(event_times, "event_times")
+    inc = _float_array(increments, "increments")
+    if t.ndim != 1:
+        raise ValueError("event_times must be a 1-d array")
+    shape = (t.size,) if rows is None else (rows, t.size)
+    if inc.shape != shape:
+        raise ValueError(f"increments must have shape {shape}, one column per event time; got {inc.shape}")
+    if t.size and np.any(np.diff(t) <= 0):
+        raise ValueError("event_times must be strictly increasing")
+    if not np.all(np.isfinite(t)) or not np.all(np.isfinite(inc)):
+        raise ValueError("baseline hazard entries must be finite")
+    if np.any(inc < 0):
+        raise ValueError("hazard increments must be nonnegative")
+    _check_smoothing(kernel, bandwidth)
+    t.setflags(write=False)
+    inc.setflags(write=False)
+    return t, inc
 
 
 @dataclass(frozen=True)
@@ -589,8 +611,7 @@ def _smoother(grid: np.ndarray, kernel: str, bandwidth: float, t: np.ndarray):
     memory (O(m log m + len(t)) for the Epanechnikov scan masks). Rates are
     clipped at 0 from below; NaN targets give NaN.
     """
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+    _check_smoothing(kernel, bandwidth)
     t = np.asarray(t, dtype=float)
     nan = np.isnan(t)
     if grid.size == 0:
@@ -642,27 +663,35 @@ def cumulative_hazard(baseline: BaselineHazard, t):
     return float(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
 
 
-def _log_density(eta, rate, cum, event) -> np.ndarray:
-    """delta * (log rate + eta) - exp(eta) * cum, the rate floored at 1e-300."""
-    log_rate = np.log(np.maximum(rate, RATE_FLOOR))
+def _check_covariates(beta: np.ndarray, x: np.ndarray) -> None:
+    if beta.shape[-1] != x.shape[1]:
+        raise ValueError(
+            f"model has {beta.shape[-1]} coefficients per component, data has {x.shape[1]} covariates"
+        )
+
+
+def _log_densities(x, event, cum_idx, event_rate, beta, increments) -> np.ndarray:
+    """n x K log densities delta * (log rate + eta) - exp(eta) * Lambda(y): the
+    K smoothed rates at the `event` rows (K x events) are floored at 1e-300,
+    and `cum_idx` indexes Lambda(y) in the zero-padded cumulative increments."""
+    eta = x @ beta.T
+    out = np.zeros(eta.shape)
+    out[event] = np.log(np.maximum(event_rate.T, RATE_FLOOR)) + eta[event]
+    cum = _padded_cumsum(increments)[:, cum_idx].T
     with np.errstate(over="ignore"):
         risk = np.exp(eta)
-    hazard_term = np.where(cum > 0, risk * cum, 0.0)
-    return np.where(event, log_rate + eta, 0.0) - hazard_term
+    out -= np.where(cum > 0, risk * cum, 0.0)
+    return out
 
 
-def _component_log_densities(data: Dataset, fits) -> np.ndarray:
-    """n x K log densities under components that share one grid, kernel and
-    bandwidth, smoothing the K rates together at the event rows only."""
-    base = fits[0].baseline
-    inc = np.array([fit.baseline.increments for fit in fits])
-    betas = np.array([fit.beta for fit in fits]).T
+def _record_log_densities(data: Dataset, beta, increments, grid) -> np.ndarray:
+    """`_log_densities` of any records, the rates smoothed at their event times
+    only; `grid` carries the shared `event_times`, `kernel` and `bandwidth`."""
+    _check_covariates(beta, data.x)
     event = data.delta == 1
-    smooth = _smoother(base.event_times, base.kernel, base.bandwidth, data.y[event])
-    rate = np.zeros((data.n, len(fits)))
-    rate[event] = smooth(inc).T
-    cum = _padded_cumsum(inc)[:, np.searchsorted(base.event_times, data.y, side="right")].T
-    return _log_density(data.x @ betas, rate, cum, event[:, None])
+    event_rate = _smoother(grid.event_times, grid.kernel, grid.bandwidth, data.y[event])(increments)
+    cum_idx = np.searchsorted(grid.event_times, data.y, side="right")
+    return _log_densities(data.x, event, cum_idx, event_rate, beta, increments)
 
 
 def component_log_density(data: Dataset, fit: ComponentFit) -> np.ndarray:
@@ -673,4 +702,5 @@ def component_log_density(data: Dataset, fit: ComponentFit) -> np.ndarray:
     is evaluated only where delta = 1, the one place it enters, with the
     accuracy and linear memory of `smooth_baseline_hazard`.
     """
-    return _component_log_densities(data, [fit])[:, 0]
+    inc = np.array([fit.baseline.increments])
+    return _record_log_densities(data, np.array([fit.beta]), inc, fit.baseline)[:, 0]

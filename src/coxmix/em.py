@@ -11,14 +11,14 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .coxfit import (
-    BaselineHazard,
-    ComponentFit,
     NumericalError,
-    _component_log_densities,
+    _baseline_arrays,
+    _check_smoothing,
     _fit_coefficients,
+    _float_array,
     _increments,
-    _log_density,
-    _padded_cumsum,
+    _log_densities,
+    _record_log_densities,
     _RiskSets,
     _smoother,
     default_time_bandwidth,
@@ -83,29 +83,33 @@ class EMConfig:
 
 @dataclass(frozen=True)
 class MixtureParams:
-    """Mixing proportions plus per-component fits whose baselines share one
-    event-time grid, kernel and bandwidth, which the model JSON stores once."""
+    """Mixing proportions `pi` (K), coefficients `beta` (K x p) and the K
+    baseline hazards as `increments` (K x m) on one shared grid of
+    `event_times` (m), smoothed with one `kernel` and `bandwidth`: the
+    fields and shapes of the model JSON."""
 
     pi: np.ndarray
-    components: list[ComponentFit]
+    beta: np.ndarray
+    event_times: np.ndarray
+    increments: np.ndarray
+    kernel: str
+    bandwidth: float
 
     def __post_init__(self) -> None:
         pi = np.array(self.pi, dtype=float, copy=True)
         if pi.ndim != 1 or pi.size == 0:
             raise ValueError("pi must be a nonempty 1-d array")
-        if len(self.components) != pi.size:
-            raise ValueError("pi and components disagree on the number of components")
         if not np.all(np.isfinite(pi)) or np.any(pi < 0) or np.any(pi > 1 + 1e-9):
             raise ValueError("mixing proportions must lie in [0, 1]")
         if abs(float(pi.sum()) - 1.0) > 1e-9:
             raise ValueError("mixing proportions must sum to 1")
-        first = self.components[0].baseline
-        for b in (comp.baseline for comp in self.components[1:]):
-            same = (b.kernel, b.bandwidth) == (first.kernel, first.bandwidth)
-            if not (same and np.array_equal(b.event_times, first.event_times)):
-                raise ValueError("component baselines must share event times, kernel and bandwidth")
-        pi.setflags(write=False)
-        object.__setattr__(self, "pi", pi)
+        beta = _float_array(self.beta, "beta")
+        if beta.ndim != 2 or beta.shape[0] != pi.size or not np.all(np.isfinite(beta)):
+            raise ValueError(f"beta must be a finite K x p array, one row per entry of pi (K = {pi.size})")
+        times, inc = _baseline_arrays(self.event_times, self.increments, self.kernel, self.bandwidth, pi.size)
+        for name, value in (("pi", pi), ("beta", beta), ("event_times", times), ("increments", inc)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def K(self) -> int:
@@ -146,38 +150,26 @@ class _FitContext:
 
     def log_density(self, params: MixtureParams) -> np.ndarray:
         """n x K log densities of every record under every component."""
-        inc = np.array([comp.baseline.increments for comp in params.components])
-        betas = np.array([comp.beta for comp in params.components]).T
-        rate = np.zeros((self.n, params.K))
-        rate[self.rs.ev_mask] = self.smooth(inc)[:, self.rs.grid_pos].T
-        cum = _padded_cumsum(inc)[:, self.rs.cum_idx].T
-        return _log_density(self.x @ betas, rate, cum, self.rs.ev_mask[:, None])
-
-    def baseline(self, inc: np.ndarray) -> BaselineHazard:
-        return BaselineHazard(
-            event_times=self.rs.grid, increments=inc, kernel=self.kernel, bandwidth=self.bandwidth
+        rate = self.smooth(params.increments)[:, self.rs.grid_pos]
+        return _log_densities(
+            self.x, self.rs.ev_mask, self.rs.cum_idx, rate, params.beta, params.increments
         )
 
-    def fit_component(self, w: np.ndarray, beta0: np.ndarray) -> ComponentFit:
-        beta, iterations, converged = _fit_coefficients(self.rs, w, beta0)
-        return ComponentFit(
-            beta=beta,
-            baseline=self.baseline(self.increments(w, beta)),
-            converged=converged,
-            iterations=iterations,
+    def mixture(self, pi: np.ndarray, beta: np.ndarray, increments: np.ndarray) -> MixtureParams:
+        """Stacked components on this context's grid, kernel and bandwidth."""
+        return MixtureParams(
+            pi=pi, beta=beta, event_times=self.rs.grid, increments=increments,
+            kernel=self.kernel, bandwidth=self.bandwidth,
         )
 
-    def refit_component(self, w: np.ndarray, previous: ComponentFit) -> ComponentFit:
+    def refit_component(self, w: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(beta, increments) of one weighted Cox fit warm-started from beta."""
         # a component starved of event weight keeps its coefficients and gets a
         # zero baseline; the next E-step then removes it naturally
         if float(np.sum(w[self.rs.ev_mask])) <= 0.0:
-            return ComponentFit(
-                beta=previous.beta,
-                baseline=self.baseline(np.zeros(self.rs.grid.size)),
-                converged=False,
-                iterations=0,
-            )
-        return self.fit_component(w, previous.beta)
+            return beta, np.zeros(self.rs.grid.size)
+        beta, _, _ = _fit_coefficients(self.rs, w, beta)
+        return beta, self.increments(w, beta)
 
 
 def _log_joint(pi: np.ndarray, logd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,19 +230,17 @@ def _initialize(ctx: _FitContext, k_init: int, rng: np.random.Generator):
                 raise NumericalError("could not seed initial components with event rows")
     S = np.zeros((n, k))
     S[np.arange(n), assign] = 1.0
-    pi = np.full(k, 1.0 / k)
-    comps = []
+    beta = np.empty((k, ctx.p))
+    inc = np.empty((k, ctx.rs.grid.size))
     for j in range(k):
-        fit = ctx.fit_component(S[:, j], np.zeros(ctx.p))
-        if k > 1:
-            # the initial baselines must place positive mass at every event
-            # time: a hard partition gives each component exactly zero mass at
-            # the other groups' events, and the first E-step would then return
-            # the starting assignment unchanged, freezing the split
-            w = (1.0 - INIT_MASS_FLOOR) * S[:, j] + INIT_MASS_FLOOR / k
-            fit = replace(fit, baseline=ctx.baseline(ctx.increments(w, fit.beta)))
-        comps.append(fit)
-    return MixtureParams(pi=pi, components=comps), S
+        beta[j], _, _ = _fit_coefficients(ctx.rs, S[:, j], np.zeros(ctx.p))
+        # the initial baselines must place positive mass at every event time:
+        # a hard partition gives each component exactly zero mass at the other
+        # groups' events, and the first E-step would then return the starting
+        # assignment unchanged, freezing the split
+        w = S[:, j] if k == 1 else (1.0 - INIT_MASS_FLOOR) * S[:, j] + INIT_MASS_FLOOR / k
+        inc[j] = ctx.increments(w, beta[j])
+    return ctx.mixture(np.full(k, 1.0 / k), beta, inc), S
 
 
 def e_step(data: Dataset, params: MixtureParams) -> np.ndarray:
@@ -261,12 +251,8 @@ def e_step(data: Dataset, params: MixtureParams) -> np.ndarray:
     record with zero density under every component gets a uniform row and
     triggers a warning.
     """
-    S, _, _ = _softmax_rows(params.pi, _log_densities(data, params))
+    S, _, _ = _softmax_rows(params.pi, _record_log_densities(data, params.beta, params.increments, params))
     return S
-
-
-def _log_densities(data: Dataset, params: MixtureParams) -> np.ndarray:
-    return _component_log_densities(data, params.components)
 
 
 def update_mixing_proportions(S: np.ndarray, pi_prev: np.ndarray, spec: PenaltySpec) -> np.ndarray:
@@ -342,14 +328,14 @@ def _prune_mask(pi: np.ndarray, spec: PenaltySpec) -> np.ndarray:
     return keep
 
 
-def _apply_prune(pi, components, keep):
+def _apply_prune(pi, rows, keep):
     pi2 = pi[keep]
-    return pi2 / pi2.sum(), [c for c, k in zip(components, keep) if k]
+    return pi2 / pi2.sum(), [r for r, k in zip(rows, keep) if k]
 
 
 def observed_loglik(data: Dataset, params: MixtureParams) -> float:
     """Unpenalized observed-data mixture log-likelihood."""
-    _, lse = _log_joint(params.pi, _log_densities(data, params))
+    _, lse = _log_joint(params.pi, _record_log_densities(data, params.beta, params.increments, params))
     return float(np.sum(lse))
 
 
@@ -421,17 +407,17 @@ def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.rando
         pi_new = update_mixing_proportions(S, params.pi, spec)
         pi_dev = max(pi_dev, abs(float(pi_new.sum()) - 1.0))
         keep = _prune_mask(pi_new, spec)
-        comps = params.components
+        beta = params.beta
         if not np.all(keep):
             prune_events += int(np.sum(~keep))
-            pi_new, comps = _apply_prune(pi_new, comps, keep)
+            pi_new, beta = _apply_prune(pi_new, beta, keep)
             pi_dev = max(pi_dev, abs(float(pi_new.sum()) - 1.0))
             logd = logd[:, keep]
             # responsibilities must reflect the reduced model before refitting
             S, dev, _ = _softmax_rows(pi_new, logd)
             row_dev = max(row_dev, dev)
-        new_comps = [ctx.refit_component(S[:, k], comp) for k, comp in enumerate(comps)]
-        params = MixtureParams(pi=pi_new, components=new_comps)
+        betas, incs = zip(*(ctx.refit_component(S[:, k], b) for k, b in enumerate(beta)))
+        params = ctx.mixture(pi_new, np.array(betas), np.array(incs))
         logd = ctx.log_density(params)
         S, dev, observed = _softmax_rows(params.pi, logd)
         history.append(observed - _penalty_total(params.pi, spec, ctx.n))
@@ -449,27 +435,23 @@ def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.rando
     )
 
 
-def _destandardize(params: MixtureParams, record) -> MixtureParams:
-    comps = []
-    for comp in params.components:
-        beta = record.original_beta(comp.beta)
-        offset = record.linear_offset(comp.beta)
-        inc = comp.baseline.increments * math.exp(-offset)
-        if not np.all(np.isfinite(inc)):
-            raise NumericalError(
-                "baseline increments overflowed while mapping back to the original covariate scale"
-            )
-        comps.append(replace(comp, beta=beta, baseline=replace(comp.baseline, increments=inc)))
-    return MixtureParams(pi=params.pi, components=comps)
+def _destandardize(params: MixtureParams, record, order) -> MixtureParams:
+    """params on the original covariate scale, with the components in `order`."""
+    rows = [(params.beta[k], params.increments[k]) for k in order]
+    beta = np.array([record.original_beta(b) for b, _ in rows])
+    # one scalar factor per row, as the per-component mapping always did
+    inc = np.array([row * math.exp(-record.linear_offset(b)) for b, row in rows])
+    if not np.all(np.isfinite(inc)):
+        raise NumericalError(
+            "baseline increments overflowed while mapping back to the original covariate scale"
+        )
+    return replace(params, pi=params.pi[order], beta=beta, increments=inc)
 
 
 def _distinct_components(params: MixtureParams, tol: float = DISTINCT_TOL) -> bool:
-    for a in range(params.K):
-        for b in range(a + 1, params.K):
-            diff = np.max(np.abs(params.components[a].beta - params.components[b].beta))
-            if diff < tol:
-                return False
-    return True
+    # sup-norm distance between every pair of coefficient rows
+    gap = np.max(np.abs(params.beta[:, None, :] - params.beta[None, :, :]), axis=2)
+    return not np.any(gap[np.triu_indices(params.K, 1)] < tol)
 
 
 def fit_mixture(
@@ -505,8 +487,9 @@ def fit_mixture(
     config = EMConfig() if config is None else config
     if config.k_init > data.n:
         raise ValueError("k_init cannot exceed the number of records")
-    std_data, record = standardize_covariates(data)
     h = default_time_bandwidth(data.y) if bandwidth is None else float(bandwidth)
+    _check_smoothing(kernel, h)
+    std_data, record = standardize_covariates(data)
     ctx = _FitContext(std_data, kernel, h)
     children = np.random.SeedSequence(config.seed).spawn(config.restarts)
     best: _EMRun | None = None
@@ -529,10 +512,7 @@ def fit_mixture(
             "every EM restart failed: " + "; ".join(failures[:3]) + ("..." if len(failures) > 3 else "")
         )
     order = np.argsort(-best.params.pi, kind="stable")
-    ordered = MixtureParams(
-        pi=best.params.pi[order], components=[best.params.components[int(k)] for k in order]
-    )
-    params = _destandardize(ordered, record)
+    params = _destandardize(best.params, record, order)
     if not _distinct_components(params):
         warnings.warn("fitted components are not pairwise distinct", stacklevel=2)
     drops = monotonicity_failures(best.history)
@@ -580,8 +560,7 @@ def _fmt_matrix(rows) -> str:
 def model_to_json(model: FittedModel) -> str:
     """Serialize a fitted model with 17-significant-digit reals and a fixed field order."""
     spec = model.spec
-    comps = model.params.components
-    base = comps[0].baseline
+    params = model.params
     shape = "null" if spec.shape is None else _fmt_float(spec.shape)
     lines = [
         "{",
@@ -589,14 +568,14 @@ def model_to_json(model: FittedModel) -> str:
         f'  "level": {_fmt_float(spec.level)},',
         f'  "shape": {shape},',
         f'  "epsilon": {_fmt_float(spec.epsilon)},',
-        f'  "K": {model.params.K},',
-        f'  "pi": {_fmt_vector(model.params.pi)},',
-        f'  "beta": {_fmt_matrix(c.beta for c in comps)},',
+        f'  "K": {params.K},',
+        f'  "pi": {_fmt_vector(params.pi)},',
+        f'  "beta": {_fmt_matrix(params.beta)},',
         '  "baseline": {',
-        f'    "event_times": {_fmt_vector(base.event_times)},',
-        f'    "increments": {_fmt_matrix(c.baseline.increments for c in comps)},',
-        f'    "kernel": {json.dumps(base.kernel)},',
-        f'    "bandwidth": {_fmt_float(base.bandwidth)}',
+        f'    "event_times": {_fmt_vector(params.event_times)},',
+        f'    "increments": {_fmt_matrix(params.increments)},',
+        f'    "kernel": {json.dumps(params.kernel)},',
+        f'    "bandwidth": {_fmt_float(params.bandwidth)}',
         "  },",
         f'  "history": {_fmt_vector(model.history)},',
         f'  "seed": {int(model.seed)}',
@@ -614,25 +593,13 @@ def model_from_json(text: str) -> FittedModel:
         shape=None if raw.get("shape") is None else float(raw["shape"]),
         epsilon=float(raw["epsilon"]),
     )
-    times = np.asarray(raw["baseline"]["event_times"], dtype=float)
-    kernel = raw["baseline"]["kernel"]
-    bandwidth = float(raw["baseline"]["bandwidth"])
-    comps = []
-    for beta, inc in zip(raw["beta"], raw["baseline"]["increments"]):
-        baseline = BaselineHazard(
-            event_times=times, increments=np.asarray(inc, dtype=float), kernel=kernel, bandwidth=bandwidth
-        )
-        comps.append(
-            ComponentFit(
-                beta=np.asarray(beta, dtype=float),
-                baseline=baseline,
-                converged=True,
-                iterations=0,
-            )
-        )
-    if len(comps) != int(raw["K"]):
-        raise ValueError("component count disagrees with K")
-    params = MixtureParams(pi=np.asarray(raw["pi"], dtype=float), components=comps)
+    base = raw["baseline"]
+    params = MixtureParams(
+        pi=raw["pi"], beta=raw["beta"], event_times=base["event_times"], increments=base["increments"],
+        kernel=base["kernel"], bandwidth=float(base["bandwidth"]),
+    )
+    if int(raw["K"]) != params.K:
+        raise ValueError(f"K = {raw['K']} disagrees with the {params.K} components stored")
     return FittedModel(
         params=params,
         spec=spec,

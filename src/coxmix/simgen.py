@@ -211,7 +211,7 @@ def _study_replication(r, *, config, censor_upper, kinds, em_config, **tuning_op
             out[kind] = (
                 params.K,
                 tuple(float(v) for v in params.pi),
-                tuple(tuple(float(b) for b in comp.beta) for comp in params.components),
+                tuple(tuple(float(b) for b in row) for row in params.beta),
             )
         except NumericalError:
             out[kind] = None

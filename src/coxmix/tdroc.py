@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .coxfit import cumulative_hazard, kernel_values
+from .coxfit import _check_covariates, _padded_cumsum, kernel_values
 from .data import Dataset
 from .em import FittedModel, e_step
 
@@ -61,21 +61,23 @@ def compute_marker(model: FittedModel, data: Dataset, mode: str, t: float | None
     if mode not in MARKER_MODES:
         raise ValueError(f"unknown marker mode {mode!r}; expected one of {MARKER_MODES}")
     params = model.params
+    _check_covariates(params.beta, data.x)
     if mode == "cox_linear_predictor":
         if params.K != 1:
             raise ValueError("cox_linear_predictor requires a single-component model")
-        return data.x @ params.components[0].beta
+        return data.x @ params.beta[0]
     if mode == "mixture_posterior_lp":
         S = e_step(data, params)
-        lp = np.column_stack([data.x @ comp.beta for comp in params.components])
+        lp = np.column_stack([data.x @ beta for beta in params.beta])
         return np.sum(S * lp, axis=1)
     if t is None:
         raise ValueError("mixture_event_prob requires an evaluation time")
+    # Lambda_k(t) for every component, one column of the padded cumulative sums
+    lams = _padded_cumsum(params.increments)[:, np.searchsorted(params.event_times, float(t), side="right")]
     surv = np.zeros(data.n)
-    for pi_k, comp in zip(params.pi, params.components):
-        lam = cumulative_hazard(comp.baseline, float(t))
+    for pi_k, beta, lam in zip(params.pi, params.beta, lams):
         with np.errstate(over="ignore"):
-            risk = np.exp(data.x @ comp.beta)
+            risk = np.exp(data.x @ beta)
         surv += pi_k * np.exp(-np.where(lam > 0, risk * lam, 0.0))
     return 1.0 - surv
 

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from coxmix.data import Dataset
+from coxmix.em import MixtureParams
 
 # verdict lines queued by the acceptance tests; printed after capture ends
 ACCEPTANCE_LINES = []
@@ -35,6 +38,42 @@ def simulate_single(n, p, beta, seed, censor_frac=0.0):
         y = t
         delta = np.ones(n, dtype=int)
     return Dataset(y=y, delta=delta, x=x)
+
+
+def stack_fits(pi, fits):
+    """MixtureParams of `fit_weighted_cox` results fitted on one dataset with
+    one kernel and bandwidth, so their baselines share a grid."""
+    base = fits[0].baseline
+    return MixtureParams(
+        pi=np.asarray(pi, dtype=float),
+        beta=[fit.beta for fit in fits],
+        event_times=base.event_times,
+        increments=[fit.baseline.increments for fit in fits],
+        kernel=base.kernel,
+        bandwidth=base.bandwidth,
+    )
+
+
+# ways to corrupt the JSON of a K = 2, p = 2 model: (edit of the parsed
+# document, pattern the load error must match)
+MALFORMED_MODELS = {
+    "extra_increment_row": (
+        lambda doc: doc["baseline"]["increments"].append(doc["baseline"]["increments"][0]), "increments"
+    ),
+    "missing_increment_row": (lambda doc: doc["baseline"]["increments"].pop(), "increments"),
+    "ragged_beta": (lambda doc: doc["beta"][1].pop(), "beta"),
+    "increment_width": (
+        lambda doc: doc["baseline"].update(increments=[r[:-1] for r in doc["baseline"]["increments"]]),
+        "increments",
+    ),
+    "K_mismatch": (lambda doc: doc.update(K=3), "K = 3"),
+}
+
+
+def malformed_model_text(text, case):
+    doc = json.loads(text)
+    MALFORMED_MODELS[case][0](doc)
+    return json.dumps(doc)
 
 
 @pytest.fixture

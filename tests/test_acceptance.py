@@ -72,7 +72,7 @@ def test_criterion_1_single_component_oracle():
     model = fit_mixture(
         data, PenaltySpec(kind="scad", level=0.0), EMConfig(k_init=1, restarts=1, seed=1)
     )
-    beta_hat = model.params.components[0].beta
+    beta_hat = model.params.beta[0]
 
     res = minimize(
         lambda b: -breslow_partial_loglik(data.y, data.delta, data.x, b),

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from coxmix.cli import COMMANDS, build_parser, main
+from coxmix.coxfit import fit_weighted_cox
 from coxmix.data import load_dataset, save_dataset
-from coxmix.em import load_model
+from coxmix.em import FittedModel, load_model, model_to_json
+from coxmix.penalties import PenaltySpec
 
-from conftest import simulate_single
+from conftest import MALFORMED_MODELS, malformed_model_text, simulate_single, stack_fits
 
 
 def run_cli(argv):
@@ -228,6 +230,15 @@ class TestFit:
         assert run_cli(["fit", data_csv, "--penalty", "scad"]) == 2
         assert "missing required option --level" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "tune"])
+    @pytest.mark.parametrize("bandwidth", ["0", "-1", "nan", "inf"])
+    def test_invalid_bandwidth_is_usage_error(self, tmp_path, data_csv, capsys, command, bandwidth):
+        argv = [command, data_csv, "--penalty", "scad", "--k-init", "1", "--restarts", "1",
+                "--bandwidth", bandwidth, "--out", str(tmp_path / "m.json")]
+        code = run_cli(argv + (["--level", "0"] if command == "fit" else ["--c-grid", "0.5"]))
+        assert code == 2
+        assert "bandwidth must be positive and finite" in capsys.readouterr().err
+
 
 class TestTune:
     def test_tune_writes_report_model_and_meta(self, tmp_path, data_csv, capsys):
@@ -357,6 +368,33 @@ class TestPredictAndRoc:
         assert sens[0] == 0.0
         assert sens[-1] == 1.0
         assert "AUC" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["predict", "roc"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_malformed_model_is_usage_error(self, tmp_path, data_csv, capsys, command, case):
+        data = load_dataset(data_csv)
+        w = np.linspace(0.2, 0.8, data.n)
+        fits = [fit_weighted_cox(data, w), fit_weighted_cox(data, 1.0 - w)]
+        spec = PenaltySpec(kind="scad", level=0.0)
+        model = FittedModel(params=stack_fits([0.5, 0.5], fits), spec=spec, seed=0)
+        path = tmp_path / "bad.json"
+        path.write_text(malformed_model_text(model_to_json(model), case))
+        code = run_cli(
+            [command, "--model", str(path), "--data", data_csv, "--times", "0.5",
+             "--out", str(tmp_path / "out.csv")]
+        )
+        assert code == 2
+        assert re.search(MALFORMED_MODELS[case][1], capsys.readouterr().err)
+
+    def test_roc_on_data_with_other_covariate_count_is_usage_error(self, tmp_path, fitted_model, capsys):
+        wide = str(tmp_path / "wide.csv")
+        save_dataset(simulate_single(60, 3, [0.8, -0.5, 0.2], seed=5, censor_frac=0.15), wide)
+        code = run_cli(
+            ["roc", "--model", fitted_model, "--data", wide, "--times", "0.5",
+             "--out", str(tmp_path / "auc.csv")]
+        )
+        assert code == 2
+        assert "model has 2 coefficients per component, data has 3 covariates" in capsys.readouterr().err
 
     def test_roc_requires_times(self, tmp_path, data_csv, fitted_model, capsys):
         code = run_cli(

@@ -9,9 +9,7 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from coxmix.coxfit import (
-    BaselineHazard,
-    ComponentFit,
-    _log_density,
+    _record_log_densities,
     _RiskSets,
     component_log_density,
     cumulative_hazard,
@@ -23,11 +21,11 @@ from coxmix.coxfit import (
 from coxmix.data import Dataset, standardize_covariates
 from coxmix.em import (
     EMConfig,
+    FittedModel,
     MixtureParams,
     _apply_prune,
     _FitContext,
     _initialize,
-    _log_densities,
     _prune_mask,
     check_convergence,
     e_step,
@@ -46,58 +44,87 @@ from coxmix.coxfit import NumericalError
 from coxmix.penalties import PenaltySpec, lla_coefficient, log_scale_term
 from coxmix.simgen import SimConfig, run_study
 
-from conftest import simulate_single
+from conftest import MALFORMED_MODELS, malformed_model_text, simulate_single, stack_fits
+
+
+def two_component_fits(data, seed=0):
+    """Two weighted fits with complementary random weights."""
+    gen = np.random.default_rng(seed)
+    w1 = gen.uniform(0.2, 0.8, size=data.n)
+    return [fit_weighted_cox(data, w1), fit_weighted_cox(data, 1.0 - w1)]
 
 
 def two_component_params(data, seed=0):
     """A small synthetic 2-component model built from two weighted fits."""
-    gen = np.random.default_rng(seed)
-    w1 = gen.uniform(0.2, 0.8, size=data.n)
-    c1 = fit_weighted_cox(data, w1)
-    c2 = fit_weighted_cox(data, 1.0 - w1)
-    return MixtureParams(pi=np.array([0.4, 0.6]), components=[c1, c2])
+    return stack_fits([0.4, 0.6], two_component_fits(data, seed))
+
+
+def mixture_fields(**changes):
+    """MixtureParams keyword arguments for K = 2, p = 2 and m = 3, with changes."""
+    fields = dict(
+        pi=[0.4, 0.6],
+        beta=[[0.5, -0.5], [1.0, 0.0]],
+        event_times=[1.0, 2.0, 3.0],
+        increments=[[0.1, 0.2, 0.3], [0.2, 0.0, 0.1]],
+        kernel="gaussian",
+        bandwidth=0.5,
+    )
+    fields.update(changes)
+    return fields
 
 
 class TestMixtureParams:
-    def test_simplex_enforced(self, small_data):
-        fit = fit_weighted_cox(small_data, np.ones(small_data.n))
+    def test_simplex_enforced(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            MixtureParams(pi=np.array([0.5, 0.6]), components=[fit, fit])
+            MixtureParams(**mixture_fields(pi=[0.5, 0.6]))
         with pytest.raises(ValueError):
-            MixtureParams(pi=np.array([1.2, -0.2]), components=[fit, fit])
-        with pytest.raises(ValueError, match="disagree"):
-            MixtureParams(pi=np.array([1.0]), components=[fit, fit])
+            MixtureParams(**mixture_fields(pi=[1.2, -0.2]))
+        with pytest.raises(ValueError, match="beta"):
+            MixtureParams(**mixture_fields(pi=[1.0]))
 
-    def test_k_property(self, small_data):
-        fit = fit_weighted_cox(small_data, np.ones(small_data.n))
-        params = MixtureParams(pi=np.array([0.5, 0.5]), components=[fit, fit])
+    def test_k_property(self):
+        params = MixtureParams(**mixture_fields())
         assert params.K == 2
+        assert params.beta.shape == (2, 2)
+        assert params.increments.shape == (2, 3)
+        assert not params.beta.flags.writeable and not params.increments.flags.writeable
 
-    def test_baselines_must_share_grid_kernel_and_bandwidth(self, small_data):
-        # the model JSON stores one grid, kernel and bandwidth, so a mixed
-        # model would silently change on a save and load
-        fit = fit_weighted_cox(small_data, np.ones(small_data.n))
-        other = simulate_single(8, 2, [0.5, -0.5], seed=3)
-        odd = [
-            fit_weighted_cox(other, np.ones(other.n), bandwidth=fit.baseline.bandwidth),
-            fit_weighted_cox(small_data, np.ones(small_data.n), kernel="epanechnikov"),
-            fit_weighted_cox(small_data, np.ones(small_data.n), bandwidth=2.0 * fit.baseline.bandwidth),
+    def test_shapes_and_baseline_validated(self):
+        # the fields of the model JSON: K rows of beta and of increments, one
+        # increment column per event time, one shared kernel and bandwidth
+        cases = [
+            ({"beta": [[0.5, -0.5]]}, "beta"),
+            ({"beta": [[0.5, -0.5], [1.0, 0.0], [0.0, 0.0]]}, "beta"),
+            ({"beta": [[0.5, -0.5], [1.0]]}, "beta"),
+            ({"beta": [0.5, -0.5]}, "beta"),
+            ({"beta": [[0.5, np.nan], [1.0, 0.0]]}, "beta"),
+            ({"increments": [[0.1, 0.2, 0.3]]}, "increments"),
+            ({"increments": [[0.1, 0.2, 0.3]] * 3}, "increments"),
+            ({"increments": [[0.1, 0.2], [0.2, 0.0]]}, "increments"),
+            ({"increments": [[0.1, 0.2, 0.3], [0.2, 0.0]]}, "increments"),
+            ({"increments": [0.1, 0.2, 0.3]}, "increments"),
+            ({"increments": [[0.1, -0.2, 0.3], [0.2, 0.0, 0.1]]}, "increments"),
+            ({"event_times": [1.0, 3.0, 2.0]}, "event_times"),
+            ({"event_times": [[1.0, 2.0, 3.0]]}, "event_times"),
+            ({"kernel": "foo"}, "kernel"),
+            ({"bandwidth": 0.0}, "bandwidth"),
+            ({"bandwidth": np.nan}, "bandwidth"),
         ]
-        for comp in odd:
-            with pytest.raises(ValueError, match="share event times, kernel and bandwidth"):
-                MixtureParams(pi=np.array([0.5, 0.5]), components=[fit, comp])
+        for changes, field in cases:
+            with pytest.raises(ValueError, match=field):
+                MixtureParams(**mixture_fields(**changes))
 
 
 class TestEStep:
     def test_single_component_all_ones(self, small_data):
         fit = fit_weighted_cox(small_data, np.ones(small_data.n))
-        params = MixtureParams(pi=np.array([1.0]), components=[fit])
+        params = stack_fits([1.0], [fit])
         S = e_step(small_data, params)
         assert np.allclose(S, 1.0)
 
     def test_identical_components_give_half(self, small_data):
         fit = fit_weighted_cox(small_data, np.ones(small_data.n))
-        params = MixtureParams(pi=np.array([0.5, 0.5]), components=[fit, fit])
+        params = stack_fits([0.5, 0.5], [fit, fit])
         S = e_step(small_data, params)
         assert np.allclose(S, 0.5, atol=1e-14)
 
@@ -107,12 +134,22 @@ class TestEStep:
             delta=np.array([1, 0, 1]),
             x=np.array([[0.5], [-0.3], [1.0]]),
         )
-        params = two_component_params(data)
+        fits = two_component_fits(data)
+        params = stack_fits([0.4, 0.6], fits)
         S = e_step(data, params)
-        dens = np.exp(np.column_stack([component_log_density(data, c) for c in params.components]))
+        dens = np.exp(np.column_stack([component_log_density(data, c) for c in fits]))
         direct = params.pi[None, :] * dens
         direct = direct / direct.sum(axis=1, keepdims=True)
         assert np.allclose(S, direct, atol=1e-12)
+
+    def test_covariate_count_mismatch_names_both_widths(self, small_data):
+        params = two_component_params(small_data)
+        wide = Dataset(y=small_data.y, delta=small_data.delta, x=np.ones((small_data.n, 3)))
+        message = "model has 2 coefficients per component, data has 3 covariates"
+        with pytest.raises(ValueError, match=message):
+            e_step(wide, params)
+        with pytest.raises(ValueError, match=message):
+            observed_loglik(wide, params)
 
     def test_rows_sum_to_one(self, rng):
         data = simulate_single(40, 2, [0.5, -0.5], seed=2, censor_frac=0.2)
@@ -173,8 +210,8 @@ class TestEStepOracle:
         np.testing.assert_allclose(S, want_S, rtol=1e-14, atol=0)
         assert dev <= 1e-15
         fit = fit_weighted_cox(small_data, np.ones(small_data.n))
-        params = MixtureParams(pi=pi, components=[fit] * pi.size)
-        monkeypatch.setattr(em, "_log_densities", lambda data, params: logd)
+        params = stack_fits(pi, [fit] * pi.size)
+        monkeypatch.setattr(em, "_record_log_densities", lambda data, *fields: logd)
         got = observed_loglik(small_data, params)
         if case == "all_minus_inf":
             assert got == -np.inf
@@ -304,8 +341,9 @@ class TestLoglikFunctions:
             delta=np.array([1, 0, 1]),
             x=np.array([[0.5], [-0.3], [1.0]]),
         )
-        params = two_component_params(data)
-        dens = np.exp(np.column_stack([component_log_density(data, c) for c in params.components]))
+        fits = two_component_fits(data)
+        params = stack_fits([0.4, 0.6], fits)
+        dens = np.exp(np.column_stack([component_log_density(data, c) for c in fits]))
         expected = float(np.sum(np.log(dens @ params.pi)))
         assert observed_loglik(data, params) == pytest.approx(expected, abs=1e-10)
 
@@ -325,7 +363,7 @@ class TestLoglikFunctions:
     def test_level_zero_single_component_is_cox_loglik(self):
         data = simulate_single(25, 2, [0.7, -0.4], seed=41, censor_frac=0.2)
         fit = fit_weighted_cox(data, np.ones(data.n))
-        params = MixtureParams(pi=np.array([1.0]), components=[fit])
+        params = stack_fits([1.0], [fit])
         spec = PenaltySpec(kind="scad", level=0.0)
         expected = 0.0
         for i in range(data.n):
@@ -337,8 +375,8 @@ class TestLoglikFunctions:
 
     def test_duplicate_component_leaves_mixture_term_unchanged(self, small_data):
         fit = fit_weighted_cox(small_data, np.ones(small_data.n))
-        one = MixtureParams(pi=np.array([1.0]), components=[fit])
-        two = MixtureParams(pi=np.array([0.5, 0.5]), components=[fit, fit])
+        one = stack_fits([1.0], [fit])
+        two = stack_fits([0.5, 0.5], [fit, fit])
         assert observed_loglik(small_data, two) == pytest.approx(
             observed_loglik(small_data, one), abs=1e-12
         )
@@ -405,19 +443,14 @@ def initial_split(data, k_init, seed):
 
 def random_params(grid, p, K, kernel, h, seed):
     gen = np.random.default_rng(seed)
-    comps = [
-        ComponentFit(
-            beta=gen.normal(0.0, 0.7, size=p),
-            baseline=BaselineHazard(
-                event_times=grid, increments=gen.gamma(2.0, 0.5 / grid.size, size=grid.size),
-                kernel=kernel, bandwidth=h,
-            ),
-            converged=True,
-            iterations=0,
-        )
-        for _ in range(K)
-    ]
-    return MixtureParams(pi=np.full(K, 1.0 / K), components=comps)
+    return MixtureParams(
+        pi=np.full(K, 1.0 / K),
+        beta=gen.normal(0.0, 0.7, size=(K, p)),
+        event_times=grid,
+        increments=gen.gamma(2.0, 0.5 / grid.size, size=(K, grid.size)),
+        kernel=kernel,
+        bandwidth=h,
+    )
 
 
 def dense_log_densities(data, params, ctx):
@@ -426,10 +459,12 @@ def dense_log_densities(data, params, ctx):
     h = ctx.bandwidth
     kmat = kernel_values(ctx.kernel, (data.y[:, None] - rs.grid[None, :]) / h) / h
     cols = []
-    for comp in params.components:
-        inc = comp.baseline.increments
+    for beta, inc in zip(params.beta, params.increments):
+        eta = data.x @ beta
+        rate = np.maximum(kmat @ inc, 1e-300)
         cum = np.concatenate(([0.0], np.cumsum(inc)))[rs.cum_idx]
-        cols.append(_log_density(data.x @ comp.beta, kmat @ inc, cum, rs.ev_mask))
+        hazard = np.where(cum > 0, np.exp(eta) * cum, 0.0)
+        cols.append(np.where(rs.ev_mask, np.log(rate) + eta, 0.0) - hazard)
     return np.column_stack(cols)
 
 
@@ -449,7 +484,8 @@ class TestFitContext:
         got = ctx.log_density(params)
         assert got.shape == (std.n, K)
         np.testing.assert_allclose(got, dense_log_densities(std, params, ctx), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(got, _log_densities(std, params), rtol=1e-12, atol=0)
+        # the EM's grid-rate path and the public per-record path agree exactly
+        assert np.array_equal(got, _record_log_densities(std, params.beta, params.increments, params))
 
     @pytest.mark.parametrize("n", [3000, 20000])
     def test_build_memory_is_linear_in_events(self, n):
@@ -510,25 +546,22 @@ class TestFitMixture:
         model = fit_mixture(data, spec, EMConfig(k_init=1, restarts=1, seed=4))
         direct = fit_weighted_cox(data, np.ones(data.n))
         assert model.params.K == 1
-        assert np.allclose(model.params.components[0].beta, direct.beta, atol=1e-6)
-        assert np.allclose(
-            model.params.components[0].baseline.increments,
-            direct.baseline.increments,
-            atol=1e-8,
-        )
+        assert np.allclose(model.params.beta[0], direct.beta, atol=1e-6)
+        assert np.allclose(model.params.increments[0], direct.baseline.increments, atol=1e-8)
 
     def test_every_m_step_converges_on_criterion_5_data(self, monkeypatch):
         # replication 0 of the criterion-5 cell (data from SeedSequence([2026, 0, 0]))
         # tuned as run_study does; a Newton search that ran out of halvings
         # used to report converged=False on about a quarter of these fits
         made = []
+        fit_coefficients = em._fit_coefficients
 
-        def recording(*args, **kwargs):
-            fit = ComponentFit(*args, **kwargs)
+        def recording(*args):
+            fit = fit_coefficients(*args)
             made.append(fit)
             return fit
 
-        monkeypatch.setattr(em, "ComponentFit", recording)
+        monkeypatch.setattr(em, "_fit_coefficients", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             run_study(
@@ -537,7 +570,7 @@ class TestFitMixture:
                 c_grid=np.array([0.6, 0.8]), cn_constant=2.0,
             )
         assert len(made) > 1000
-        assert [f for f in made if not f.converged] == []
+        assert [f for f in made if not f[2]] == []
 
     def test_bit_reproducible(self):
         data = simulate_single(60, 2, [0.6, -0.6], seed=29, censor_frac=0.15)
@@ -597,11 +630,37 @@ class TestFitMixture:
         params = two_component_params(small_data)
         spec = PenaltySpec(kind="scad", level=0.07)
         flipped = MixtureParams(
-            pi=params.pi[::-1].copy(), components=list(reversed(params.components))
+            pi=params.pi[::-1], beta=params.beta[::-1], event_times=params.event_times,
+            increments=params.increments[::-1], kernel=params.kernel, bandwidth=params.bandwidth,
         )
         a = penalized_observed_loglik(small_data, params, spec)
         b = penalized_observed_loglik(small_data, flipped, spec)
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kernel, bandwidth, match",
+        [
+            ("gaussian", 0.0, "bandwidth"),
+            ("gaussian", -1.0, "bandwidth"),
+            ("gaussian", float("nan"), "bandwidth"),
+            ("gaussian", float("inf"), "bandwidth"),
+            ("foo", None, "kernel"),
+        ],
+    )
+    def test_smoothing_checked_before_the_context_is_built(
+        self, small_data, monkeypatch, kernel, bandwidth, match
+    ):
+        def no_context(*args):
+            raise AssertionError("_FitContext built for invalid smoothing")
+
+        monkeypatch.setattr(em, "_FitContext", no_context)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=match):
+                fit_mixture(
+                    small_data, PenaltySpec(kind="scad", level=0.0), EMConfig(k_init=1, restarts=1),
+                    kernel=kernel, bandwidth=bandwidth,
+                )
 
     def test_k_init_above_n_rejected(self, small_data):
         with pytest.raises(ValueError):
@@ -614,9 +673,8 @@ class TestFitMixture:
             model = fit_mixture(
                 data, PenaltySpec(kind="scad", level=0.0), EMConfig(k_init=1, restarts=1, seed=1)
             )
-        baseline = model.params.components[0].baseline
-        assert baseline.kernel == "gaussian"
-        assert baseline.bandwidth == default_time_bandwidth(data.y)
+        assert model.params.kernel == "gaussian"
+        assert model.params.bandwidth == default_time_bandwidth(data.y)
 
     def test_indistinct_components_warn(self):
         # a constant covariate standardizes to zero, so every component keeps beta = 0
@@ -633,7 +691,7 @@ class TestFitMixture:
         assert "constant covariate columns left unscaled" in messages
         assert "fitted components are not pairwise distinct" in messages
         assert model.params.K == 2
-        assert np.array_equal(model.params.components[0].beta, model.params.components[1].beta)
+        assert np.array_equal(model.params.beta[0], model.params.beta[1])
 
 
 class TestSerialization:
@@ -647,12 +705,10 @@ class TestSerialization:
         back = model_from_json(text)
         assert back.params.K == model.params.K
         assert np.array_equal(back.params.pi, model.params.pi)
-        for a, b in zip(back.params.components, model.params.components):
-            assert np.array_equal(a.beta, b.beta)
-            assert np.array_equal(a.baseline.event_times, b.baseline.event_times)
-            assert np.array_equal(a.baseline.increments, b.baseline.increments)
-            assert a.baseline.kernel == b.baseline.kernel
-            assert a.baseline.bandwidth == b.baseline.bandwidth
+        for name in ("beta", "event_times", "increments"):
+            assert np.array_equal(getattr(back.params, name), getattr(model.params, name))
+        assert back.params.kernel == model.params.kernel
+        assert back.params.bandwidth == model.params.bandwidth
         assert back.history == model.history
         assert back.seed == model.seed
         assert back.spec.kind == spec.kind
@@ -678,6 +734,16 @@ class TestSerialization:
             "history",
             "seed",
         ]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_malformed_model_rejected_on_load(self, small_data, case):
+        model = FittedModel(
+            params=two_component_params(small_data), spec=PenaltySpec(kind="scad", level=0.0), seed=0
+        )
+        text = model_to_json(model)
+        assert model_to_json(model_from_json(text)) == text
+        with pytest.raises(ValueError, match=MALFORMED_MODELS[case][1]):
+            model_from_json(malformed_model_text(text, case))
 
     def test_save_and_load_file(self, tmp_path, small_data):
         model = fit_mixture(

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from coxmix import tdroc
-from coxmix.coxfit import cumulative_hazard, fit_weighted_cox, kernel_values
+from coxmix.coxfit import fit_weighted_cox, kernel_values
 from coxmix.data import Dataset
-from coxmix.em import MixtureParams, e_step, FittedModel, fit_mixture, EMConfig
+from coxmix.em import e_step, FittedModel, fit_mixture, EMConfig
 from coxmix.penalties import PenaltySpec
 from coxmix.tdroc import (
     MARKER_MODES,
@@ -20,7 +20,7 @@ from coxmix.tdroc import (
     roc_curve,
 )
 
-from conftest import simulate_single
+from conftest import simulate_single, stack_fits
 
 
 def weighted_mann_whitney(markers, weights):
@@ -422,7 +422,7 @@ class TestCensoringWeights:
 class TestComputeMarker:
     def make_single_model(self, data):
         fit = fit_weighted_cox(data, np.ones(data.n))
-        params = MixtureParams(pi=np.array([1.0]), components=[fit])
+        params = stack_fits([1.0], [fit])
         return FittedModel(params=params, spec=PenaltySpec(kind="scad", level=0.0), seed=0)
 
     def make_mixture_model(self, data):
@@ -430,14 +430,23 @@ class TestComputeMarker:
         w = gen.uniform(0.2, 0.8, size=data.n)
         c1 = fit_weighted_cox(data, w)
         c2 = fit_weighted_cox(data, 1.0 - w)
-        params = MixtureParams(pi=np.array([0.45, 0.55]), components=[c1, c2])
+        params = stack_fits([0.45, 0.55], [c1, c2])
         return FittedModel(params=params, spec=PenaltySpec(kind="scad", level=0.1), seed=0)
 
     def test_linear_predictor(self):
         data = simulate_single(25, 2, [0.8, -0.4], seed=113)
         model = self.make_single_model(data)
         got = compute_marker(model, data, "cox_linear_predictor")
-        assert np.allclose(got, data.x @ model.params.components[0].beta, atol=1e-14)
+        assert np.allclose(got, data.x @ model.params.beta[0], atol=1e-14)
+
+    def test_covariate_count_mismatch_names_both_widths(self):
+        data = simulate_single(25, 2, [0.8, -0.4], seed=113)
+        narrow = Dataset(y=data.y, delta=data.delta, x=data.x[:, :1])
+        message = "model has 2 coefficients per component, data has 1 covariates"
+        for model in (self.make_single_model(data), self.make_mixture_model(data)):
+            for mode in MARKER_MODES:
+                with pytest.raises(ValueError, match=message):
+                    compute_marker(model, narrow, mode, t=1.0)
 
     def test_linear_predictor_requires_one_component(self):
         data = simulate_single(25, 2, [0.8, -0.4], seed=113)
@@ -452,8 +461,8 @@ class TestComputeMarker:
         S = e_step(data, model.params)
         expected = np.zeros(data.n)
         for i in range(data.n):
-            for k, comp in enumerate(model.params.components):
-                expected[i] += S[i, k] * float(data.x[i] @ comp.beta)
+            for k, beta in enumerate(model.params.beta):
+                expected[i] += S[i, k] * float(data.x[i] @ beta)
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_event_prob_brute_force(self):
@@ -464,9 +473,9 @@ class TestComputeMarker:
         expected = np.zeros(data.n)
         for i in range(data.n):
             s = 0.0
-            for pi_k, comp in zip(model.params.pi, model.params.components):
-                lam = cumulative_hazard(comp.baseline, t)
-                s += pi_k * math.exp(-math.exp(float(data.x[i] @ comp.beta)) * lam)
+            for pi_k, beta, inc in zip(model.params.pi, model.params.beta, model.params.increments):
+                lam = float(np.sum(inc[model.params.event_times <= t]))
+                s += pi_k * math.exp(-math.exp(float(data.x[i] @ beta)) * lam)
             expected[i] = 1.0 - s
         assert np.allclose(got, expected, atol=1e-12)
         assert np.all((got >= 0) & (got <= 1))

@@ -190,6 +190,17 @@ class TestSelectTuning:
         with pytest.raises(ValueError, match="workers"):
             select_tuning(tuning_data, "scad", c_grid=[0.5], config=QUICK, workers=0)
 
+    @pytest.mark.parametrize(
+        "kernel, bandwidth", [("gaussian", 0.0), ("gaussian", float("nan")), ("foo", None)]
+    )
+    def test_smoothing_validated_without_runtime_warnings(self, tuning_data, kernel, bandwidth):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="kernel" if bandwidth is None else "bandwidth"):
+                select_tuning(
+                    tuning_data, "scad", c_grid=[0.5, 1.0], config=QUICK, kernel=kernel, bandwidth=bandwidth
+                )
+
     def test_grid_validation(self, tuning_data):
         with pytest.raises(ValueError):
             select_tuning(tuning_data, "scad", c_grid=[], config=QUICK)
