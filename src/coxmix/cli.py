@@ -19,7 +19,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import platform
 import sys
@@ -30,7 +29,7 @@ import scipy
 
 from . import __version__
 from .coxfit import KERNELS, NumericalError
-from .data import DataError, load_dataset, save_dataset
+from .data import DataError, _write_csv, load_dataset, save_dataset
 from .em import (
     DEFAULT_EPS_ABS,
     DEFAULT_EPS_REL,
@@ -40,7 +39,6 @@ from .em import (
     EMConfig,
     fit_mixture,
     load_model,
-    penalized_observed_loglik,
     save_model,
 )
 from .penalties import (
@@ -146,11 +144,7 @@ def cmd_simulate(o) -> dict:
     data, labels = generate_dataset(sim, np.random.default_rng(o.seed))
     save_dataset(data, o.out)
     if o.labels_out is not None:
-        with open(o.labels_out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["component"])
-            for lab in labels:
-                writer.writerow([str(int(lab) + 1)])
+        _write_csv(o.labels_out, ["component"], ([str(int(lab) + 1)] for lab in labels))
     censored = 1.0 - float(data.delta.mean())
     print(f"wrote {o.out}: {o.n} rows, censored fraction {censored:.4f}")
     return {}
@@ -163,8 +157,8 @@ def cmd_fit(o) -> dict:
     )
     model = fit_mixture(data, spec, _em_config(o), kernel=o.hazard_kernel, bandwidth=o.bandwidth)
     save_model(model, o.out)
-    loglik = penalized_observed_loglik(data, model.params, model.spec)
-    print(f"wrote {o.out}: K = {model.params.K}, penalized loglik = {loglik:.6f}")
+    # the fit's last objective is the penalized observed log-likelihood
+    print(f"wrote {o.out}: K = {model.params.K}, penalized loglik = {model.history[-1]:.6f}")
     return {"shape": model.spec.shape}
 
 
@@ -203,11 +197,8 @@ def cmd_predict(o) -> dict:
         columns = [(f"marker_t{format(t, 'g')}", compute_marker(model, data, mode, t)) for t in o.times]
     else:
         columns = [("marker", compute_marker(model, data, mode))]
-    with open(o.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([name for name, _ in columns])
-        for i in range(data.n):
-            writer.writerow([format(vals[i], ".17g") for _, vals in columns])
+    rows = ([format(vals[i], ".17g") for _, vals in columns] for i in range(data.n))
+    _write_csv(o.out, [name for name, _ in columns], rows)
     print(f"wrote {o.out}: {data.n} rows, {len(columns)} marker column(s)")
     return {}
 
@@ -224,16 +215,9 @@ def cmd_roc(o) -> dict:
         auc_rows.append((t, auc(curve)))
         for c, sens, oms in zip(curve.thresholds, curve.sensitivity, curve.one_minus_specificity):
             roc_rows.append((t, c, sens, oms))
-    with open(o.out_roc, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "threshold", "sensitivity", "one_minus_specificity"])
-        for t, c, sens, oms in roc_rows:
-            writer.writerow([format(v, ".17g") for v in (t, c, sens, oms)])
-    with open(o.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "auc"])
-        for t, value in auc_rows:
-            writer.writerow([format(t, ".17g"), format(value, ".17g")])
+    header = ["time", "threshold", "sensitivity", "one_minus_specificity"]
+    _write_csv(o.out_roc, header, ([format(v, ".17g") for v in row] for row in roc_rows))
+    _write_csv(o.out, ["time", "auc"], ([format(v, ".17g") for v in row] for row in auc_rows))
     for t, value in auc_rows:
         print(f"t = {format(t, 'g')}: AUC = {value:.6f}")
     return {}

@@ -50,22 +50,26 @@ class DegenerateComponentError(NumericalError):
 
 def kernel_values(kernel: str, u: np.ndarray) -> np.ndarray:
     """Kernel K(u): standard Gaussian density or Epanechnikov 0.75(1-u^2) on [-1, 1]."""
+    _check_kernel(kernel)
     u = np.asarray(u, dtype=float)
     if kernel == "gaussian":
         return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-    if kernel == "epanechnikov":
-        return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
-    raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+
+
+def _rule_of_thumb(values: np.ndarray, factor: float) -> float:
+    """factor * sd(values) * n^(-1/5), or 1 when n < 2 or the values do not vary."""
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    s = float(v.std(ddof=1)) if n > 1 else 0.0
+    if s <= 0.0:
+        return 1.0
+    return factor * s * n ** (-0.2)
 
 
 def default_time_bandwidth(y: np.ndarray) -> float:
     """Rule-of-thumb bandwidth sd(y) * n^(-1/5) for smoothing hazard increments."""
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    s = float(y.std(ddof=1)) if n > 1 else 0.0
-    if s <= 0.0:
-        return 1.0
-    return s * n ** (-0.2)
+    return _rule_of_thumb(y, 1.0)
 
 
 @dataclass(frozen=True)
@@ -103,9 +107,13 @@ def _float_array(value, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a rectangular array of numbers") from exc
 
 
-def _check_smoothing(kernel: str, bandwidth: float) -> None:
+def _check_kernel(kernel: str) -> None:
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+
+
+def _check_smoothing(kernel: str, bandwidth: float) -> None:
+    _check_kernel(kernel)
     if not (bandwidth > 0 and math.isfinite(bandwidth)):
         raise ValueError("bandwidth must be positive and finite")
 
@@ -174,7 +182,8 @@ class _RiskSets:
       position;
     - the distinct event-time grid, each event's position on it in record
       order (`grid_pos`), and each record's index into the zero-padded
-      cumulative increments (`cum_idx`), which gives Lambda(y_i).
+      cumulative increments (`cum_idx`, from `_lambda_index`), which gives
+      Lambda(y_i).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, delta: np.ndarray):
@@ -185,7 +194,7 @@ class _RiskSets:
         self.ev_mask = delta == 1
         self.grid = np.unique(y[self.ev_mask])
         self.grid_pos = np.searchsorted(self.grid, y[self.ev_mask])
-        self.cum_idx = np.searchsorted(self.grid, y, side="right")
+        self.cum_idx = _lambda_index(self.grid, y)
         ev = np.flatnonzero(self.ev_mask[self.rev])
         self.ev_at = np.stack([ev, count[self.rev][ev] - 1])
         self.ev_grid = np.searchsorted(self.grid, y[self.rev][ev])
@@ -232,17 +241,8 @@ def _weighted_events(rs: _RiskSets, w_r):
     return np.take(wv, keep), position, row, np.take(rs.x_ev, keep, axis=1)
 
 
-def _loglik(wv, eta_ev, shift: float, s0e) -> float:
-    if not np.all(np.isfinite(s0e)) or np.any(s0e <= 0):
-        return -np.inf
-    val = float(np.sum(wv * (eta_ev - shift - np.log(s0e))))
-    return val if math.isfinite(val) else -np.inf
-
-
 def _pl_value(rs: _RiskSets, w, beta) -> float:
-    w_r, eta, shift, e = _risk_weights(rs, w, beta)
-    wv, position, row, _ = _weighted_events(rs, w_r)
-    return _loglik(wv, np.take(eta, position), shift, np.take(np.cumsum(e), row))
+    return _pl_derivs(rs, w, beta)[0]
 
 
 def _pl_derivs(rs: _RiskSets, w, beta):
@@ -253,9 +253,8 @@ def _pl_derivs(rs: _RiskSets, w, beta):
     risk-set sums of the design at the events (1, p and p(p + 1)/2 rows),
     a = w / s0 and xbar = S1 / s0:
         g = x_ev w - S1 a,    H = -[S2 a - (xbar xbar^T) w],
-    the second moments packed as the design's upper triangle. The
-    log-likelihood takes s0 from the design's row of ones, whose cumulative
-    sum is the one `_pl_value` makes, so the two agree bit for bit.
+    the second moments packed as the design's upper triangle, and
+    l = sum w (eta - log s0), or -inf when a risk sum or l is not finite.
     """
     w_r, eta, shift, e = _risk_weights(rs, w, beta)
     wv, position, row, x_ev = _weighted_events(rs, w_r)
@@ -263,7 +262,10 @@ def _pl_derivs(rs: _RiskSets, w, beta):
     np.cumsum(sums, axis=1, out=sums)
     s = np.take(sums, row, axis=1)
     s0 = s[0]
-    ll = _loglik(wv, np.take(eta, position), shift, s0)
+    ll = -np.inf
+    if np.all(np.isfinite(s0)) and not np.any(s0 <= 0):
+        ll = float(np.sum(wv * (np.take(eta, position) - shift - np.log(s0))))
+        ll = ll if math.isfinite(ll) else -np.inf
     p = rs.p
     s1 = s[1 : p + 1]
     # degenerate risk sums produce non-finite values here; callers reject them
@@ -656,11 +658,28 @@ def _padded_cumsum(increments: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lambda_index(event_times: np.ndarray, t):
+    """Index of Lambda(t) in the zero-padded cumulative increments: the
+    number of event times at or before t."""
+    return np.searchsorted(event_times, t, side="right")
+
+
+def _cumulative_risks(x, beta, increments, lam_idx) -> tuple[np.ndarray, np.ndarray]:
+    """n x K linear predictors eta = x beta_k and cumulative risks exp(eta) Lambda_k,
+    Lambda_k read at `lam_idx`; a risk is 0, with no warning, wherever Lambda = 0."""
+    eta = x @ beta.T
+    cum = _padded_cumsum(increments)[:, lam_idx].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        risk = np.where(cum > 0, np.exp(eta) * cum, 0.0)
+    return eta, risk
+
+
 def cumulative_hazard(baseline: BaselineHazard, t):
-    """Step cumulative hazard sum_{T_e <= t} increment_e."""
+    """Step cumulative hazard sum_{T_e <= t} increment_e, the cumulative risk at eta = 0."""
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = _padded_cumsum(baseline.increments)[np.searchsorted(baseline.event_times, arr, side="right")]
-    return float(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
+    idx = _lambda_index(baseline.event_times, arr)
+    _, vals = _cumulative_risks(np.zeros((arr.size, 0)), np.zeros((1, 0)), baseline.increments[None], idx)
+    return float(vals[0, 0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals[:, 0]
 
 
 def _check_covariates(beta: np.ndarray, x: np.ndarray) -> None:
@@ -673,14 +692,11 @@ def _check_covariates(beta: np.ndarray, x: np.ndarray) -> None:
 def _log_densities(x, event, cum_idx, event_rate, beta, increments) -> np.ndarray:
     """n x K log densities delta * (log rate + eta) - exp(eta) * Lambda(y): the
     K smoothed rates at the `event` rows (K x events) are floored at 1e-300,
-    and `cum_idx` indexes Lambda(y) in the zero-padded cumulative increments."""
-    eta = x @ beta.T
+    and `cum_idx` indexes Lambda(y) as `_cumulative_risks` reads it."""
+    eta, risk = _cumulative_risks(x, beta, increments, cum_idx)
     out = np.zeros(eta.shape)
     out[event] = np.log(np.maximum(event_rate.T, RATE_FLOOR)) + eta[event]
-    cum = _padded_cumsum(increments)[:, cum_idx].T
-    with np.errstate(over="ignore"):
-        risk = np.exp(eta)
-    out -= np.where(cum > 0, risk * cum, 0.0)
+    out -= risk
     return out
 
 
@@ -690,7 +706,7 @@ def _record_log_densities(data: Dataset, beta, increments, grid) -> np.ndarray:
     _check_covariates(beta, data.x)
     event = data.delta == 1
     event_rate = _smoother(grid.event_times, grid.kernel, grid.bandwidth, data.y[event])(increments)
-    cum_idx = np.searchsorted(grid.event_times, data.y, side="right")
+    cum_idx = _lambda_index(grid.event_times, data.y)
     return _log_densities(data.x, event, cum_idx, event_rate, beta, increments)
 
 

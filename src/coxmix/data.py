@@ -155,14 +155,19 @@ def save_dataset(data: Dataset, path: str, covariate_names: list[str] | None = N
         covariate_names = [f"x{j + 1}" for j in range(data.p)]
     if len(covariate_names) != data.p:
         raise ValueError("covariate_names length must match p")
+    rows = (
+        [format(float(y), ".17g"), str(int(d))] + [format(float(v), ".17g") for v in x]
+        for y, d, x in zip(data.y, data.delta, data.x)
+    )
+    _write_csv(path, ["time", "status"] + list(covariate_names), rows)
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write the header and rows as CSV lines ending in a bare newline."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "status"] + list(covariate_names))
-        for i in range(data.n):
-            writer.writerow(
-                [format(float(data.y[i]), ".17g"), str(int(data.delta[i]))]
-                + [format(float(v), ".17g") for v in data.x[i]]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)

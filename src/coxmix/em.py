@@ -96,7 +96,7 @@ class MixtureParams:
     bandwidth: float
 
     def __post_init__(self) -> None:
-        pi = np.array(self.pi, dtype=float, copy=True)
+        pi = _float_array(self.pi, "pi")
         if pi.ndim != 1 or pi.size == 0:
             raise ValueError("pi must be a nonempty 1-d array")
         if not np.all(np.isfinite(pi)) or np.any(pi < 0) or np.any(pi > 1 + 1e-9):
@@ -584,28 +584,39 @@ def model_to_json(model: FittedModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _field(doc, name: str, cast=lambda value: value):
+    """cast(doc[name]); a missing field or a value cast rejects is a ValueError naming it."""
+    if name not in doc:
+        raise ValueError(f"model JSON has no {name!r} field")
+    try:
+        return cast(doc[name])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model JSON field {name!r} is malformed: {exc}") from exc
+
+
 def model_from_json(text: str) -> FittedModel:
-    """Rebuild a FittedModel from its JSON form; diagnostics are not stored."""
+    """Rebuild a FittedModel from its JSON form; diagnostics are not stored.
+    A missing or mistyped field raises ValueError naming it."""
     raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise ValueError(f"model JSON must be an object, not {type(raw).__name__}")
     spec = PenaltySpec(
-        kind=raw["penalty"],
-        level=float(raw["level"]),
-        shape=None if raw.get("shape") is None else float(raw["shape"]),
-        epsilon=float(raw["epsilon"]),
+        kind=_field(raw, "penalty"),
+        level=_field(raw, "level", float),
+        shape=None if raw.get("shape") is None else _field(raw, "shape", float),
+        epsilon=_field(raw, "epsilon", float),
     )
-    base = raw["baseline"]
+    base = _field(raw, "baseline", lambda doc: {**doc})
     params = MixtureParams(
-        pi=raw["pi"], beta=raw["beta"], event_times=base["event_times"], increments=base["increments"],
-        kernel=base["kernel"], bandwidth=float(base["bandwidth"]),
+        pi=_field(raw, "pi"), beta=_field(raw, "beta"), event_times=_field(base, "event_times"),
+        increments=_field(base, "increments"), kernel=_field(base, "kernel"),
+        bandwidth=_field(base, "bandwidth", float),
     )
-    if int(raw["K"]) != params.K:
-        raise ValueError(f"K = {raw['K']} disagrees with the {params.K} components stored")
-    return FittedModel(
-        params=params,
-        spec=spec,
-        seed=int(raw["seed"]),
-        history=[float(v) for v in raw["history"]],
-    )
+    K = _field(raw, "K", int)
+    if K != params.K:
+        raise ValueError(f"K = {K} disagrees with the {params.K} components stored")
+    history = _field(raw, "history", lambda h: [float(v) for v in h])
+    return FittedModel(params=params, spec=spec, seed=_field(raw, "seed", int), history=history)
 
 
 def save_model(model: FittedModel, path: str) -> None:

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .coxfit import _check_covariates, _padded_cumsum, kernel_values
+from .coxfit import (
+    _check_covariates, _check_kernel, _cumulative_risks, _lambda_index, _rule_of_thumb, kernel_values
+)
 from .data import Dataset
 from .em import FittedModel, e_step
 
@@ -37,12 +39,7 @@ MARKER_MODES = ("cox_linear_predictor", "mixture_posterior_lp", "mixture_event_p
 
 def default_marker_bandwidth(markers: np.ndarray) -> float:
     """Rule-of-thumb bandwidth 1.06 * sd(markers) * n^(-1/5)."""
-    m = np.asarray(markers, dtype=float)
-    n = m.size
-    s = float(m.std(ddof=1)) if n > 1 else 0.0
-    if s <= 0.0:
-        return 1.0
-    return 1.06 * s * n ** (-0.2)
+    return _rule_of_thumb(markers, 1.06)
 
 
 def compute_marker(model: FittedModel, data: Dataset, mode: str, t: float | None = None) -> np.ndarray:
@@ -66,28 +63,23 @@ def compute_marker(model: FittedModel, data: Dataset, mode: str, t: float | None
         if params.K != 1:
             raise ValueError("cox_linear_predictor requires a single-component model")
         return data.x @ params.beta[0]
-    if mode == "mixture_posterior_lp":
-        S = e_step(data, params)
-        lp = np.column_stack([data.x @ beta for beta in params.beta])
-        return np.sum(S * lp, axis=1)
-    if t is None:
+    if mode == "mixture_event_prob" and t is None:
         raise ValueError("mixture_event_prob requires an evaluation time")
-    # Lambda_k(t) for every component, one column of the padded cumulative sums
-    lams = _padded_cumsum(params.increments)[:, np.searchsorted(params.event_times, float(t), side="right")]
-    surv = np.zeros(data.n)
-    for pi_k, beta, lam in zip(params.pi, params.beta, lams):
-        with np.errstate(over="ignore"):
-            risk = np.exp(data.x @ beta)
-        surv += pi_k * np.exp(-np.where(lam > 0, risk * lam, 0.0))
-    return 1.0 - surv
+    lam_idx = _lambda_index(params.event_times, data.y if mode == "mixture_posterior_lp" else float(t))
+    eta, risk = _cumulative_risks(data.x, params.beta, params.increments, lam_idx)
+    if mode == "mixture_posterior_lp":
+        return np.sum(e_step(data, params) * eta, axis=1)
+    return 1.0 - np.exp(-risk) @ params.pi
 
 
 # kernel entries (rows x subjects) of one block of curves built at once
 _BLOCK_ENTRIES = 2**17
 
 
-def _marker_inputs(markers: np.ndarray, data: Dataset, bandwidth: float | None) -> tuple[np.ndarray, float]:
-    """Checked markers and the marker bandwidth (the rule of thumb if None)."""
+def _marker_inputs(markers, data: Dataset, bandwidth: float | None, kernel: str) -> tuple[np.ndarray, float]:
+    """Checked markers and the marker bandwidth (the rule of thumb if None); the
+    kernel is checked here too, so a bad one fails even when no curve is built."""
+    _check_kernel(kernel)
     m = np.asarray(markers, dtype=float)
     if m.shape != (data.n,):
         raise ValueError("markers must be a 1-d array with one entry per record")
@@ -178,7 +170,7 @@ def conditional_survival(
     kernel: str = "gaussian",
 ) -> np.ndarray:
     """Kernel-conditional Kaplan-Meier survival at time t, one value per subject."""
-    m, h = _marker_inputs(markers, data, bandwidth)
+    m, h = _marker_inputs(markers, data, bandwidth, kernel)
     km = _ConditionalKM(m, data, h, kernel, np.arange(data.n), np.full((data.n, 1), float(t)))
     return km.curves[:, 0]
 
@@ -199,7 +191,7 @@ def censoring_weights(
     one of these weights uses is skipped: one at an event time in (Y_i, t]
     on the curve of a subject censored before t.
     """
-    m, h = _marker_inputs(markers, data, bandwidth)
+    m, h = _marker_inputs(markers, data, bandwidth, kernel)
     y = data.y
     delta = data.delta
     t = float(t)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -11,7 +10,7 @@ from functools import partial
 import numpy as np
 
 from .coxfit import NumericalError
-from .data import Dataset
+from .data import Dataset, _write_csv
 from .em import EMConfig, FittedModel, _penalty_total, fit_mixture
 from .penalties import (
     DEFAULT_EPSILON,
@@ -95,21 +94,11 @@ class TuningReport:
 
 
 def _pick_best(rows: list[TuningRow]) -> int:
-    best = -1
-    for i, row in enumerate(rows):
-        if not math.isfinite(row.bic):
-            continue
-        if best < 0:
-            best = i
-            continue
-        cur = rows[best]
-        key_new = (row.bic, -row.k_hat, -row.level)
-        key_cur = (cur.bic, -cur.k_hat, -cur.level)
-        if key_new > key_cur:
-            best = i
-    if best < 0:
+    """Index of the highest finite BIC, ties to fewer components, then the smaller level."""
+    scored = [i for i, row in enumerate(rows) if math.isfinite(row.bic)]
+    if not scored:
         raise NumericalError("every grid point failed to fit")
-    return best
+    return max(scored, key=lambda i: (rows[i].bic, -rows[i].k_hat, -rows[i].level))
 
 
 def _fit_grid_point(
@@ -189,21 +178,19 @@ def select_tuning(
 
 
 def report_to_csv(report: TuningReport, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["c", "level", "k_hat", "bic", "loglik", "iterations", "converged"])
-        for row in report.rows:
-            writer.writerow(
-                [
-                    format(row.c, ".17g"),
-                    format(row.level, ".17g"),
-                    str(row.k_hat),
-                    format(row.bic, ".17g"),
-                    format(row.loglik, ".17g"),
-                    str(row.iterations),
-                    "true" if row.converged else "false",
-                ]
-            )
+    rows = (
+        [
+            format(row.c, ".17g"),
+            format(row.level, ".17g"),
+            str(row.k_hat),
+            format(row.bic, ".17g"),
+            format(row.loglik, ".17g"),
+            str(row.iterations),
+            "true" if row.converged else "false",
+        ]
+        for row in report.rows
+    )
+    _write_csv(path, ["c", "level", "k_hat", "bic", "loglik", "iterations", "converged"], rows)
 
 
 def report_summary(report: TuningReport) -> dict:

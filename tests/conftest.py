@@ -54,26 +54,41 @@ def stack_fits(pi, fits):
     )
 
 
-# ways to corrupt the JSON of a K = 2, p = 2 model: (edit of the parsed
-# document, pattern the load error must match)
+def _drop(name):
+    return lambda doc: {key: value for key, value in doc.items() if key != name}
+
+
+def _put(name, value):
+    return lambda doc: {**doc, name: value}
+
+
+def _edit_increments(edit):
+    def corrupt(doc):
+        return {**doc, "baseline": {**doc["baseline"], "increments": edit(doc["baseline"]["increments"])}}
+
+    return corrupt
+
+
+# ways to corrupt the JSON of a K = 2, p = 2 model: (parsed document ->
+# corrupted document, pattern the load error must match)
 MALFORMED_MODELS = {
-    "extra_increment_row": (
-        lambda doc: doc["baseline"]["increments"].append(doc["baseline"]["increments"][0]), "increments"
-    ),
-    "missing_increment_row": (lambda doc: doc["baseline"]["increments"].pop(), "increments"),
-    "ragged_beta": (lambda doc: doc["beta"][1].pop(), "beta"),
-    "increment_width": (
-        lambda doc: doc["baseline"].update(increments=[r[:-1] for r in doc["baseline"]["increments"]]),
-        "increments",
-    ),
-    "K_mismatch": (lambda doc: doc.update(K=3), "K = 3"),
+    "extra_increment_row": (_edit_increments(lambda inc: inc + inc[:1]), "increments"),
+    "missing_increment_row": (_edit_increments(lambda inc: inc[:-1]), "increments"),
+    "ragged_beta": (lambda doc: {**doc, "beta": [doc["beta"][0], doc["beta"][1][:-1]]}, "beta"),
+    "increment_width": (_edit_increments(lambda inc: [row[:-1] for row in inc]), "increments"),
+    "K_mismatch": (_put("K", 3), "K = 3"),
+    **{
+        f"missing_{name}": (_drop(name), f"no '{name}' field")
+        for name in ("history", "seed", "penalty", "level", "epsilon", "baseline", "pi", "K")
+    },
+    "history_not_a_list": (_put("history", 5), "'history' is malformed"),
+    "baseline_not_an_object": (_put("baseline", [1]), "'baseline' is malformed"),
+    "top_level_list": (lambda doc: [doc], "must be an object"),
 }
 
 
 def malformed_model_text(text, case):
-    doc = json.loads(text)
-    MALFORMED_MODELS[case][0](doc)
-    return json.dumps(doc)
+    return json.dumps(MALFORMED_MODELS[case][0](json.loads(text)))
 
 
 @pytest.fixture

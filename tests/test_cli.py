@@ -203,6 +203,16 @@ class TestFit:
         assert meta["options"]["penalty"] == "scad"
         assert "K = 1" in capsys.readouterr().out
 
+    def test_fit_prints_the_last_objective(self, tmp_path, data_csv, capsys):
+        out = str(tmp_path / "m.json")
+        code = run_cli(
+            ["fit", data_csv, "--penalty", "scad", "--level", "0.05",
+             "--k-init", "2", "--restarts", "1", "--max-iter", "40", "--out", out]
+        )
+        assert code == 0
+        printed = re.search(r"penalized loglik = (\S+)", capsys.readouterr().out).group(1)
+        assert printed == f"{load_model(out).history[-1]:.6f}"
+
     def test_fit_is_deterministic(self, tmp_path, data_csv):
         a = str(tmp_path / "a.json")
         b = str(tmp_path / "b.json")
@@ -443,13 +453,21 @@ class TestStudy:
 
 
 class TestOptionTable:
-    def test_readme_invocations_parse(self):
+    def test_readme_invocations_parse(self, tmp_path, monkeypatch):
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         lines = [line.strip() for line in text.replace("\\\n", " ").splitlines()]
-        commands = [line for line in lines if line.startswith("coxmix ")]
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("coxmix ")]
         parser = build_parser()
-        parsed = {parser.parse_args(shlex.split(line)[1:]).command for line in commands}
-        assert parsed == set(COMMANDS)
+        assert {parser.parse_args(argv).command for argv in commands} == set(COMMANDS)
+        # run each line in order, so later lines read what earlier ones wrote;
+        # the 100-replication study is left to test_small_study_round_trip
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            if argv[0] == "study":
+                continue
+            assert run_cli(argv) == 0, argv
+            outputs = [argv[i + 1] for i, arg in enumerate(argv) if arg.startswith(("--out", "--labels-out"))]
+            assert outputs and all((tmp_path / name).is_file() for name in outputs), argv
 
     def test_help_lists_every_declared_flag(self, capsys):
         for command, (_, _, options) in COMMANDS.items():

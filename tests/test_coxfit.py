@@ -21,8 +21,10 @@ from coxmix.coxfit import (
     _increments,
     _pl_derivs,
     _pl_value,
+    _risk_weights,
     _RiskSets,
     _smoother,
+    _weighted_events,
 )
 from coxmix.data import Dataset
 
@@ -202,11 +204,17 @@ class TestFusedDerivatives:
     @pytest.mark.parametrize("weights", ["uniform", "zero_at_events", "tiny"])
     @pytest.mark.parametrize("tied", [False, True])
     def test_loglik_equals_pl_value_bitwise(self, weights, tied, rng):
+        # l from the design's row of ones equals l from one plain cumulative
+        # sum of w exp(eta) in risk order, bit for bit
         data, w, _ = oracle_case(3, tied, weights)
         rs = _RiskSets(data.x, data.y, data.delta)
         for _ in range(5):
             beta = rng.normal(size=3)
-            assert _pl_derivs(rs, w, beta)[0] == _pl_value(rs, w, beta)
+            w_r, eta, shift, e = _risk_weights(rs, w, beta)
+            wv, position, row, _ = _weighted_events(rs, w_r)
+            s0 = np.take(np.cumsum(e), row)
+            plain = float(np.sum(wv * (np.take(eta, position) - shift - np.log(s0))))
+            assert _pl_derivs(rs, w, beta)[0] == _pl_value(rs, w, beta) == plain
 
 
 class TestNewtonStop:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from coxmix import tdroc
-from coxmix.coxfit import fit_weighted_cox, kernel_values
+from coxmix.coxfit import _record_log_densities, fit_weighted_cox, kernel_values
 from coxmix.data import Dataset
-from coxmix.em import e_step, FittedModel, fit_mixture, EMConfig
+from coxmix.em import e_step, FittedModel, MixtureParams, fit_mixture, EMConfig, observed_loglik
 from coxmix.penalties import PenaltySpec
 from coxmix.tdroc import (
     MARKER_MODES,
@@ -412,6 +412,14 @@ class TestCensoringWeights:
             with pytest.raises(ValueError, match="positive"):
                 censoring_weights(np.arange(4.0), data, t, bandwidth=0.0)
 
+    def test_unknown_kernel_rejected_when_no_one_is_censored_before_t(self):
+        data = simulate_single(20, 1, [0.5], seed=103, censor_frac=0.3)
+        t = float(data.y.min())
+        assert not np.any((data.y < t) & (data.delta == 0))
+        for func in (censoring_weights, conditional_survival):
+            with pytest.raises(ValueError, match="unknown kernel 'foo'"):
+                func(data.x[:, 0], data, t, kernel="foo")
+
     def test_uncensored_data_weights_are_indicators(self):
         data = simulate_single(30, 1, [0.5], seed=109, censor_frac=0.0)
         t = float(np.median(data.y))
@@ -491,6 +499,31 @@ class TestComputeMarker:
         model = self.make_single_model(data)
         with pytest.raises(ValueError, match="unknown marker mode"):
             compute_marker(model, data, "nope")
+
+    def test_overflowing_risk_before_first_event_time(self):
+        # record 0 has exp(eta) = inf under component 1 and is censored before
+        # the first event time, where Lambda = 0
+        x = np.array([[-400.0, -400.0], [0.1, -0.2], [0.3, 0.4], [-0.5, 0.2], [0.0, 0.1]])
+        data = Dataset(y=np.array([0.5, 1.0, 2.0, 3.0, 4.0]), delta=np.array([0, 1, 1, 0, 1]), x=x)
+        params = MixtureParams(
+            pi=[0.4, 0.6], beta=[[0.5, 0.5], [-1.0, -1.0]], event_times=[1.0, 2.0, 4.0],
+            increments=[[0.2, 0.3, 0.4], [0.1, 0.2, 0.3]], kernel="gaussian", bandwidth=1.0,
+        )
+        model = FittedModel(params=params, spec=PenaltySpec(kind="scad", level=0.0), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            logd = _record_log_densities(data, params.beta, params.increments, params)
+            S = e_step(data, params)
+            loglik = observed_loglik(data, params)
+            lp = compute_marker(model, data, "mixture_posterior_lp")
+            prob = compute_marker(model, data, "mixture_event_prob", t=2.0)
+        assert logd[0].tolist() == [0.0, 0.0]
+        assert np.all(np.isfinite(logd)) and math.isfinite(loglik)
+        np.testing.assert_allclose(S[0], [0.4, 0.6], rtol=1e-14)
+        assert lp[0] == pytest.approx(0.4 * -400.0 + 0.6 * 800.0, rel=1e-14)
+        # by t = 2 component 1 has surely failed and component 0 has not
+        assert prob[0] == pytest.approx(0.6, abs=1e-15)
+        assert np.all(np.isfinite(lp)) and np.all((prob >= 0) & (prob <= 1))
 
     def test_mode_registry(self):
         assert MARKER_MODES == (
