@@ -208,8 +208,11 @@ def cmd_roc(o) -> dict:
     data = load_dataset(o.data)
     auc_rows = []
     roc_rows = []
+    # only event-probability markers depend on the horizon; the others are
+    # computed once for every horizon
+    fixed = None if o.marker_mode == "mixture_event_prob" else compute_marker(model, data, o.marker_mode)
     for t in o.times:
-        markers = compute_marker(model, data, o.marker_mode, t)
+        markers = compute_marker(model, data, o.marker_mode, t) if fixed is None else fixed
         weights = censoring_weights(markers, data, t, bandwidth=o.bandwidth)
         curve = roc_curve(markers, weights)
         auc_rows.append((t, auc(curve)))

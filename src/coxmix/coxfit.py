@@ -219,33 +219,48 @@ def _check_weights(data: Dataset, weights: np.ndarray) -> np.ndarray:
     return w
 
 
-def _risk_weights(rs: _RiskSets, w, beta):
-    """(w, eta, max eta, w exp(eta - max eta)) in risk order, eta on centred x."""
-    w_r = np.take(w, rs.rev)
+def _risk_weights(rs: _RiskSets, w_r, beta):
+    """(eta, max eta, w exp(eta - max eta)) in risk order, eta on centred x;
+    `w_r` is the weights in risk order."""
     eta = beta @ rs.design[1 : rs.p + 1]
-    shift = float(np.max(eta))
+    shift = float(eta.max())
     e = np.exp(eta - shift)
     e *= w_r
-    return w_r, eta, shift, e
+    return eta, shift, e
 
 
-def _weighted_events(rs: _RiskSets, w_r):
-    """(w, position, cumulative-sum row, centred x) of the events with
-    positive weight; a zero-weight event adds nothing to l, g or H."""
-    position, row = rs.ev_at
-    wv = np.take(w_r, position)
-    if wv.min(initial=1.0) > 0:
-        return wv, position, row, rs.x_ev
-    keep = np.flatnonzero(wv > 0)
-    position, row = np.take(rs.ev_at, keep, axis=1)
-    return np.take(wv, keep), position, row, np.take(rs.x_ev, keep, axis=1)
+class _EventWeights:
+    """One weight vector prepared for repeated derivative passes on `rs`.
+
+    Holds the weights in risk order (`w_r`) and, for the events with
+    positive weight, their weights (`wv`), positions (`position`), the
+    cumulative-sum rows that close their risk sets (`row`) and their centred
+    covariates (`x_ev`). A zero-weight event adds nothing to l, g or H. All
+    of this depends on the weights only, which stay fixed during a Newton
+    solve, so each solve builds it once.
+    """
+
+    __slots__ = ("rs", "w_r", "wv", "position", "row", "x_ev")
+
+    def __init__(self, rs: _RiskSets, w_r: np.ndarray):
+        self.rs = rs
+        self.w_r = w_r
+        position, row = rs.ev_at
+        wv = w_r.take(position)
+        x_ev = rs.x_ev
+        if wv.min(initial=1.0) <= 0:
+            keep = np.flatnonzero(wv > 0)
+            position, row = rs.ev_at.take(keep, axis=1)
+            wv = wv.take(keep)
+            x_ev = x_ev.take(keep, axis=1)
+        self.wv, self.position, self.row, self.x_ev = wv, position, row, x_ev
 
 
-def _pl_value(rs: _RiskSets, w, beta) -> float:
-    return _pl_derivs(rs, w, beta)[0]
+def _pl_value(ew: _EventWeights, beta) -> float:
+    return _pl_derivs(ew, beta)[0]
 
 
-def _pl_derivs(rs: _RiskSets, w, beta):
+def _pl_derivs(ew: _EventWeights, beta):
     """(l, gradient, Hessian) from one cumulative sum along the rows of e * design.
 
     The q x n product e * design is summed in place along each contiguous
@@ -255,26 +270,39 @@ def _pl_derivs(rs: _RiskSets, w, beta):
         g = x_ev w - S1 a,    H = -[S2 a - (xbar xbar^T) w],
     the second moments packed as the design's upper triangle, and
     l = sum w (eta - log s0), or -inf when a risk sum or l is not finite.
+
+    Everything that depends on the weights alone comes prepared in `ew`, so
+    a pass does only the work that changes with beta. Degenerate risk sums
+    make g and H non-finite and the callers reject them; a pass raises no
+    floating-point warning only inside np.errstate(divide="ignore",
+    invalid="ignore"), which `_newton` holds over a whole solve.
     """
-    w_r, eta, shift, e = _risk_weights(rs, w, beta)
-    wv, position, row, x_ev = _weighted_events(rs, w_r)
+    rs = ew.rs
+    eta, shift, e = _risk_weights(rs, ew.w_r, beta)
     sums = np.multiply(rs.design, e)
-    np.cumsum(sums, axis=1, out=sums)
-    s = np.take(sums, row, axis=1)
+    sums.cumsum(axis=1, out=sums)
+    s = sums.take(ew.row, axis=1)
     s0 = s[0]
+    wv = ew.wv
     ll = -np.inf
-    if np.all(np.isfinite(s0)) and not np.any(s0 <= 0):
-        ll = float(np.sum(wv * (np.take(eta, position) - shift - np.log(s0))))
+    # every risk sum positive and finite; true when no event carries weight
+    if s0.min(initial=np.inf) > 0 and s0.max(initial=0.0) < np.inf:
+        ll = float((wv * (eta.take(ew.position) - shift - np.log(s0))).sum())
         ll = ll if math.isfinite(ll) else -np.inf
     p = rs.p
     s1 = s[1 : p + 1]
-    # degenerate risk sums produce non-finite values here; callers reject them
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = wv / s0
-        xbar = s1 / s0
-        grad = x_ev @ wv - s1 @ a
-        second = s[p + 1 :] @ a - (xbar[rs.triu[0]] * xbar[rs.triu[1]]) @ wv
-    return ll, grad, -second[rs.sym]
+    a = wv / s0
+    xbar = s1 / s0
+    grad = ew.x_ev @ wv - s1 @ a
+    second = s[p + 1 :] @ a - (xbar.take(rs.triu[0], axis=0) * xbar.take(rs.triu[1], axis=0)) @ wv
+    return ll, grad, -second.take(rs.sym)
+
+
+def _event_weights(data: Dataset, weights: np.ndarray) -> _EventWeights:
+    """Checked public weights prepared on a fresh index of `data`."""
+    w = _check_weights(data, weights)
+    rs = _RiskSets(data.x, data.y, data.delta)
+    return _EventWeights(rs, w.take(rs.rev))
 
 
 def weighted_partial_loglik(data: Dataset, weights: np.ndarray, beta: np.ndarray) -> float:
@@ -282,88 +310,108 @@ def weighted_partial_loglik(data: Dataset, weights: np.ndarray, beta: np.ndarray
 
     sum_i delta_i w_i [beta.x_i - log sum_{j: y_j >= y_i} w_j exp(beta.x_j)]
     """
-    w = _check_weights(data, weights)
-    beta = np.asarray(beta, dtype=float)
-    return _pl_value(_RiskSets(data.x, data.y, data.delta), w, beta)
+    ew = _event_weights(data, weights)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _pl_value(ew, np.asarray(beta, dtype=float))
 
 
 def partial_loglik_gradient(data: Dataset, weights: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Analytic gradient of `weighted_partial_loglik` in beta."""
-    w = _check_weights(data, weights)
-    beta = np.asarray(beta, dtype=float)
-    _, grad, _ = _pl_derivs(_RiskSets(data.x, data.y, data.delta), w, beta)
+    ew = _event_weights(data, weights)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, grad, _ = _pl_derivs(ew, np.asarray(beta, dtype=float))
     return grad
 
 
 def partial_loglik_hessian(data: Dataset, weights: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Analytic Hessian of `weighted_partial_loglik` in beta (negative semidefinite)."""
-    w = _check_weights(data, weights)
-    beta = np.asarray(beta, dtype=float)
-    _, _, hess = _pl_derivs(_RiskSets(data.x, data.y, data.delta), w, beta)
+    ew = _event_weights(data, weights)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, _, hess = _pl_derivs(ew, np.asarray(beta, dtype=float))
     return hess
+
+
+def _solve(a: np.ndarray, b: np.ndarray):
+    """a^-1 b, or None when a is singular or the solution is not finite."""
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return None
+    return x if np.isfinite(x).all() else None
 
 
 def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     neg = -hess
-    if not np.all(np.isfinite(neg)):
+    if not np.isfinite(neg).all():
         raise NumericalError("Hessian is not finite")
-    p = neg.shape[0]
-    ridge = 0.0
-    base = RIDGE_FACTOR * max(float(np.trace(neg)), 1.0)
-    for _ in range(6):
-        try:
-            step = np.linalg.solve(neg + ridge * np.eye(p), grad)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is not None and np.all(np.isfinite(step)):
+    step = _solve(neg, grad)
+    if step is not None:
+        return step
+    # singular or overflowing system: escalate ridge damping
+    ridge = RIDGE_FACTOR * max(float(np.trace(neg)), 1.0)
+    eye = np.eye(neg.shape[0])
+    for _ in range(5):
+        step = _solve(neg + ridge * eye, grad)
+        if step is not None:
             return step
-        # singular or overflowing system: escalate ridge damping
-        ridge = base if ridge == 0.0 else ridge * 100.0
+        ridge *= 100.0
     raise NumericalError("Newton system remained singular despite ridge damping")
 
 
-def _newton(rs: _RiskSets, w, beta0):
+def _newton(rs: _RiskSets, w_r, beta0):
+    """Damped Newton ascent of the weighted partial likelihood from beta0:
+    (beta, l, accepted steps, converged), with `w_r` the weights in risk order.
+
+    The weights are prepared once (`_EventWeights`) and every point, the
+    start and each trial of the line search, costs one `_pl_derivs` pass.
+    One np.errstate covers the solve: degenerate risk sums give a -inf l or
+    non-finite g and H, which the search rejects without a warning.
+    """
+    ew = _EventWeights(rs, w_r)
     beta = np.array(beta0, dtype=float, copy=True)
-    ll, grad, hess = _pl_derivs(rs, w, beta)
-    if not math.isfinite(ll):
-        raise NumericalError("partial likelihood not finite at the starting point")
-    iterations = 0
-    converged = False
-    while iterations < DEFAULT_MAX_ITER:
-        step = _newton_step(hess, grad)
-        # l is concave, so l(beta + s step) <= l + s g'step; once that bound is
-        # within rounding of l, no shorter step can raise l representably
-        slope = float(grad @ step)
-        floor = GAIN_TOL * max(1.0, abs(ll))
-        if not slope >= -floor:
-            break
-        scale = 1.0
-        accepted = None
-        for _ in range(DEFAULT_MAX_HALVINGS + 1):
-            if scale * slope <= floor:
-                converged = True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll, grad, hess = _pl_derivs(ew, beta)
+        if not math.isfinite(ll):
+            raise NumericalError("partial likelihood not finite at the starting point")
+        iterations = 0
+        converged = False
+        while iterations < DEFAULT_MAX_ITER:
+            step = _newton_step(hess, grad)
+            # l is concave, so l(beta + s step) <= l + s g'step; once that bound is
+            # within rounding of l, no shorter step can raise l representably
+            slope = float(grad @ step)
+            floor = GAIN_TOL * max(1.0, abs(ll))
+            if not slope >= -floor:
                 break
-            cand = beta + scale * step
-            # one pass per trial point: an accepted trial's g and H are the
-            # next step's, and l is the one `_pl_value` would give
-            trial = _pl_derivs(rs, w, cand)
-            if math.isfinite(trial[0]) and trial[0] > ll:
-                accepted = trial
+            scale = 1.0
+            accepted = None
+            for _ in range(DEFAULT_MAX_HALVINGS + 1):
+                if scale * slope <= floor:
+                    converged = True
+                    break
+                cand = beta + scale * step
+                # one pass per trial point: an accepted trial's g and H are the
+                # next step's, and l is the one `_pl_value` would give
+                trial = _pl_derivs(ew, cand)
+                if math.isfinite(trial[0]) and trial[0] > ll:
+                    accepted = trial
+                    break
+                scale *= 0.5
+            if accepted is None:
                 break
-            scale *= 0.5
-        if accepted is None:
-            break
-        beta = cand
-        ll, grad, hess = accepted
-        iterations += 1
+            beta = cand
+            ll, grad, hess = accepted
+            iterations += 1
     return beta, ll, iterations, converged
 
 
-def _fit_coefficients(rs: _RiskSets, w, beta0):
-    """Newton fit of one weighted Cox component: (beta, iterations, converged)."""
+def _fit_coefficients(rs: _RiskSets, w_r, beta0):
+    """Newton fit of one weighted Cox component: (beta, iterations, converged),
+    `w_r` the weights in risk order."""
     # the maximizer is invariant to rescaling the weights, and unit-scale
-    # weights keep the risk sums well conditioned
-    w_fit = w / float(np.max(w))
+    # weights keep the risk sums well conditioned; dividing the gathered
+    # weights gives the bits that gathering w / max(w) would
+    w_fit = w_r / float(w_r.max())
     try:
         beta, _, iterations, converged = _newton(rs, w_fit, beta0)
     except NumericalError:
@@ -373,17 +421,18 @@ def _fit_coefficients(rs: _RiskSets, w, beta0):
     return beta, iterations, converged
 
 
-def _increments(rs: _RiskSets, w, beta) -> np.ndarray:
-    w_r, eta, shift, e = _risk_weights(rs, w, beta)
+def _increments(rs: _RiskSets, w_r, beta) -> np.ndarray:
+    """Breslow increments on the event-time grid, `w_r` the weights in risk order."""
+    eta, shift, e = _risk_weights(rs, w_r, beta)
     position, row = rs.ev_at
-    num = np.take(w_r, position)
-    den = np.take(np.cumsum(e), row)
+    num = w_r.take(position)
+    den = e.cumsum().take(row)
     # eta on the caller's covariates is the index's eta plus this offset
     offset = float(rs.center @ beta)
     with np.errstate(invalid="ignore"):
         raw = np.where(num > 0, num * math.exp(-shift - offset) / np.where(den > 0, den, 1.0), 0.0)
     lost = (num > 0) & (den <= 0)
-    if np.any(lost):
+    if lost.any():
         # tiny weights times exp(eta - shift) underflowed the risk-set sum to
         # zero; log w_i - log sum_j w_j exp(eta_j) recovers the increment
         with np.errstate(divide="ignore"):
@@ -432,9 +481,10 @@ def fit_weighted_cox(
     if beta0.shape != (data.p,):
         raise ValueError("beta_init has wrong length")
     rs = _RiskSets(data.x, data.y, data.delta)
-    beta, iterations, converged = _fit_coefficients(rs, w, beta0)
+    w_r = w.take(rs.rev)
+    beta, iterations, converged = _fit_coefficients(rs, w_r, beta0)
     h = default_time_bandwidth(data.y) if bandwidth is None else float(bandwidth)
-    inc = _increments(rs, w, beta)
+    inc = _increments(rs, w_r, beta)
     baseline = BaselineHazard(event_times=rs.grid, increments=inc, kernel=kernel, bandwidth=h)
     return ComponentFit(beta=beta, baseline=baseline, converged=converged, iterations=iterations)
 

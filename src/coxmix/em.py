@@ -144,9 +144,24 @@ class _FitContext:
         self.bandwidth = float(bandwidth)
         self.rs = _RiskSets(data.x, data.y, data.delta)
         self.smooth = _smoother(self.rs.grid, kernel, self.bandwidth, self.rs.grid)
+        # M-step Newton solves on this context, their accepted steps, and the
+        # solves that ended unconverged
+        self.newton_fits = 0
+        self.newton_iterations = 0
+        self.newton_unconverged = 0
 
-    def increments(self, w: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        return _increments(self.rs, w, beta)
+    def fit_coefficients(self, w_r: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """Newton fit of one component's coefficients from beta, `w_r` its
+        weights in risk order; the solve is added to the counts."""
+        beta, iterations, converged = _fit_coefficients(self.rs, w_r, beta)
+        self.newton_fits += 1
+        self.newton_iterations += iterations
+        self.newton_unconverged += not converged
+        return beta
+
+    def increments(self, w_r: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """Breslow increments of one component, `w_r` its weights in risk order."""
+        return _increments(self.rs, w_r, beta)
 
     def log_density(self, params: MixtureParams) -> np.ndarray:
         """n x K log densities of every record under every component."""
@@ -166,10 +181,11 @@ class _FitContext:
         """(beta, increments) of one weighted Cox fit warm-started from beta."""
         # a component starved of event weight keeps its coefficients and gets a
         # zero baseline; the next E-step then removes it naturally
-        if float(np.sum(w[self.rs.ev_mask])) <= 0.0:
+        if float(w[self.rs.ev_mask].sum()) <= 0.0:
             return beta, np.zeros(self.rs.grid.size)
-        beta, _, _ = _fit_coefficients(self.rs, w, beta)
-        return beta, self.increments(w, beta)
+        w_r = w.take(self.rs.rev)
+        beta = self.fit_coefficients(w_r, beta)
+        return beta, self.increments(w_r, beta)
 
 
 def _log_joint(pi: np.ndarray, logd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,13 +249,13 @@ def _initialize(ctx: _FitContext, k_init: int, rng: np.random.Generator):
     beta = np.empty((k, ctx.p))
     inc = np.empty((k, ctx.rs.grid.size))
     for j in range(k):
-        beta[j], _, _ = _fit_coefficients(ctx.rs, S[:, j], np.zeros(ctx.p))
+        beta[j] = ctx.fit_coefficients(S[:, j].take(ctx.rs.rev), np.zeros(ctx.p))
         # the initial baselines must place positive mass at every event time:
         # a hard partition gives each component exactly zero mass at the other
         # groups' events, and the first E-step would then return the starting
         # assignment unchanged, freezing the split
         w = S[:, j] if k == 1 else (1.0 - INIT_MASS_FLOOR) * S[:, j] + INIT_MASS_FLOOR / k
-        inc[j] = ctx.increments(w, beta[j])
+        inc[j] = ctx.increments(w.take(ctx.rs.rev), beta[j])
     return ctx.mixture(np.full(k, 1.0 / k), beta, inc), S
 
 
@@ -466,7 +482,11 @@ def fit_mixture(
     Covariates are standardized internally and every reported quantity is
     mapped back to the original scale. The best restart by final penalized
     observed log-likelihood wins; components are ordered by decreasing
-    proportion.
+    proportion. Besides the winning restart's figures, `diagnostics` counts
+    the M-step over the initial fits and every restart: `newton_fits`
+    (Newton solves), `newton_iterations` (accepted Newton steps) and
+    `newton_unconverged` (solves that did not report convergence). The
+    model JSON stores no diagnostics.
 
     Parameters
     ----------
@@ -536,6 +556,9 @@ def fit_mixture(
             "iterations": best.iterations,
             "prune_events": best.prune_events,
             "monotonicity_failures": drops,
+            "newton_fits": ctx.newton_fits,
+            "newton_iterations": ctx.newton_iterations,
+            "newton_unconverged": ctx.newton_unconverged,
         },
     )
 

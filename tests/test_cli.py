@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coxmix import cli
 from coxmix.cli import COMMANDS, build_parser, main
 from coxmix.coxfit import fit_weighted_cox
 from coxmix.data import load_dataset, save_dataset
@@ -378,6 +379,37 @@ class TestPredictAndRoc:
         assert sens[0] == 0.0
         assert sens[-1] == 1.0
         assert "AUC" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["cox_linear_predictor", "mixture_posterior_lp"])
+    def test_roc_computes_a_horizon_free_marker_once(
+        self, tmp_path, data_csv, fitted_model, mode, monkeypatch
+    ):
+        data = load_dataset(data_csv)
+        times = [format(float(q), ".17g") for q in np.quantile(data.y, [0.25, 0.5, 0.75])]
+
+        def roc(name, horizons):
+            out, out_roc = tmp_path / f"auc_{name}.csv", tmp_path / f"roc_{name}.csv"
+            code = run_cli(
+                ["roc", "--model", fitted_model, "--data", data_csv, "--marker-mode", mode,
+                 "--times", ",".join(horizons), "--out", str(out), "--out-roc", str(out_roc)]
+            )
+            assert code == 0
+            return [path.read_text().splitlines() for path in (out, out_roc)]
+
+        # one horizon per run is the per-horizon loop
+        single = [roc(str(i), [t]) for i, t in enumerate(times)]
+        calls = []
+        compute_marker = cli.compute_marker
+
+        def counting(*args):
+            calls.append(args)
+            return compute_marker(*args)
+
+        monkeypatch.setattr(cli, "compute_marker", counting)
+        together = roc("all", times)
+        assert len(calls) == 1
+        for k, lines in enumerate(together):
+            assert lines == single[0][k][:1] + [row for runs in single for row in runs[k][1:]]
 
     @pytest.mark.parametrize("command", ["predict", "roc"])
     @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))

@@ -18,13 +18,13 @@ from coxmix.coxfit import (
     partial_loglik_hessian,
     smooth_baseline_hazard,
     weighted_partial_loglik,
+    _EventWeights,
     _increments,
     _pl_derivs,
     _pl_value,
     _risk_weights,
     _RiskSets,
     _smoother,
-    _weighted_events,
 )
 from coxmix.data import Dataset
 
@@ -152,8 +152,14 @@ def three_sums_derivs(data, w, beta):
     return ll, grad, hess
 
 
+def prepared(data, w):
+    """`_EventWeights` of w on a fresh index of data."""
+    rs = _RiskSets(data.x, data.y, data.delta)
+    return _EventWeights(rs, np.take(w, rs.rev))
+
+
 def fused_derivs(data, w, beta):
-    return _pl_derivs(_RiskSets(data.x, data.y, data.delta), w, np.asarray(beta, dtype=float))
+    return _pl_derivs(prepared(data, w), np.asarray(beta, dtype=float))
 
 
 def oracle_case(p, tied, weights, seed=31):
@@ -207,14 +213,115 @@ class TestFusedDerivatives:
         # l from the design's row of ones equals l from one plain cumulative
         # sum of w exp(eta) in risk order, bit for bit
         data, w, _ = oracle_case(3, tied, weights)
-        rs = _RiskSets(data.x, data.y, data.delta)
+        ew = prepared(data, w)
         for _ in range(5):
             beta = rng.normal(size=3)
-            w_r, eta, shift, e = _risk_weights(rs, w, beta)
-            wv, position, row, _ = _weighted_events(rs, w_r)
-            s0 = np.take(np.cumsum(e), row)
-            plain = float(np.sum(wv * (np.take(eta, position) - shift - np.log(s0))))
-            assert _pl_derivs(rs, w, beta)[0] == _pl_value(rs, w, beta) == plain
+            eta, shift, e = _risk_weights(ew.rs, ew.w_r, beta)
+            s0 = np.take(np.cumsum(e), ew.row)
+            plain = float(np.sum(ew.wv * (np.take(eta, ew.position) - shift - np.log(s0))))
+            assert _pl_derivs(ew, beta)[0] == _pl_value(ew, beta) == plain
+
+
+def per_call_derivs(rs, w, beta):
+    """`_pl_derivs` with the weights gathered and filtered on every call, as the
+    pass did before Newton prepared them once per solve: the oracle that the
+    prepared `_EventWeights` must match bit for bit."""
+    w_r = np.take(w, rs.rev)
+    eta = beta @ rs.design[1 : rs.p + 1]
+    shift = float(np.max(eta))
+    e = np.exp(eta - shift)
+    e *= w_r
+    position, row = rs.ev_at
+    wv = np.take(w_r, position)
+    x_ev = rs.x_ev
+    if not wv.min(initial=1.0) > 0:
+        keep = np.flatnonzero(wv > 0)
+        position, row = np.take(rs.ev_at, keep, axis=1)
+        wv, x_ev = np.take(wv, keep), np.take(x_ev, keep, axis=1)
+    sums = np.multiply(rs.design, e)
+    np.cumsum(sums, axis=1, out=sums)
+    s = np.take(sums, row, axis=1)
+    s0 = s[0]
+    ll = -np.inf
+    if np.all(np.isfinite(s0)) and not np.any(s0 <= 0):
+        ll = float(np.sum(wv * (np.take(eta, position) - shift - np.log(s0))))
+        ll = ll if math.isfinite(ll) else -np.inf
+    p = rs.p
+    s1 = s[1 : p + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = wv / s0
+        xbar = s1 / s0
+        grad = x_ev @ wv - s1 @ a
+        second = s[p + 1 :] @ a - (xbar[rs.triu[0]] * xbar[rs.triu[1]]) @ wv
+    return ll, grad, -second[rs.sym]
+
+
+class TestEventWeights:
+    @pytest.mark.parametrize("weights", ["uniform", "zero_at_events", "tiny"])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_prepared_pass_equals_per_call_pass_bitwise(self, weights, tied, rng):
+        data, w, beta0 = oracle_case(3, tied, weights)
+        ew = prepared(data, w)
+        dropped = int(np.sum((data.delta == 1) & (w == 0)))
+        assert ew.wv.size == int(data.delta.sum()) - dropped
+        assert (dropped > 0) == (weights == "zero_at_events")
+        for beta in [beta0] + [rng.normal(size=3) for _ in range(4)]:
+            ll, grad, hess = per_call_derivs(ew.rs, w, beta)
+            # a pass leaves the prepared weights as it found them
+            for got in (_pl_derivs(ew, beta), _pl_derivs(ew, beta)):
+                assert got[0] == ll
+                assert np.array_equal(got[1], grad)
+                assert np.array_equal(got[2], hess)
+            assert weighted_partial_loglik(data, w, beta) == ll
+            assert np.array_equal(partial_loglik_gradient(data, w, beta), grad)
+            assert np.array_equal(partial_loglik_hessian(data, w, beta), hess)
+
+    def test_no_event_weight_gives_the_per_call_zeros(self):
+        data, w, beta = oracle_case(2, False, "uniform")
+        w[data.delta == 1] = 0.0
+        ew = prepared(data, w)
+        assert ew.wv.size == 0
+        ll, grad, hess = _pl_derivs(ew, beta)
+        want = per_call_derivs(ew.rs, w, beta)
+        assert ll == want[0] == 0.0
+        assert np.array_equal(grad, want[1]) and np.array_equal(hess, want[2])
+
+    def test_newton_prepares_once_and_passes_once_per_point(self, monkeypatch):
+        data, w, _ = oracle_case(3, False, "zero_at_events")
+        rs = _RiskSets(data.x, data.y, data.delta)
+        newton_step = coxfit._newton_step
+        # a 64-fold step overshoots, so the searches reject trial points too
+        monkeypatch.setattr(coxfit, "_newton_step", lambda hess, grad: 64.0 * newton_step(hess, grad))
+        built, passes = [], []
+
+        class Counting(_EventWeights):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        def recording(ew, beta):
+            out = _pl_derivs(ew, beta)
+            passes.append((ew, beta.tobytes(), out[0]))
+            return out
+
+        monkeypatch.setattr(coxfit, "_EventWeights", Counting)
+        monkeypatch.setattr(coxfit, "_pl_derivs", recording)
+        w_r = np.take(w / w.max(), rs.rev)
+        beta, ll, iterations, converged = coxfit._newton(rs, w_r, np.zeros(3))
+        assert len(built) == 1
+        assert all(ew is built[0] for ew, _, _ in passes)
+        # the start, then each trial point once; a trial is a step exactly
+        # when it beats the last accepted l
+        assert len({point for _, point, _ in passes}) == len(passes)
+        best, accepted = passes[0][2], 0
+        for _, _, value in passes[1:]:
+            if value > best:
+                best, accepted = value, accepted + 1
+        assert converged
+        assert iterations == accepted < len(passes) - 1
+        assert ll == best
 
 
 class TestNewtonStop:
@@ -245,8 +352,8 @@ class TestNewtonStop:
         monkeypatch.setattr(coxfit, "_newton_step", lambda hess, grad: 64.0 * newton_step(hess, grad))
         values, points = [], []
 
-        def recording(rs, w, beta):
-            out = _pl_derivs(rs, w, beta)
+        def recording(ew, beta):
+            out = _pl_derivs(ew, beta)
             values.append(out[0])
             points.append(beta.tobytes())
             return out
@@ -340,7 +447,8 @@ class TestFit:
 def profile_increments(data, w, beta):
     """(event_times, increments) of the profile baseline at beta."""
     rs = _RiskSets(data.x, data.y, data.delta)
-    return rs.grid, _increments(rs, np.asarray(w, dtype=float), np.asarray(beta, dtype=float))
+    w_r = np.take(np.asarray(w, dtype=float), rs.rev)
+    return rs.grid, _increments(rs, w_r, np.asarray(beta, dtype=float))
 
 
 class TestProfileIncrements:

@@ -39,7 +39,7 @@ from coxmix.em import (
     save_model,
     update_mixing_proportions,
 )
-from coxmix import em
+from coxmix import em, tuning
 from coxmix.coxfit import NumericalError
 from coxmix.penalties import PenaltySpec, lla_coefficient, log_scale_term
 from coxmix.simgen import SimConfig, run_study
@@ -539,6 +539,38 @@ class TestInitialize:
         assert params.K == 1
 
 
+@pytest.fixture(scope="class")
+def criterion_5_m_steps():
+    """Replication 0 of the criterion-5 cell (data from SeedSequence([2026, 0, 0]))
+    tuned as run_study does: every `_fit_coefficients` result, and each fitted
+    model with the results made while fitting it."""
+    made, models = [], []
+    fit_coefficients = em._fit_coefficients
+    fit_mixture_ = tuning.fit_mixture
+
+    def recording(*args):
+        fit = fit_coefficients(*args)
+        made.append(fit)
+        return fit
+
+    def fitting(*args, **kwargs):
+        start = len(made)
+        model = fit_mixture_(*args, **kwargs)
+        models.append((model, made[start:]))
+        return model
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(em, "_fit_coefficients", recording)
+        mp.setattr(tuning, "fit_mixture", fitting)
+        warnings.simplefilter("ignore")
+        run_study(
+            SimConfig(n=600, censor_target=0.05, seed=2026), replications=1, kinds=("scad",),
+            em_config=EMConfig(k_init=10, max_iterations=400, restarts=2),
+            c_grid=np.array([0.6, 0.8]), cn_constant=2.0,
+        )
+    return made, models
+
+
 class TestFitMixture:
     def test_single_component_reduction(self):
         data = simulate_single(50, 2, [0.8, -0.5], seed=23, censor_frac=0.1)
@@ -549,28 +581,23 @@ class TestFitMixture:
         assert np.allclose(model.params.beta[0], direct.beta, atol=1e-6)
         assert np.allclose(model.params.increments[0], direct.baseline.increments, atol=1e-8)
 
-    def test_every_m_step_converges_on_criterion_5_data(self, monkeypatch):
-        # replication 0 of the criterion-5 cell (data from SeedSequence([2026, 0, 0]))
-        # tuned as run_study does; a Newton search that ran out of halvings
-        # used to report converged=False on about a quarter of these fits
-        made = []
-        fit_coefficients = em._fit_coefficients
-
-        def recording(*args):
-            fit = fit_coefficients(*args)
-            made.append(fit)
-            return fit
-
-        monkeypatch.setattr(em, "_fit_coefficients", recording)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            run_study(
-                SimConfig(n=600, censor_target=0.05, seed=2026), replications=1, kinds=("scad",),
-                em_config=EMConfig(k_init=10, max_iterations=400, restarts=2),
-                c_grid=np.array([0.6, 0.8]), cn_constant=2.0,
-            )
+    def test_every_m_step_converges_on_criterion_5_data(self, criterion_5_m_steps):
+        # a Newton search that ran out of halvings used to report
+        # converged=False on about a quarter of these fits
+        made, _ = criterion_5_m_steps
         assert len(made) > 1000
         assert [f for f in made if not f[2]] == []
+
+    def test_newton_counts_in_diagnostics(self, criterion_5_m_steps):
+        _, models = criterion_5_m_steps
+        assert len(models) == 2
+        for model, made in models:
+            d = model.diagnostics
+            assert d["newton_fits"] == len(made) > 0
+            assert d["newton_iterations"] == sum(f[1] for f in made)
+            assert d["newton_unconverged"] == sum(not f[2] for f in made)
+            # in memory only: criterion 8 compares the model JSON byte for byte
+            assert "newton" not in model_to_json(model)
 
     def test_bit_reproducible(self):
         data = simulate_single(60, 2, [0.6, -0.6], seed=29, censor_frac=0.15)
