@@ -164,40 +164,63 @@ class ComponentFit:
         object.__setattr__(self, "beta", beta)
 
 
-class _RiskSets:
-    """Per-dataset Cox index built from (x, y, delta) with O(n p^2) memory.
+class _TimeIndex:
+    """A sample's event-time axis, built from (y, delta) alone.
 
-    Sums over the risk set {j : y_j >= y_i} are cumulative sums in descending
-    time order, the risk order. The index holds:
-    - `rev`, the risk order;
+    Sums over the risk set {j : y_j >= s} are cumulative sums in descending
+    time order, the risk order; tied times enter a risk set together. The
+    index holds:
+    - `rev`, the risk order, and `ev_mask`, the events in record order;
+    - `grid`, the distinct event times, and `grid_row`, the cumulative-sum
+      row that closes each one's risk set;
+    - `ev_at`, per event in risk order its position and the row that closes
+      its risk set (2 x events, so one gather selects both);
+    - `rounds`, the events as (grid positions, risk-order positions) split
+      into tie rounds: round k holds the k-th event in record order at each
+      time that has one, so round 0 covers every grid time in order.
+    """
+
+    def __init__(self, y: np.ndarray, delta: np.ndarray):
+        order = np.argsort(y, kind="stable")
+        self.rev = order[::-1].copy()
+        self.ev_mask = delta == 1
+        self.grid = np.unique(y[self.ev_mask])
+        self.grid_row = y.size - 1 - np.searchsorted(y[order], self.grid, side="left")
+        ev = np.flatnonzero(self.ev_mask[self.rev])
+        ev_grid = np.searchsorted(self.grid, y[self.rev[ev]])
+        self.ev_at = np.stack([ev, self.grid_row[ev_grid]])
+        # reversed, the events run by ascending time with ties in record order
+        pos, cols = ev_grid[::-1], ev[::-1]
+        rank = np.arange(pos.size) - np.searchsorted(pos, pos, side="left")
+        self.rounds = [(pos[rank == k], cols[rank == k]) for k in range(int(rank.max()) + 1)]
+
+
+def _tie_sums(ix: _TimeIndex, w: np.ndarray, m: int) -> np.ndarray:
+    """Sums of w over the events at each of the first m grid times, tied
+    events added in record order. The last axis of w runs over the records
+    in risk order: one weight vector or a block of rows."""
+    (_, first), *ties = ix.rounds
+    out = w[..., first[:m]]
+    for pos, cols in ties:
+        k = np.searchsorted(pos, m)
+        out[..., pos[:k]] += w[..., cols[:k]]
+    return out
+
+
+class _RiskSets(_TimeIndex):
+    """The time index of (y, delta) plus the Cox design of x, in O(n p^2)
+    memory. It adds:
     - `design`, a contiguous q x n array with one column per record in risk
       order and the rows [1, x_c, upper triangle of x_c x_c^T], q = 1 + p +
       p(p + 1)/2, where x_c are the column-centred covariates. Each row is
       one cumulative sum over contiguous memory. The partial likelihood and
       its derivatives do not change when x is shifted, and centring keeps
       the second-moment sums free of cancellation;
-    - per event in risk order: `ev_at`, its position and the cumulative-sum
-      row that closes its risk set (2 x events, so one gather selects both),
-      `x_ev`, its centred covariates (p x events), and `ev_grid`, its grid
-      position;
-    - the distinct event-time grid, each event's position on it in record
-      order (`grid_pos`), and each record's index into the zero-padded
-      cumulative increments (`cum_idx`, from `_lambda_index`), which gives
-      Lambda(y_i).
+    - `x_ev`, the centred covariates of each event in risk order (p x events).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, delta: np.ndarray):
-        order = np.argsort(y, kind="stable")
-        self.rev = order[::-1].copy()
-        # count[i] = |{j : y_j >= y_i}|; ties enter the risk set together
-        count = y.size - np.searchsorted(y[order], y, side="left")
-        self.ev_mask = delta == 1
-        self.grid = np.unique(y[self.ev_mask])
-        self.grid_pos = np.searchsorted(self.grid, y[self.ev_mask])
-        self.cum_idx = _lambda_index(self.grid, y)
-        ev = np.flatnonzero(self.ev_mask[self.rev])
-        self.ev_at = np.stack([ev, count[self.rev][ev] - 1])
-        self.ev_grid = np.searchsorted(self.grid, y[self.rev][ev])
+        super().__init__(y, delta)
         self.center = x.mean(axis=0)
         self.p = x.shape[1]
         xc = (x[self.rev] - self.center).T
@@ -207,7 +230,7 @@ class _RiskSets:
         self.sym[self.triu] = np.arange(self.triu[0].size)
         self.sym[self.triu[1], self.triu[0]] = self.sym[self.triu]
         self.design = np.concatenate([np.ones((1, y.size)), xc, xc[self.triu[0]] * xc[self.triu[1]]])
-        self.x_ev = np.take(xc, ev, axis=1)
+        self.x_ev = np.take(xc, self.ev_at[0], axis=1)
 
 
 def _check_weights(data: Dataset, weights: np.ndarray) -> np.ndarray:
@@ -422,28 +445,27 @@ def _fit_coefficients(rs: _RiskSets, w_r, beta0):
 
 
 def _increments(rs: _RiskSets, w_r, beta) -> np.ndarray:
-    """Breslow increments on the event-time grid, `w_r` the weights in risk order."""
+    """Breslow increments on the event-time grid, `w_r` the weights in risk
+    order: at each time, the weight of its tied events over its risk-set sum
+    of w exp(eta)."""
     eta, shift, e = _risk_weights(rs, w_r, beta)
-    position, row = rs.ev_at
-    num = w_r.take(position)
-    den = e.cumsum().take(row)
+    num = _tie_sums(rs, w_r, rs.grid.size)
+    den = e.cumsum().take(rs.grid_row)
     # eta on the caller's covariates is the index's eta plus this offset
     offset = float(rs.center @ beta)
     with np.errstate(invalid="ignore"):
-        raw = np.where(num > 0, num * math.exp(-shift - offset) / np.where(den > 0, den, 1.0), 0.0)
+        inc = np.where(num > 0, num * math.exp(-shift - offset) / np.where(den > 0, den, 1.0), 0.0)
     lost = (num > 0) & (den <= 0)
     if lost.any():
         # tiny weights times exp(eta - shift) underflowed the risk-set sum to
-        # zero; log w_i - log sum_j w_j exp(eta_j) recovers the increment
+        # zero; log w - log sum_j w_j exp(eta_j) recovers the increment
         with np.errstate(divide="ignore"):
             log_e = np.log(w_r) + eta
-        log_s0 = np.take(np.logaddexp.accumulate(log_e), row)
+        log_s0 = np.logaddexp.accumulate(log_e).take(rs.grid_row)
         with np.errstate(over="ignore"):
-            raw[lost] = np.exp(np.log(num[lost]) - log_s0[lost] - offset)
-        if not np.all(np.isfinite(raw[lost])):
+            inc[lost] = np.exp(np.log(num[lost]) - log_s0[lost] - offset)
+        if not np.all(np.isfinite(inc[lost])):
             raise DegenerateComponentError("risk-set weight sum at an event time is out of range")
-    inc = np.zeros(rs.grid.size)
-    np.add.at(inc, rs.ev_grid, raw)
     return inc
 
 
@@ -657,14 +679,14 @@ class _EpanechnikovWindows:
 
 
 def _smoother(grid: np.ndarray, kernel: str, bandwidth: float, t: np.ndarray):
-    """inc (K x m) -> the K smoothed rates (1/h) sum_e K((t - T_e)/h) inc_e at t.
+    """inc (K x m) -> the K smoothed rates (1/h) sum_e K((t - T_e)/h) inc_e at
+    the float array t.
 
     Built once per grid, kernel, bandwidth and targets, in O(m + len(t))
     memory (O(m log m + len(t)) for the Epanechnikov scan masks). Rates are
     clipped at 0 from below; NaN targets give NaN.
     """
     _check_smoothing(kernel, bandwidth)
-    t = np.asarray(t, dtype=float)
     nan = np.isnan(t)
     if grid.size == 0:
         return lambda inc: np.where(nan, np.nan, np.zeros((inc.shape[0], t.size)))
@@ -739,25 +761,31 @@ def _check_covariates(beta: np.ndarray, x: np.ndarray) -> None:
         )
 
 
-def _log_densities(x, event, cum_idx, event_rate, beta, increments) -> np.ndarray:
-    """n x K log densities delta * (log rate + eta) - exp(eta) * Lambda(y): the
-    K smoothed rates at the `event` rows (K x events) are floored at 1e-300,
-    and `cum_idx` indexes Lambda(y) as `_cumulative_risks` reads it."""
-    eta, risk = _cumulative_risks(x, beta, increments, cum_idx)
-    out = np.zeros(eta.shape)
-    out[event] = np.log(np.maximum(event_rate.T, RATE_FLOOR)) + eta[event]
-    out -= risk
-    return out
+def _record_density(data: Dataset, event_times, kernel: str, bandwidth: float):
+    """The map (beta, increments) -> n x K log densities of the records of
+    `data`, delta * (log rate + eta) - exp(eta) * Lambda(y), for K components
+    on the grid `event_times`. The rates are smoothed at the records' event
+    times only, the one place they enter, and floored at 1e-300. The smoother
+    and the index of Lambda(y) are built once, here."""
+    event = data.delta == 1
+    smooth = _smoother(event_times, kernel, bandwidth, data.y[event])
+    lam_idx = _lambda_index(event_times, data.y)
+
+    def log_densities(beta, increments) -> np.ndarray:
+        eta, risk = _cumulative_risks(data.x, beta, increments, lam_idx)
+        out = np.zeros(eta.shape)
+        out[event] = np.log(np.maximum(smooth(increments).T, RATE_FLOOR)) + eta[event]
+        out -= risk
+        return out
+
+    return log_densities
 
 
 def _record_log_densities(data: Dataset, beta, increments, grid) -> np.ndarray:
-    """`_log_densities` of any records, the rates smoothed at their event times
-    only; `grid` carries the shared `event_times`, `kernel` and `bandwidth`."""
+    """`_record_density` of any records, built for one call; `grid` carries
+    the shared `event_times`, `kernel` and `bandwidth`."""
     _check_covariates(beta, data.x)
-    event = data.delta == 1
-    event_rate = _smoother(grid.event_times, grid.kernel, grid.bandwidth, data.y[event])(increments)
-    cum_idx = _lambda_index(grid.event_times, data.y)
-    return _log_densities(data.x, event, cum_idx, event_rate, beta, increments)
+    return _record_density(data, grid.event_times, grid.kernel, grid.bandwidth)(beta, increments)
 
 
 def component_log_density(data: Dataset, fit: ComponentFit) -> np.ndarray:

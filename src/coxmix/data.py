@@ -45,7 +45,8 @@ class Dataset:
 
     def __post_init__(self) -> None:
         y = np.array(self.y, dtype=float, copy=True)
-        delta = np.array(self.delta, dtype=np.int64, copy=True)
+        # cast after the 0/1 check, so a status such as 0.5 or 1.7 is rejected, not truncated
+        delta = np.array(self.delta, dtype=float, copy=True)
         x = np.array(self.x, dtype=float, copy=True)
         if y.ndim != 1 or y.size == 0:
             raise DataError("times must form a nonempty 1-d array")
@@ -64,7 +65,7 @@ class Dataset:
             raise DataError("dataset contains no event rows")
         if not np.all(np.isfinite(x)):
             raise DataError("covariates must be finite")
-        for name, arr in (("y", y), ("delta", delta), ("x", x)):
+        for name, arr in (("y", y), ("delta", delta.astype(np.int64)), ("x", x)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -96,6 +97,9 @@ def load_dataset(
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise DataError(f"{path}: header names {', '.join(map(repr, repeated))} more than once")
         for required in (time_col, status_col):
             if required not in header:
                 raise DataError(f"{path}: missing required column {required!r}")

@@ -17,10 +17,9 @@ from .coxfit import (
     _fit_coefficients,
     _float_array,
     _increments,
-    _log_densities,
+    _record_density,
     _record_log_densities,
     _RiskSets,
-    _smoother,
     default_time_bandwidth,
 )
 from .data import Dataset, standardize_covariates
@@ -128,22 +127,17 @@ class FittedModel:
 
 
 class _FitContext:
-    """What the EM caches for one dataset on top of its event index: the
-    kernel, the bandwidth, and the smoother from increments on the distinct
-    event times to rates at those same times.
-
-    The smoothed rate enters a record's log density only when it is an event,
-    and an event's time is a grid point, so the grid rates are every rate
-    the EM reads.
+    """What the EM caches for one dataset on top of its Cox index: the
+    kernel, the bandwidth, and the records' log density, whose smoother is
+    built once at the records' event times.
     """
 
     def __init__(self, data: Dataset, kernel: str, bandwidth: float):
-        self.x = data.x
         self.n, self.p = data.x.shape
         self.kernel = kernel
         self.bandwidth = float(bandwidth)
         self.rs = _RiskSets(data.x, data.y, data.delta)
-        self.smooth = _smoother(self.rs.grid, kernel, self.bandwidth, self.rs.grid)
+        self.density = _record_density(data, self.rs.grid, kernel, self.bandwidth)
         # M-step Newton solves on this context, their accepted steps, and the
         # solves that ended unconverged
         self.newton_fits = 0
@@ -165,10 +159,7 @@ class _FitContext:
 
     def log_density(self, params: MixtureParams) -> np.ndarray:
         """n x K log densities of every record under every component."""
-        rate = self.smooth(params.increments)[:, self.rs.grid_pos]
-        return _log_densities(
-            self.x, self.rs.ev_mask, self.rs.cum_idx, rate, params.beta, params.increments
-        )
+        return self.density(params.beta, params.increments)
 
     def mixture(self, pi: np.ndarray, beta: np.ndarray, increments: np.ndarray) -> MixtureParams:
         """Stacked components on this context's grid, kernel and bandwidth."""

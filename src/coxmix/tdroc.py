@@ -18,7 +18,8 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .coxfit import (
-    _check_covariates, _check_kernel, _cumulative_risks, _lambda_index, _rule_of_thumb, kernel_values
+    _check_covariates, _check_kernel, _cumulative_risks, _lambda_index, _rule_of_thumb, _tie_sums, _TimeIndex,
+    kernel_values,
 )
 from .data import Dataset
 from .em import FittedModel, e_step
@@ -98,6 +99,8 @@ class _ConditionalKM:
     1 - sum_j K_h(M_j - M_i) I(y_j = s, d_j = 1) / sum_j K_h(M_j - M_i) I(y_j >= s);
     a factor with an empty risk set is skipped with a warning.
 
+    The sums run on the Cox fit's time index: risk sets are cumulative sums
+    in risk order, and tied events are added in record order (`_tie_sums`).
     Row i of `at` holds the times at which the curve of subject `rows[i]` is
     read, and row i of `curves` holds the survival there (1 before the first
     event time). Only event times up to the latest time in `at` enter, since
@@ -112,27 +115,13 @@ class _ConditionalKM:
         self, markers: np.ndarray, data: Dataset, bandwidth: float, kernel: str, rows: np.ndarray,
         at: np.ndarray,
     ):
-        times = np.unique(data.y[data.delta == 1])
-        times = times[: np.searchsorted(times, at.max(), side="right")]
-        idx = np.searchsorted(times, at, side="right") - 1
+        ix = _TimeIndex(data.y, data.delta)
+        # the event times up to the latest time read
+        m = int(_lambda_index(ix.grid, at.max()))
         self.curves = np.ones(at.shape)
-        if times.size == 0:
+        if m == 0:
             return
-
-        order = np.argsort(data.y, kind="stable")
-        y_sorted = data.y[order]
-        m_sorted = markers[order]
-        start = np.searchsorted(y_sorted, times, side="left")
-        # event columns in y order up to the last time, split into tie
-        # rounds: round k adds the k-th tied event at each time, so tied
-        # events are summed in index order; round 0 has one event at every
-        # time and starts the sums
-        ev_cols = np.flatnonzero(data.delta[order] == 1)
-        ev_pos = np.searchsorted(times, y_sorted[ev_cols])
-        used = ev_pos < times.size
-        ev_cols, ev_pos = ev_cols[used], ev_pos[used]
-        rank = np.arange(ev_pos.size) - np.searchsorted(ev_pos, ev_pos, side="left")
-        rounds = [(ev_pos[rank == k], ev_cols[rank == k]) for k in range(rank.max() + 1)]
+        m_risk = markers[ix.rev]
 
         step = max(1, _BLOCK_ENTRIES // data.n)
         any_empty = False
@@ -143,21 +132,19 @@ class _ConditionalKM:
                 u = np.zeros((block.size, data.n))
             else:
                 with np.errstate(over="ignore"):
-                    u = (m_sorted[None, :] - markers[block, None]) / bandwidth
+                    u = (m_risk[None, :] - markers[block, None]) / bandwidth
             w = kernel_values(kernel, u)
-            # suffix sums give the weighted risk set mass at each event time
-            den = np.cumsum(w[:, ::-1], axis=1)[:, ::-1][:, start]
-            num = w[:, rounds[0][1]]
-            for pos, cols in rounds[1:]:
-                num[:, pos] += w[:, cols]
+            num = _tie_sums(ix, w, m)
+            # cumulative sums in risk order give the weighted risk-set mass
+            den = w.cumsum(axis=1, out=w)[:, ix.grid_row[:m]]
             empty = den <= 0.0
             any_empty = any_empty or bool(np.any(empty))
             factors = np.where(empty, 1.0, 1.0 - num / np.where(empty, 1.0, den))
-            curves = np.cumprod(factors, axis=1)
-            i = idx[lo : lo + step]
-            self.curves[lo : lo + step] = np.where(
-                i >= 0, np.take_along_axis(curves, np.maximum(i, 0), axis=1), 1.0
-            )
+            # each curve led by a 1, so the Lambda index reads it as it reads Lambda
+            curves = np.ones((block.size, m + 1))
+            np.cumprod(factors, axis=1, out=curves[:, 1:])
+            idx = _lambda_index(ix.grid, at[lo : lo + step])
+            self.curves[lo : lo + step] = np.take_along_axis(curves, idx, axis=1)
         if any_empty:
             warnings.warn("empty weighted risk set; the corresponding factor is skipped", stacklevel=3)
 
@@ -226,11 +213,18 @@ def roc_curve(markers: np.ndarray, weights: np.ndarray) -> RocCurve:
     P(M > c | control), with case weights W and control weights 1 - W. The
     first point is (0, 0) at threshold +inf and the last is (1, 1) at
     threshold -inf; both coordinates are nondecreasing along the curve.
+    Markers must be finite and weights finite in [0, 1]; anything else, or
+    weights that leave no case or no control mass, raises ValueError.
     """
     m = np.asarray(markers, dtype=float)
     w = np.asarray(weights, dtype=float)
     if m.shape != w.shape or m.ndim != 1:
         raise ValueError("markers and weights must be matching 1-d arrays")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("markers must be finite")
+    # NaN fails both comparisons
+    if not np.all((w >= 0.0) & (w <= 1.0)):
+        raise ValueError("weights must be finite and lie in [0, 1]")
     total_case = float(w.sum())
     total_ctrl = float((1.0 - w).sum())
     if total_case <= 0:

@@ -25,6 +25,8 @@ from coxmix.coxfit import (
     _risk_weights,
     _RiskSets,
     _smoother,
+    _tie_sums,
+    _TimeIndex,
 )
 from coxmix.data import Dataset
 
@@ -444,6 +446,64 @@ class TestFit:
             fit_weighted_cox(small_data, np.ones(5), beta_init=np.zeros(3))
 
 
+def brute_risk_set(y, s):
+    """Records in the risk set at time s, by definition."""
+    return set(np.flatnonzero(y >= s).tolist())
+
+
+class TestTimeIndex:
+    @pytest.fixture(params=["untied", "tied"])
+    def sample(self, request):
+        data = simulate_single(60, 1, [0.5], seed=23, censor_frac=0.3)
+        if request.param == "tied":
+            # a few coarse times: several tie rounds, and events tied with censorings
+            data = Dataset(y=np.ceil(data.y * 2.0) / 2.0, delta=data.delta, x=data.x)
+        return data
+
+    def test_closing_rows_bound_the_risk_sets(self, sample):
+        y, delta = sample.y, sample.delta
+        ix = _TimeIndex(y, delta)
+        assert np.array_equal(ix.grid, np.unique(y[delta == 1]))
+        assert sorted(ix.rev.tolist()) == list(range(sample.n))
+        for s, row in zip(ix.grid, ix.grid_row):
+            assert set(ix.rev[: row + 1].tolist()) == brute_risk_set(y, s)
+        position, row = ix.ev_at
+        events = ix.rev[position]
+        assert np.all(delta[events] == 1) and events.size == int(delta.sum())
+        assert np.all(np.diff(position) > 0)
+        for i, r in zip(events, row):
+            assert set(ix.rev[: r + 1].tolist()) == brute_risk_set(y, y[i])
+
+    def test_tie_rounds_hold_each_event_once_in_record_order(self, sample):
+        y, delta = sample.y, sample.delta
+        ix = _TimeIndex(y, delta)
+        assert np.array_equal(ix.rounds[0][0], np.arange(ix.grid.size))
+        seen = {k: [] for k in range(ix.grid.size)}
+        for pos, cols in ix.rounds:
+            assert np.all(np.diff(pos) > 0)
+            for g, c in zip(pos, cols):
+                seen[g].append(int(ix.rev[c]))
+        for g, s in enumerate(ix.grid):
+            assert seen[g] == np.flatnonzero((y == s) & (delta == 1)).tolist()
+        # the coarse times tie up to several events at one time
+        assert (len(ix.rounds) >= 3) == (ix.grid.size < int(delta.sum()))
+
+    def test_tie_sums_add_tied_events_in_record_order(self, sample, rng):
+        y, delta = sample.y, sample.delta
+        ix = _TimeIndex(y, delta)
+        w = rng.uniform(size=(3, sample.n))
+        w_r = w[:, ix.rev]
+        for m in (ix.grid.size, ix.grid.size // 2, 0):
+            want = np.zeros((3, m))
+            for g, s in enumerate(ix.grid[:m]):
+                first, *rest = np.flatnonzero((y == s) & (delta == 1))
+                want[:, g] = w[:, first]
+                for i in rest:
+                    want[:, g] += w[:, i]
+            assert np.array_equal(_tie_sums(ix, w_r, m), want)
+            assert np.array_equal(_tie_sums(ix, w_r[0], m), want[0])
+
+
 def profile_increments(data, w, beta):
     """(event_times, increments) of the profile baseline at beta."""
     rs = _RiskSets(data.x, data.y, data.delta)
@@ -471,22 +531,23 @@ class TestProfileIncrements:
         assert np.allclose(inc, [2.0 / 3.0, 1.0], atol=1e-14)
 
     def test_matches_brute_force_with_soft_weights(self, rng):
-        data = simulate_single(30, 2, [0.5, -0.5], seed=17, censor_frac=0.2)
-        w = rng.uniform(0.05, 1.0, size=data.n)
+        untied = simulate_single(30, 2, [0.5, -0.5], seed=17, censor_frac=0.2)
+        # rounding up to one decimal ties events with one another
+        tied = Dataset(y=np.ceil(untied.y * 10.0) / 10.0, delta=untied.delta, x=untied.x)
         beta = np.array([0.4, -0.2])
-        times, inc = profile_increments(data, w, beta)
-        expected = {}
-        for i in range(data.n):
-            if data.delta[i] != 1:
-                continue
-            denom = sum(
-                w[j] * math.exp(float(data.x[j] @ beta))
-                for j in range(data.n)
-                if data.y[j] >= data.y[i]
-            )
-            expected[data.y[i]] = expected.get(data.y[i], 0.0) + w[i] / denom
-        assert np.allclose(times, sorted(expected))
-        assert np.allclose(inc, [expected[t] for t in sorted(expected)], atol=1e-12)
+        for data in (untied, tied):
+            w = rng.uniform(0.05, 1.0, size=data.n)
+            times, inc = profile_increments(data, w, beta)
+            # sum_{i: y_i = s, d_i = 1} w_i / sum_{j: y_j >= s} w_j exp(eta_j) at each event time s
+            want_times = np.unique(data.y[data.delta == 1])
+            want = []
+            for s in want_times:
+                num = sum(w[i] for i in range(data.n) if data.delta[i] == 1 and data.y[i] == s)
+                den = sum(w[j] * math.exp(float(data.x[j] @ beta)) for j in range(data.n) if data.y[j] >= s)
+                want.append(num / den)
+            assert np.array_equal(times, want_times)
+            np.testing.assert_allclose(inc, want, rtol=1e-12, atol=0)
+        assert np.unique(tied.y[tied.delta == 1]).size < int(tied.delta.sum())
 
     def test_censored_rows_carry_no_mass(self, small_data):
         times, inc = profile_increments(small_data, np.ones(5), np.zeros(2))

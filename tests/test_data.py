@@ -15,6 +15,16 @@ class TestDataset:
         assert small_data.n == 5
         assert small_data.p == 2
 
+    def test_rejects_non_integral_status(self):
+        # a cast to integers would read 0.5 and 1.7 as 0 and 1
+        with pytest.raises(DataError, match="status values must be 0 or 1"):
+            Dataset(y=[1.0, 2.0, 3.0], delta=[0.5, 1.7, 1], x=np.zeros((3, 1)))
+
+    def test_status_stored_as_integers(self):
+        data = Dataset(y=[1.0, 2.0], delta=[1.0, False], x=np.zeros((2, 1)))
+        assert data.delta.dtype == np.int64
+        assert data.delta.tolist() == [1, 0]
+
     def test_arrays_read_only(self, small_data):
         with pytest.raises(ValueError):
             small_data.y[0] = 99.0
@@ -38,6 +48,8 @@ class TestDataset:
             Dataset(y=np.array([1.0, 2.0]), delta=np.array([1, 2]), x=np.zeros((2, 1)))
         with pytest.raises(DataError):
             Dataset(y=np.array([1.0, 2.0]), delta=np.array([0, 0]), x=np.zeros((2, 1)))
+        with pytest.raises(DataError, match="status values must be 0 or 1"):
+            Dataset(y=np.array([1.0, 2.0]), delta=np.array([1.0, np.nan]), x=np.zeros((2, 1)))
         with pytest.raises(DataError):
             Dataset(y=np.array([1.0, 2.0]), delta=np.array([1, 1]), x=np.array([[1.0], [np.nan]]))
 
@@ -62,6 +74,17 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("time,x1\n1.0,2.0\n")
         with pytest.raises(DataError, match="status"):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "header, repeated",
+        [("time,status,x1,x1", "'x1'"), ("time,status,x1,time", "'time'"), ("status,x,time,x,status", "'status', 'x'")],
+    )
+    def test_repeated_header_column_errors(self, tmp_path, header, repeated):
+        path = tmp_path / "bad.csv"
+        fields = len(header.split(","))
+        path.write_text(header + "\n" + ",".join(["1"] * fields) + "\n")
+        with pytest.raises(DataError, match=f"bad\\.csv: header names {repeated} more than once"):
             load_dataset(str(path))
 
     def test_ragged_row_errors(self, tmp_path):

@@ -10,7 +10,6 @@ from scipy.special import logsumexp
 
 from coxmix.coxfit import (
     _record_log_densities,
-    _RiskSets,
     component_log_density,
     cumulative_hazard,
     default_time_bandwidth,
@@ -455,16 +454,19 @@ def random_params(grid, p, K, kernel, h, seed):
 
 def dense_log_densities(data, params, ctx):
     """Per-component oracle through the full n x m kernel matrix."""
-    rs = _RiskSets(data.x, data.y, data.delta)
+    event = data.delta == 1
+    grid = np.unique(data.y[event])
     h = ctx.bandwidth
-    kmat = kernel_values(ctx.kernel, (data.y[:, None] - rs.grid[None, :]) / h) / h
+    kmat = kernel_values(ctx.kernel, (data.y[:, None] - grid[None, :]) / h) / h
+    # Lambda(y_i) sums the increments at the grid times at or before y_i
+    at_or_before = np.sum(grid[None, :] <= data.y[:, None], axis=1)
     cols = []
     for beta, inc in zip(params.beta, params.increments):
         eta = data.x @ beta
         rate = np.maximum(kmat @ inc, 1e-300)
-        cum = np.concatenate(([0.0], np.cumsum(inc)))[rs.cum_idx]
+        cum = np.concatenate(([0.0], np.cumsum(inc)))[at_or_before]
         hazard = np.where(cum > 0, np.exp(eta) * cum, 0.0)
-        cols.append(np.where(rs.ev_mask, np.log(rate) + eta, 0.0) - hazard)
+        cols.append(np.where(event, np.log(rate) + eta, 0.0) - hazard)
     return np.column_stack(cols)
 
 
@@ -484,7 +486,7 @@ class TestFitContext:
         got = ctx.log_density(params)
         assert got.shape == (std.n, K)
         np.testing.assert_allclose(got, dense_log_densities(std, params, ctx), rtol=1e-12, atol=0)
-        # the EM's grid-rate path and the public per-record path agree exactly
+        # the EM's cached path and the public one-call path agree exactly
         assert np.array_equal(got, _record_log_densities(std, params.beta, params.increments, params))
 
     @pytest.mark.parametrize("n", [3000, 20000])

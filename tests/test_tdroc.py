@@ -174,6 +174,14 @@ class TestRocCurve:
             roc_curve(m, np.ones(2))
         with pytest.raises(ValueError, match="matching 1-d"):
             roc_curve(m, np.ones(3))
+        m4, w4 = np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 0.5, 0.0, 0.5])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="markers must be finite"):
+                roc_curve(np.where(np.arange(4) == 1, bad, m4), w4)
+        # a negative or above-one weight would make the sensitivity fall
+        for bad in ([1.5, -0.2, 0.5, 0.0], [1.0, np.nan, 0.5, 0.0], [1.0, np.inf, 0.5, 0.0], [-0.0, 1.0 + 1e-12, 0.5, 0.0]):
+            with pytest.raises(ValueError, match=r"weights must be finite and lie in \[0, 1\]"):
+                roc_curve(m4, np.array(bad))
 
 
 class TestSensitivitySpecificity:
