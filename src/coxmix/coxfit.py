@@ -61,7 +61,12 @@ def _rule_of_thumb(values: np.ndarray, factor: float) -> float:
     """factor * sd(values) * n^(-1/5), or 1 when n < 2 or the values do not vary."""
     v = np.asarray(values, dtype=float)
     n = v.size
-    s = float(v.std(ddof=1)) if n > 1 else 0.0
+    if n < 2:
+        return 1.0
+    # sd of the values scaled by a power of two into (-1, 1), so that values
+    # near the float limit do not overflow when squared; the scaling is exact
+    e = int(np.frexp(np.max(np.abs(v)))[1])
+    s = float(np.ldexp(np.ldexp(v, -e).std(ddof=1), e))
     if s <= 0.0:
         return 1.0
     return factor * s * n ** (-0.2)

@@ -327,8 +327,6 @@ def update_mixing_proportions(S: np.ndarray, pi_prev: np.ndarray, spec: PenaltyS
 def _prune_mask(pi: np.ndarray, spec: PenaltySpec) -> np.ndarray:
     keep = pi >= spec.prune_threshold
     if not np.any(keep):
-        if pi.size == 1:
-            return np.ones(1, dtype=bool)
         raise NumericalError(
             f"every component fell below the prune threshold at penalty level {spec.level!r}"
         )
@@ -388,58 +386,68 @@ def monotonicity_failures(history) -> list[tuple[int, float]]:
 
 
 @dataclass
-class _EMRun:
+class _EMState:
+    """What one EM run carries from one iteration to the next, so a run can be
+    paused after any iteration and resumed with `_em_step`: the current
+    `params`, their n x K log density `logd` and responsibilities `S`, the
+    objective `history` (one entry per E-step on fresh params), the largest
+    responsibility row-sum deviation `row_dev` over every E-step, the largest
+    proportion-sum deviation `pi_dev`, the components pruned so far, the
+    iterations run, and whether the last one met the convergence test."""
+
     params: MixtureParams
-    history: list[float]
-    converged: bool
-    iterations: int
-    row_dev: float
-    pi_dev: float
-    prune_events: int
+    logd: np.ndarray | None = None
+    S: np.ndarray | None = None
+    history: list[float] = field(default_factory=list)
+    row_dev: float = 0.0
+    pi_dev: float = 0.0
+    prune_events: int = 0
+    iterations: int = 0
+    converged: bool = False
+
+    def observe(self, pi: np.ndarray, logd: np.ndarray) -> float:
+        """E-step at (pi, logd): keeps logd and the responsibilities, folds
+        their row deviation into `row_dev` and returns the observed
+        log-likelihood at (pi, logd)."""
+        self.S, dev, observed = _softmax_rows(pi, logd)
+        self.logd = logd
+        self.row_dev = max(self.row_dev, dev)
+        return observed
 
 
-def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.random.Generator) -> _EMRun:
+def _em_step(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, state: _EMState) -> None:
+    """One EM iteration on `state`: the penalized pi update, pruning, the
+    component refits, the E-step on their log density, and the convergence
+    test on the objective it appends to the history."""
+    pi = update_mixing_proportions(state.S, state.params.pi, spec)
+    state.pi_dev = max(state.pi_dev, abs(float(pi.sum()) - 1.0))
+    keep = _prune_mask(pi, spec)
+    beta = state.params.beta
+    if not np.all(keep):
+        state.prune_events += int(np.sum(~keep))
+        pi, beta = _apply_prune(pi, beta, keep)
+        state.pi_dev = max(state.pi_dev, abs(float(pi.sum()) - 1.0))
+        # responsibilities must reflect the reduced model before refitting
+        state.observe(pi, state.logd[:, keep])
+    betas, incs = zip(*(ctx.refit_component(state.S[:, k], b) for k, b in enumerate(beta)))
+    state.params = ctx.mixture(pi, np.array(betas), np.array(incs))
+    observed = state.observe(pi, ctx.log_density(state.params))
+    state.history.append(observed - _penalty_total(pi, spec, ctx.n))
+    state.iterations += 1
+    state.converged = check_convergence(state.history[-1], state.history[-2], config)
+
+
+def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.random.Generator) -> _EMState:
+    """One restart: a random start, then EM iterations until the convergence
+    test holds or `config.max_iterations` have run."""
     params, _ = _initialize(ctx, config.k_init, rng)
-    logd = ctx.log_density(params)
+    state = _EMState(params)
     # each E-step also yields the objective at the (pi, log f) it reads
-    S, dev, observed = _softmax_rows(params.pi, logd)
-    history = [observed - _penalty_total(params.pi, spec, ctx.n)]
-    row_dev = 0.0
-    pi_dev = 0.0
-    converged = False
-    iterations = 0
-    prune_events = 0
-    for iterations in range(1, config.max_iterations + 1):
-        row_dev = max(row_dev, dev)
-        pi_new = update_mixing_proportions(S, params.pi, spec)
-        pi_dev = max(pi_dev, abs(float(pi_new.sum()) - 1.0))
-        keep = _prune_mask(pi_new, spec)
-        beta = params.beta
-        if not np.all(keep):
-            prune_events += int(np.sum(~keep))
-            pi_new, beta = _apply_prune(pi_new, beta, keep)
-            pi_dev = max(pi_dev, abs(float(pi_new.sum()) - 1.0))
-            logd = logd[:, keep]
-            # responsibilities must reflect the reduced model before refitting
-            S, dev, _ = _softmax_rows(pi_new, logd)
-            row_dev = max(row_dev, dev)
-        betas, incs = zip(*(ctx.refit_component(S[:, k], b) for k, b in enumerate(beta)))
-        params = ctx.mixture(pi_new, np.array(betas), np.array(incs))
-        logd = ctx.log_density(params)
-        S, dev, observed = _softmax_rows(params.pi, logd)
-        history.append(observed - _penalty_total(params.pi, spec, ctx.n))
-        if check_convergence(history[-1], history[-2], config):
-            converged = True
-            break
-    return _EMRun(
-        params=params,
-        history=history,
-        converged=converged,
-        iterations=iterations,
-        row_dev=row_dev,
-        pi_dev=pi_dev,
-        prune_events=prune_events,
-    )
+    observed = state.observe(params.pi, ctx.log_density(params))
+    state.history.append(observed - _penalty_total(params.pi, spec, ctx.n))
+    while not state.converged and state.iterations < config.max_iterations:
+        _em_step(ctx, spec, config, state)
+    return state
 
 
 def _destandardize(params: MixtureParams, record, order) -> MixtureParams:
@@ -473,11 +481,29 @@ def fit_mixture(
     Covariates are standardized internally and every reported quantity is
     mapped back to the original scale. The best restart by final penalized
     observed log-likelihood wins; components are ordered by decreasing
-    proportion. Besides the winning restart's figures, `diagnostics` counts
-    the M-step over the initial fits and every restart: `newton_fits`
-    (Newton solves), `newton_iterations` (accepted Newton steps) and
-    `newton_unconverged` (solves that did not report convergence). The
-    model JSON stores no diagnostics.
+    proportion.
+
+    `diagnostics` holds, for the winning restart:
+
+    - `converged`: whether its last iteration met the eps_abs/eps_rel test
+      on the penalized objective with kernel-smoothed baselines. That
+      objective is not an ascent path of this EM, so it can drop;
+    - `iterations`: the EM iterations it ran;
+    - `prune_events`: the components it pruned;
+    - `monotonicity_failures`: the (iteration, drop) pairs where its
+      objective fell, listed rather than raised;
+
+    and, over every restart (the Newton counts also over the initial fits):
+
+    - `responsibility_row_max_dev` and `pi_sum_max_dev`: the largest
+      deviation from 1 of a responsibility row sum and of the proportions'
+      sum;
+    - `restart_failures`: the messages of restarts that failed;
+    - `newton_fits`, `newton_iterations` and `newton_unconverged`: M-step
+      Newton solves, their accepted steps, and the solves that did not
+      report convergence.
+
+    The model JSON stores no diagnostics.
 
     Parameters
     ----------
@@ -503,7 +529,7 @@ def fit_mixture(
     std_data, record = standardize_covariates(data)
     ctx = _FitContext(std_data, kernel, h)
     children = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    best: _EMRun | None = None
+    best: _EMState | None = None
     failures: list[str] = []
     row_dev = 0.0
     pi_dev = 0.0

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from coxmix.em import (
 from coxmix import em, tuning
 from coxmix.coxfit import NumericalError
 from coxmix.penalties import PenaltySpec, lla_coefficient, log_scale_term
-from coxmix.simgen import SimConfig, run_study
+from coxmix.simgen import SimConfig, generate_dataset, run_study
 
 from conftest import MALFORMED_MODELS, malformed_model_text, simulate_single, stack_fits
 
@@ -322,15 +323,12 @@ class TestPrune:
         assert pi2.sum() == pytest.approx(1.0, abs=1e-15)
         assert pi2[0] == pytest.approx(0.6 / 0.999992, rel=1e-12)
 
-    def test_last_component_survives(self):
-        # a lone component is kept even below the threshold
-        spec = PenaltySpec(kind="scad", level=0.1, prune_threshold=0.5)
-        assert _prune_mask(np.array([0.3]), spec).tolist() == [True]
-
     def test_all_below_threshold_errors(self):
-        spec = PenaltySpec(kind="scad", level=0.1, prune_threshold=0.9)
-        with pytest.raises(NumericalError, match="prune threshold"):
-            _prune_mask(np.array([0.5, 0.5]), spec)
+        # a lone component gets no exemption: in a fit its proportion is 1
+        for pi, threshold in (([0.5, 0.5], 0.9), ([0.3], 0.5)):
+            spec = PenaltySpec(kind="scad", level=0.1, prune_threshold=threshold)
+            with pytest.raises(NumericalError, match="prune threshold"):
+                _prune_mask(np.array(pi), spec)
 
 
 class TestLoglikFunctions:
@@ -539,6 +537,42 @@ class TestInitialize:
         )
         params, S = initial_split(data, 2, 0)
         assert params.K == 1
+
+
+class TestEMState:
+    def test_paused_run_resumes_bit_for_bit(self, monkeypatch):
+        data, _ = generate_dataset(SimConfig(200, censor_target=0.2, seed=2026), np.random.default_rng(1))
+        std, _ = standardize_covariates(data)
+        ctx = _FitContext(std, "gaussian", default_time_bandwidth(std.y))
+        spec = PenaltySpec(kind="scad", level=tuning.level_from_c(0.6, data.n))
+        config = EMConfig(k_init=4, max_iterations=400, restarts=1)
+        devs = []
+        softmax_rows = em._softmax_rows
+
+        def recording(pi, logd):
+            out = softmax_rows(pi, logd)
+            devs.append(out[1])
+            return out
+
+        monkeypatch.setattr(em, "_softmax_rows", recording)
+        whole = em._run_em(ctx, spec, config, np.random.default_rng(0))
+        assert whole.converged and whole.prune_events > 0
+        # every E-step of the run is folded in: the start, each iteration's
+        # (the last one included) and each post-prune one
+        assert len(devs) > whole.iterations + 1
+        assert whole.row_dev == max(devs)
+
+        paused = em._run_em(ctx, spec, replace(config, max_iterations=3), np.random.default_rng(0))
+        assert paused.iterations == 3 and not paused.converged
+        assert paused.prune_events < whole.prune_events
+        while not paused.converged and paused.iterations < config.max_iterations:
+            em._em_step(ctx, spec, config, paused)
+        for name in ("pi", "beta", "event_times", "increments"):
+            assert np.array_equal(getattr(paused.params, name), getattr(whole.params, name))
+        assert paused.history == whole.history
+        assert paused.iterations == whole.iterations
+        assert paused.converged == whole.converged
+        assert paused.prune_events == whole.prune_events
 
 
 @pytest.fixture(scope="class")

@@ -120,6 +120,19 @@ class TestBandwidthRule:
         assert default_marker_bandwidth(np.array([3.0, 3.0, 3.0])) == 1.0
         assert default_marker_bandwidth(np.array([42.0])) == 1.0
 
+    def test_huge_markers_keep_their_bandwidth(self):
+        # squaring markers of 1e160 overflows; the rule and the weights built
+        # from it must scale with the markers instead
+        data = simulate_single(200, 1, [0.8], seed=11, censor_frac=0.3)
+        x = data.x[:, 0]
+        t = float(np.median(data.y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            h = default_marker_bandwidth(x * 1e160)
+            W = censoring_weights(x * 1e160, data, t)
+        assert h == pytest.approx(1e160 * default_marker_bandwidth(x), rel=1e-15)
+        np.testing.assert_allclose(W, censoring_weights(x, data, t), rtol=1e-12)
+
 
 class TestRocCurve:
     def test_matches_pairwise_oracle_binary_weights(self, rng):
