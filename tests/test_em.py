@@ -323,6 +323,17 @@ class TestPrune:
         assert pi2.sum() == pytest.approx(1.0, abs=1e-15)
         assert pi2[0] == pytest.approx(0.6 / 0.999992, rel=1e-12)
 
+    def test_last_component_survives(self):
+        # a fit's lone component has proportion 1 up to rounding, which clears
+        # any prune threshold below 1
+        for pi in (1.0, 1.0 - 1e-12, 1.0 + 1e-12):
+            spec = PenaltySpec(kind="scad", level=0.1, prune_threshold=0.99)
+            keep = _prune_mask(np.array([pi]), spec)
+            assert keep.tolist() == [True]
+            pi2, comps = _apply_prune(np.array([pi]), ["a"], keep)
+            assert comps == ["a"]
+            assert pi2.tolist() == [1.0]
+
     def test_all_below_threshold_errors(self):
         # a lone component gets no exemption: in a fit its proportion is 1
         for pi, threshold in (([0.5, 0.5], 0.9), ([0.3], 0.5)):
