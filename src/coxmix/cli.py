@@ -144,7 +144,7 @@ def cmd_simulate(o) -> dict:
     data, labels = generate_dataset(sim, np.random.default_rng(o.seed))
     save_dataset(data, o.out)
     if o.labels_out is not None:
-        _write_csv(o.labels_out, ["component"], ([str(int(lab) + 1)] for lab in labels))
+        _write_csv(o.labels_out, ["component"], ([lab + 1] for lab in labels))
     censored = 1.0 - float(data.delta.mean())
     print(f"wrote {o.out}: {o.n} rows, censored fraction {censored:.4f}")
     return {}
@@ -197,8 +197,7 @@ def cmd_predict(o) -> dict:
         columns = [(f"marker_t{format(t, 'g')}", compute_marker(model, data, mode, t)) for t in o.times]
     else:
         columns = [("marker", compute_marker(model, data, mode))]
-    rows = ([format(vals[i], ".17g") for _, vals in columns] for i in range(data.n))
-    _write_csv(o.out, [name for name, _ in columns], rows)
+    _write_csv(o.out, [name for name, _ in columns], zip(*(vals for _, vals in columns)))
     print(f"wrote {o.out}: {data.n} rows, {len(columns)} marker column(s)")
     return {}
 
@@ -219,8 +218,8 @@ def cmd_roc(o) -> dict:
         for c, sens, oms in zip(curve.thresholds, curve.sensitivity, curve.one_minus_specificity):
             roc_rows.append((t, c, sens, oms))
     header = ["time", "threshold", "sensitivity", "one_minus_specificity"]
-    _write_csv(o.out_roc, header, ([format(v, ".17g") for v in row] for row in roc_rows))
-    _write_csv(o.out, ["time", "auc"], ([format(v, ".17g") for v in row] for row in auc_rows))
+    _write_csv(o.out_roc, header, roc_rows)
+    _write_csv(o.out, ["time", "auc"], auc_rows)
     for t, value in auc_rows:
         print(f"t = {format(t, 'g')}: AUC = {value:.6f}")
     return {}
@@ -243,7 +242,7 @@ def cmd_study(o) -> dict:
         prune_threshold=o.prune,
         workers=o.workers,
     )
-    with open(o.out, "w", encoding="utf-8") as fh:
+    with open(o.out, "w", newline="", encoding="utf-8") as fh:
         fh.write(study_to_csv(result))
     failed = sum(result.failures.values())
     print(f"wrote {o.out}: {o.replications} replications per penalty, {failed} failed fits excluded")

@@ -159,19 +159,40 @@ def save_dataset(data: Dataset, path: str, covariate_names: list[str] | None = N
         covariate_names = [f"x{j + 1}" for j in range(data.p)]
     if len(covariate_names) != data.p:
         raise ValueError("covariate_names length must match p")
-    rows = (
-        [format(float(y), ".17g"), str(int(d))] + [format(float(v), ".17g") for v in x]
-        for y, d, x in zip(data.y, data.delta, data.x)
-    )
+    rows = ((y, d, *x) for y, d, x in zip(data.y, data.delta, data.x))
     _write_csv(path, ["time", "status"] + list(covariate_names), rows)
 
 
+def _format_real(v) -> str:
+    """A real at 17 significant digits, enough to read back the same double;
+    non-finite values write as `nan`, `inf` and `-inf`."""
+    return format(float(v), ".17g")
+
+
+def _cell(v) -> str:
+    """One results-file cell: text as is, booleans as `true`/`false`,
+    integers (Python or numpy) as plain digits, anything else as a real."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return _format_real(v)
+
+
+def _write_rows(fh, header: list[str], rows) -> None:
+    """Write the header and rows to `fh` as CSV lines ending in a bare
+    newline, each cell written by `_cell`."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_cell, row) for row in rows)
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
-    """Write the header and rows as CSV lines ending in a bare newline."""
+    """Write the header and rows to a new CSV file at `path`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_rows(fh, header, rows)
 
 
 @dataclass(frozen=True)

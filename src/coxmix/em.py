@@ -22,7 +22,7 @@ from .coxfit import (
     _RiskSets,
     default_time_bandwidth,
 )
-from .data import Dataset, standardize_covariates
+from .data import Dataset, _format_real, standardize_covariates
 from .penalties import PenaltySpec, lla_coefficient, log_scale_term
 
 __all__ = [
@@ -218,7 +218,7 @@ def _softmax_rows(pi: np.ndarray, logd: np.ndarray) -> tuple[np.ndarray, float, 
 
 def _initialize(ctx: _FitContext, k_init: int, rng: np.random.Generator):
     """Random hard assignment into k_init groups, equal initial proportions,
-    and per-group Cox fits. Returns (params, responsibilities)."""
+    and per-group Cox fits."""
     n = ctx.n
     k = int(k_init)
     events = ctx.rs.ev_mask
@@ -235,19 +235,18 @@ def _initialize(ctx: _FitContext, k_init: int, rng: np.random.Generator):
             k -= 1
             if k < 1:
                 raise NumericalError("could not seed initial components with event rows")
-    S = np.zeros((n, k))
-    S[np.arange(n), assign] = 1.0
     beta = np.empty((k, ctx.p))
     inc = np.empty((k, ctx.rs.grid.size))
     for j in range(k):
-        beta[j] = ctx.fit_coefficients(S[:, j].take(ctx.rs.rev), np.zeros(ctx.p))
+        member = (assign == j).astype(float)
+        beta[j] = ctx.fit_coefficients(member.take(ctx.rs.rev), np.zeros(ctx.p))
         # the initial baselines must place positive mass at every event time:
         # a hard partition gives each component exactly zero mass at the other
         # groups' events, and the first E-step would then return the starting
         # assignment unchanged, freezing the split
-        w = S[:, j] if k == 1 else (1.0 - INIT_MASS_FLOOR) * S[:, j] + INIT_MASS_FLOOR / k
+        w = member if k == 1 else (1.0 - INIT_MASS_FLOOR) * member + INIT_MASS_FLOOR / k
         inc[j] = ctx.increments(w.take(ctx.rs.rev), beta[j])
-    return ctx.mixture(np.full(k, 1.0 / k), beta, inc), S
+    return ctx.mixture(np.full(k, 1.0 / k), beta, inc)
 
 
 def e_step(data: Dataset, params: MixtureParams) -> np.ndarray:
@@ -440,7 +439,7 @@ def _em_step(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, state: _EMSt
 def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.random.Generator) -> _EMState:
     """One restart: a random start, then EM iterations until the convergence
     test holds or `config.max_iterations` have run."""
-    params, _ = _initialize(ctx, config.k_init, rng)
+    params = _initialize(ctx, config.k_init, rng)
     state = _EMState(params)
     # each E-step also yields the objective at the (pi, log f) it reads
     observed = state.observe(params.pi, ctx.log_density(params))
@@ -581,12 +580,9 @@ def fit_mixture(
 
 
 def _fmt_float(v: float) -> str:
-    v = float(v)
-    if math.isnan(v):
-        return "NaN"
-    if math.isinf(v):
-        return "Infinity" if v > 0 else "-Infinity"
-    return format(v, ".17g")
+    """A real as a JSON number; non-finite values take JSON's own spellings."""
+    text = _format_real(v)
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
 
 
 def _fmt_vector(vals) -> str:

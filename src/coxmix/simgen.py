@@ -9,15 +9,16 @@ are uniform on [0, C] with C calibrated to hit a target censoring fraction.
 
 from __future__ import annotations
 
+import io
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .coxfit import NumericalError
-from .data import Dataset
+from .data import Dataset, _write_rows
 from .em import DEFAULT_RESTARTS, EMConfig
 from .penalties import DEFAULT_EPSILON, DEFAULT_PRUNE_THRESHOLD
 from .tuning import DEFAULT_CN_CONSTANT, _map_in_pool, select_tuning
@@ -317,14 +318,8 @@ def run_study(
 
 
 def study_to_csv(result: StudyResult) -> str:
-    header = ("penalty,n,censor_target,component,parameter,bias,sd,"
-              "replications_used,K_hat_mode,K_correct_fraction")
-    lines = [header]
-    for row in result.rows:
-        lines.append(
-            f"{row.penalty},{row.n},{format(row.censor_target, '.17g')},"
-            f"{row.component},{row.parameter},{format(row.bias, '.17g')},"
-            f"{format(row.sd, '.17g')},{row.replications_used},"
-            f"{row.k_hat_mode},{format(row.k_correct_fraction, '.17g')}"
-        )
-    return "\n".join(lines) + "\n"
+    header = ["penalty", "n", "censor_target", "component", "parameter", "bias", "sd",
+              "replications_used", "K_hat_mode", "K_correct_fraction"]
+    out = io.StringIO()
+    _write_rows(out, header, map(astuple, result.rows))
+    return out.getvalue()

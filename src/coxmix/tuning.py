@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -48,14 +48,18 @@ def level_from_c(c: float, n: int) -> float:
     return float(c) * math.sqrt(math.log(n) / n)
 
 
+def _check_cn_constant(cn_constant: float) -> None:
+    if not (math.isfinite(cn_constant) and cn_constant > 0):
+        raise ValueError("cn_constant must be finite and positive")
+
+
 def bic_score(loglik: float, n: int, k: int, p: int, cn_constant: float = DEFAULT_CN_CONSTANT) -> float:
     """Modified BIC: loglik - 0.5 * C_n * D_f * log(n).
 
     D_f = k - 1 + k * p counts free mixture parameters and C_n =
     cn_constant * log(log(n + k)) grows slowly with the sample size.
     """
-    if cn_constant <= 0:
-        raise ValueError("cn_constant must be positive")
+    _check_cn_constant(cn_constant)
     if n + k <= math.e:
         raise NumericalError("modified BIC undefined: n + K must exceed e for log(log(n + K)) > 0")
     df = k - 1 + k * p
@@ -166,6 +170,7 @@ def select_tuning(
         raise ValueError("c_grid must be a nonempty 1-d collection")
     if np.any(grid < 0) or not np.all(np.isfinite(grid)):
         raise ValueError("grid multipliers must be finite and nonnegative")
+    _check_cn_constant(cn_constant)
     fit_point = partial(
         _fit_grid_point, data=data, kind=kind, config=config, cn_constant=cn_constant, shape=shape,
         epsilon=epsilon, prune_threshold=prune_threshold, kernel=kernel, bandwidth=bandwidth,
@@ -178,19 +183,8 @@ def select_tuning(
 
 
 def report_to_csv(report: TuningReport, path: str) -> None:
-    rows = (
-        [
-            format(row.c, ".17g"),
-            format(row.level, ".17g"),
-            str(row.k_hat),
-            format(row.bic, ".17g"),
-            format(row.loglik, ".17g"),
-            str(row.iterations),
-            "true" if row.converged else "false",
-        ]
-        for row in report.rows
-    )
-    _write_csv(path, ["c", "level", "k_hat", "bic", "loglik", "iterations", "converged"], rows)
+    header = ["c", "level", "k_hat", "bic", "loglik", "iterations", "converged"]
+    _write_csv(path, header, map(astuple, report.rows))
 
 
 def report_summary(report: TuningReport) -> dict:

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import coxmix
 from coxmix import cli
 from coxmix.cli import COMMANDS, build_parser, main
 from coxmix.coxfit import fit_weighted_cox
@@ -66,9 +68,13 @@ class TestParserBasics:
         assert main(["fit", data_csv, "--penalty", "ridge", "--level", "0.1"]) == 2
 
     def test_module_entry_point(self):
+        # the child does not inherit pytest's `pythonpath` setting, so it is
+        # pointed at the directory that holds the package under test
+        package_root = str(Path(coxmix.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "coxmix", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("coxmix ")
@@ -281,6 +287,11 @@ class TestTune:
         )
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_non_finite_cn_constant_is_usage_error(self, data_csv, capsys):
+        code = run_cli(["tune", data_csv, "--penalty", "scad", "--c-grid", "0.5", "--cn-constant", "nan"])
+        assert code == 2
+        assert "cn_constant must be finite and positive" in capsys.readouterr().err
 
 
     def test_meta_reproduces_run(self, tmp_path, data_csv):

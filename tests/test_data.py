@@ -63,6 +63,22 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.delta, small_data.delta)
         assert np.array_equal(back.x, small_data.x)
 
+    def test_saved_bytes(self, tmp_path):
+        # reals at 17 significant digits, status as plain digits
+        data = Dataset(
+            y=np.array([0.1, 2.0, 1e-20]),
+            delta=np.array([1, 0, 1]),
+            x=np.array([[1.0 / 3.0, -0.0], [-2.5, 1e300], [7.0, 123456789.123456789]]),
+        )
+        path = tmp_path / "d.csv"
+        save_dataset(data, str(path), covariate_names=["age", "size"])
+        assert path.read_bytes() == (
+            b"time,status,age,size\n"
+            b"0.10000000000000001,1,0.33333333333333331,-0\n"
+            b"2,0,-2.5,1.0000000000000001e+300\n"
+            b"9.9999999999999995e-21,1,7,123456789.12345679\n"
+        )
+
     def test_covariate_selection(self, small_data, tmp_path):
         path = str(tmp_path / "d.csv")
         save_dataset(small_data, path, covariate_names=["age", "size"])

@@ -523,31 +523,46 @@ class TestFitContext:
 
 class TestInitialize:
     def test_single_component(self, small_data):
-        params, S = initial_split(small_data, 1, 0)
+        params = initial_split(small_data, 1, 0)
         assert params.K == 1
-        assert np.allclose(S, 1.0)
         assert params.pi.tolist() == [1.0]
 
-    def test_equal_initial_proportions(self, rng):
+    def test_equal_initial_proportions(self):
         data = simulate_single(60, 2, [0.5, -0.5], seed=8)
-        params, S = initial_split(data, 4, 3)
-        assert np.allclose(params.pi, 0.25)
-        assert S.shape == (60, 4)
-        assert np.allclose(S.sum(axis=1), 1.0)
-        assert set(np.unique(S)) <= {0.0, 1.0}
+        params = initial_split(data, 4, 3)
+        assert params.pi.tolist() == [0.25] * 4
+        assert params.beta.shape == (4, 2)
 
     def test_fixed_seed_reproducible(self, small_data):
         a = initial_split(small_data, 2, 9)
         b = initial_split(small_data, 2, 9)
-        assert np.array_equal(a[1], b[1])
+        for name in ("pi", "beta", "increments"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("k_init, seed", [(1, 0), (2, 9), (4, 3)])
+    def test_each_beta_fits_its_group(self, k_init, seed):
+        # each component's coefficients are the M-step Newton fit on the
+        # indicator weights of its group in the start's random split
+        data = simulate_single(60, 2, [0.5, -0.5], seed=8)
+        params = initial_split(data, k_init, seed)
+        ctx = _FitContext(data, "gaussian", default_time_bandwidth(data.y))
+        assign = np.random.default_rng(seed).integers(0, k_init, size=data.n)
+        # the first draw gives every group an event, so it is the one used
+        assert np.bincount(assign[data.delta == 1], minlength=k_init).min() > 0
+        assert params.K == k_init
+        for j in range(k_init):
+            member = (assign == j).astype(float)
+            beta = ctx.fit_coefficients(member.take(ctx.rs.rev), np.zeros(data.p))
+            assert np.array_equal(params.beta[j], beta)
 
     def test_event_starved_split_shrinks(self):
         # one event row cannot feed two components; k falls back to 1
         data = Dataset(
             y=np.array([1.0, 2.0, 3.0]), delta=np.array([1, 0, 0]), x=np.zeros((3, 1))
         )
-        params, S = initial_split(data, 2, 0)
+        params = initial_split(data, 2, 0)
         assert params.K == 1
+        assert params.pi.tolist() == [1.0]
 
 
 class TestEMState:
@@ -769,6 +784,12 @@ class TestFitMixture:
 
 
 class TestSerialization:
+    def test_json_number_spellings(self):
+        values = [0.1, np.float64(-2.5), 1e300, math.nan, -math.nan, math.inf, -math.inf]
+        assert [em._fmt_float(v) for v in values] == [
+            "0.10000000000000001", "-2.5", "1.0000000000000001e+300", "NaN", "NaN", "Infinity", "-Infinity",
+        ]
+
     def test_json_round_trip_exact(self):
         data = simulate_single(50, 2, [0.6, -0.6], seed=61, censor_frac=0.1)
         spec = PenaltySpec(kind="mcp", level=0.04, shape=3.0)

@@ -248,6 +248,27 @@ class TestRunStudy:
         float(first[5])  # bias parses (may be nan)
         float(first[6])
 
+    def test_csv_text(self):
+        rows = (
+            StudyRow(
+                penalty="scad", n=600, censor_target=0.05, component=1, parameter="pi",
+                bias=0.1 + 0.2 - 0.3, sd=math.nan, replications_used=1,
+                k_hat_mode=np.int64(2), k_correct_fraction=2.0 / 3.0,
+            ),
+            StudyRow(
+                penalty="mcp", n=np.int64(600), censor_target=0.25, component=2, parameter="beta2",
+                bias=-1.0, sd=0.012345678901234568, replications_used=0,
+                k_hat_mode=0, k_correct_fraction=0.0,
+            ),
+        )
+        result = StudyResult(rows=rows, replications=3, failures={}, k_hat_counts={})
+        assert study_to_csv(result) == (
+            "penalty,n,censor_target,component,parameter,bias,sd,"
+            "replications_used,K_hat_mode,K_correct_fraction\n"
+            "scad,600,0.050000000000000003,1,pi,5.5511151231257827e-17,nan,1,2,0.66666666666666663\n"
+            "mcp,600,0.25,2,beta2,-1,0.012345678901234568,0,0,0\n"
+        )
+
     def test_csv_handles_nan_cells(self):
         row = StudyRow(
             penalty="mcp", n=10, censor_target=0.1, component=1, parameter="pi",

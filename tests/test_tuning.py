@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coxmix.coxfit import NumericalError
-from coxmix import simgen
+from coxmix import simgen, tuning
 from coxmix.em import EMConfig, observed_loglik
 from coxmix.tuning import (
     TuningReport,
@@ -72,8 +72,9 @@ class TestBicScore:
         assert bic_score(-10.0, 50, 2, 1) > bic_score(-11.0, 50, 2, 1)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            bic_score(0.0, 100, 2, 1, cn_constant=0.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="cn_constant must be finite and positive"):
+                bic_score(0.0, 100, 2, 1, cn_constant=bad)
         with pytest.raises(NumericalError, match="exceed e"):
             bic_score(0.0, 1, 1, 1)
 
@@ -211,6 +212,15 @@ class TestSelectTuning:
             with pytest.raises(ValueError, match="grid multipliers must be finite"):
                 select_tuning(tuning_data, "scad", c_grid=[0.5, bad], config=QUICK)
 
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_bad_cn_constant_rejected_before_any_fit(self, tuning_data, monkeypatch, bad):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a grid point was fitted")
+
+        monkeypatch.setattr(tuning, "fit_mixture", no_fit)
+        with pytest.raises(ValueError, match="cn_constant must be finite and positive"):
+            select_tuning(tuning_data, "scad", c_grid=[0.6, 0.8], config=QUICK, cn_constant=bad)
+
 
 class TestReportOutputs:
     def test_csv_round_trip(self, tmp_path):
@@ -230,6 +240,22 @@ class TestReportOutputs:
         assert parsed[1][6] == "true"
         assert math.isnan(float(parsed[2][3]))
         assert parsed[2][6] == "false"
+
+    def test_csv_bytes(self, tmp_path):
+        # numpy integers and booleans write as Python's do; inf, -inf and nan as lowercase words
+        rows = [
+            _row(0.3, 0.1 * 0.3, np.int64(2), -123.456789012345, -math.inf, np.int64(17), np.bool_(True)),
+            _row(0.9, 0.27, 0, math.nan, math.nan, 0, False),
+            _row(1.5, 2.0 / 3.0, 1, math.inf, -1e-300, 400, np.bool_(False)),
+        ]
+        path = tmp_path / "grid.csv"
+        report_to_csv(TuningReport(rows=rows, best_index=0, cn_constant=1.0, n=50), str(path))
+        assert path.read_bytes() == (
+            b"c,level,k_hat,bic,loglik,iterations,converged\n"
+            b"0.29999999999999999,0.029999999999999999,2,-123.456789012345,-inf,17,true\n"
+            b"0.90000000000000002,0.27000000000000002,0,nan,nan,0,false\n"
+            b"1.5,0.66666666666666663,1,inf,-1e-300,400,false\n"
+        )
 
     def test_summary_fields(self):
         rows = [_row(0.3, 0.04, 2, -12.5, -10.0, 9, True)]
