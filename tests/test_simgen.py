@@ -175,7 +175,7 @@ def tiny_study():
     cfg = SimConfig(n=120, censor_target=0.0, seed=53)
     em = EMConfig(k_init=3, max_iterations=120, restarts=1, seed=0)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         result = run_study(
             cfg, replications=2, kinds=("scad",), em_config=em, c_grid=[0.8], workers=1
         )
@@ -203,7 +203,7 @@ class TestRunStudy:
     def test_worker_count_invariant(self, tiny_study):
         cfg, em, serial = tiny_study
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", UserWarning)
             parallel = run_study(
                 cfg, replications=2, kinds=("scad",), em_config=em, c_grid=[0.8], workers=2
             )
@@ -218,7 +218,7 @@ class TestRunStudy:
         cfg, em, serial = tiny_study
         monkeypatch.setattr(tuning_mod, "ProcessPoolExecutor", serial_pool)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", UserWarning)
             pooled = run_study(
                 cfg, replications=2, kinds=("scad",), em_config=em, c_grid=[0.8], workers=500
             )
@@ -247,6 +247,60 @@ class TestRunStudy:
         assert int(first[1]) == 120
         float(first[5])  # bias parses (may be nan)
         float(first[6])
+
+    def test_tiny_study_cells(self, tiny_study):
+        # a K-hat mode tie (1 and 2 once each) broken toward the smaller K, and
+        # one replication with K-hat = K, so every SD is nan
+        _, _, result = tiny_study
+        assert study_to_csv(result) == (
+            "penalty,n,censor_target,component,parameter,bias,sd,"
+            "replications_used,K_hat_mode,K_correct_fraction\n"
+            "scad,120,0,1,pi,-0.23561761483544136,nan,1,1,0.5\n"
+            "scad,120,0,1,beta1,0.052082075980306008,nan,1,1,0.5\n"
+            "scad,120,0,1,beta2,0.060110009849278612,nan,1,1,0.5\n"
+            "scad,120,0,2,pi,0.2356176148354413,nan,1,1,0.5\n"
+            "scad,120,0,2,beta1,-0.38766481326302182,nan,1,1,0.5\n"
+            "scad,120,0,2,beta2,-0.23064157583493838,nan,1,1,0.5\n"
+        )
+        assert result.k_hat_counts == {"scad": {1: 1, 2: 1}}
+        assert result.failures == {"scad": 0}
+
+    def test_cells_nan_when_no_replication_selects_k(self):
+        cfg = SimConfig(n=80, censor_target=0.05, seed=5)
+        em = EMConfig(k_init=3, max_iterations=40, restarts=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = run_study(cfg, replications=2, kinds=("scad", "mcp"), em_config=em, c_grid=[40.0])
+        cells = [
+            f"{kind},80,0.050000000000000003,{k},{name},nan,nan,0,1,0\n"
+            for kind in ("scad", "mcp") for k in (1, 2) for name in ("pi", "beta1", "beta2")
+        ]
+        assert study_to_csv(result) == (
+            "penalty,n,censor_target,component,parameter,bias,sd,"
+            "replications_used,K_hat_mode,K_correct_fraction\n" + "".join(cells)
+        )
+        assert result.k_hat_counts == {"scad": {1: 2}, "mcp": {1: 2}}
+        assert result.failures == {"scad": 0, "mcp": 0}
+
+    def test_cells_over_nine_replications(self):
+        # means and SDs over more than eight values; one replication selects K-hat = 1
+        cfg = SimConfig(n=80, censor_target=0.05, seed=9)
+        em = EMConfig(k_init=2, max_iterations=30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = run_study(cfg, replications=10, kinds=("scad",), em_config=em, c_grid=[0.5])
+        assert study_to_csv(result) == (
+            "penalty,n,censor_target,component,parameter,bias,sd,"
+            "replications_used,K_hat_mode,K_correct_fraction\n"
+            "scad,80,0.050000000000000003,1,pi,-0.076240318884155445,0.10191332514041104,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,1,beta1,0.23236350125758998,1.3789069141745067,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,1,beta2,-0.29121315249904711,0.7441297152204922,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,pi,0.0762403188841555,0.10191332514041102,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,beta1,0.012576602827214067,0.16297111371748108,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,beta2,-0.078904082305298662,0.27533222598734958,9,2,0.90000000000000002\n"
+        )
+        assert result.k_hat_counts == {"scad": {1: 1, 2: 9}}
+        assert result.failures == {"scad": 0}
 
     def test_csv_text(self):
         rows = (
