@@ -49,7 +49,7 @@ from .penalties import (
 )
 from .simgen import SimConfig, generate_dataset, run_study, study_to_csv
 from .tdroc import MARKER_MODES, auc, censoring_weights, compute_marker, roc_curve
-from .tuning import DEFAULT_CN_CONSTANT, report_summary, report_to_csv, select_tuning
+from .tuning import DEFAULT_CN_CONSTANT, report_to_csv, select_tuning
 
 __all__ = ["main", "build_parser"]
 
@@ -179,10 +179,10 @@ def cmd_tune(o) -> dict:
     )
     report_to_csv(report, o.out)
     save_model(report.best_model, o.out_model)
-    best = report_summary(report)["best"]
+    best = report.best
     print(
-        f"wrote {o.out} and {o.out_model}: best c = {best['c']:g}, "
-        f"K = {best['k_hat']}, BIC = {best['bic']:.6f}"
+        f"wrote {o.out} and {o.out_model}: best c = {best.c:g}, "
+        f"K = {best.k_hat}, BIC = {best.bic:.6f}"
     )
     return {"c_grid": [row.c for row in report.rows]}
 
@@ -226,9 +226,6 @@ def cmd_roc(o) -> dict:
 
 
 def cmd_study(o) -> dict:
-    for kind in o.penalty:
-        if kind not in KINDS:
-            raise ValueError(f"unknown penalty kind {kind!r}; expected one of {KINDS}")
     sim = SimConfig(n=o.n, censor_target=o.censor, seed=o.seed)
     result = run_study(
         sim,

@@ -737,7 +737,8 @@ def _padded_cumsum(increments: np.ndarray) -> np.ndarray:
 
 def _lambda_index(event_times: np.ndarray, t):
     """Index of Lambda(t) in the zero-padded cumulative increments: the
-    number of event times at or before t."""
+    number of event times at or before t. NaN sorts last and reads as t = inf,
+    so callers that take a horizon reject or mask NaN first."""
     return np.searchsorted(event_times, t, side="right")
 
 
@@ -752,11 +753,13 @@ def _cumulative_risks(x, beta, increments, lam_idx) -> tuple[np.ndarray, np.ndar
 
 
 def cumulative_hazard(baseline: BaselineHazard, t):
-    """Step cumulative hazard sum_{T_e <= t} increment_e, the cumulative risk at eta = 0."""
+    """Step cumulative hazard sum_{T_e <= t} increment_e, the cumulative risk at eta = 0;
+    NaN at NaN times."""
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     idx = _lambda_index(baseline.event_times, arr)
     _, vals = _cumulative_risks(np.zeros((arr.size, 0)), np.zeros((1, 0)), baseline.increments[None], idx)
-    return float(vals[0, 0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals[:, 0]
+    vals = np.where(np.isnan(arr), np.nan, vals[:, 0])
+    return float(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
 
 
 def _check_covariates(beta: np.ndarray, x: np.ndarray) -> None:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .coxfit import NumericalError
 from .data import Dataset, _write_rows
-from .em import DEFAULT_RESTARTS, EMConfig
-from .penalties import DEFAULT_EPSILON, DEFAULT_PRUNE_THRESHOLD
+from .em import EMConfig
+from .penalties import DEFAULT_EPSILON, DEFAULT_PRUNE_THRESHOLD, KINDS
 from .tuning import DEFAULT_CN_CONSTANT, _map_in_pool, select_tuning
 
 __all__ = [
@@ -183,20 +183,12 @@ class StudyResult:
 
 
 def _align_to_truth(pi_hat, beta_hat, beta_true):
-    """Permute fitted components to minimize total squared beta distance."""
-    K = len(beta_true)
-    truth = np.asarray(beta_true)
-    fitted = np.asarray(beta_hat)
-    best_perm = None
-    best_cost = np.inf
-    for perm in itertools.permutations(range(K)):
-        cost = float(np.sum((fitted[list(perm)] - truth) ** 2))
-        if cost < best_cost:
-            best_cost = cost
-            best_perm = perm
-    pi_a = tuple(pi_hat[j] for j in best_perm)
-    beta_a = tuple(tuple(beta_hat[j]) for j in best_perm)
-    return pi_a, beta_a
+    """Fitted rows (pi_k, beta_k) as a K x (1 + p) array, in the first
+    component order with the least total squared beta distance to the truth."""
+    fit = np.column_stack([pi_hat, beta_hat])
+    perms = [list(perm) for perm in itertools.permutations(range(len(fit)))]
+    costs = [np.sum((fit[perm, 1:] - beta_true) ** 2) for perm in perms]
+    return fit[perms[np.argmin(costs)]]
 
 
 def _study_replication(r, *, config, censor_upper, kinds, em_config, **tuning_options):
@@ -208,12 +200,7 @@ def _study_replication(r, *, config, censor_upper, kinds, em_config, **tuning_op
     for kind in kinds:
         try:
             report = select_tuning(data, kind, config=cfg, workers=1, **tuning_options)
-            params = report.best_model.params
-            out[kind] = (
-                params.K,
-                tuple(float(v) for v in params.pi),
-                tuple(tuple(float(b) for b in row) for row in params.beta),
-            )
+            out[kind] = (report.best_model.params.pi, report.best_model.params.beta)
         except NumericalError:
             out[kind] = None
     return out
@@ -237,78 +224,64 @@ def run_study(
     the true one; each replication draws its random streams from
     (config.seed, replication index), so results do not depend on worker
     count or scheduling. Replications where every tuning attempt fails
-    numerically are excluded and counted in `failures`.
+    numerically are excluded and counted in `failures`. Empty, repeated or
+    unknown kinds are rejected before any draw.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
+    kinds = tuple(kinds)
+    if not kinds or len(set(kinds)) < len(kinds):
+        raise ValueError(f"need at least one penalty kind, each named once; got {kinds}")
+    for kind in kinds:
+        if kind not in KINDS:
+            raise ValueError(f"unknown penalty kind {kind!r}; expected one of {KINDS}")
     if em_config is None:
-        em_config = EMConfig(restarts=DEFAULT_RESTARTS, seed=config.seed)
+        em_config = EMConfig()
     censor_upper = None
     if config.censor_target > 0.0:
         cal_rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
         censor_upper = calibrate_censoring(config, cal_rng)
 
     replicate = partial(
-        _study_replication, config=config, censor_upper=censor_upper, kinds=tuple(kinds),
+        _study_replication, config=config, censor_upper=censor_upper, kinds=kinds,
         em_config=em_config, c_grid=c_grid, cn_constant=cn_constant, shape=shape, epsilon=epsilon,
         prune_threshold=prune_threshold,
     )
     outcomes = _map_in_pool(replicate, list(range(replications)), workers)
 
-    K_true = config.K
+    truth = np.column_stack([config.pi_true, config.beta_true])
+    names = ["pi"] + [f"beta{j + 1}" for j in range(config.p)]
     rows = []
     failures = {}
     k_counts = {}
     for kind in kinds:
-        per_rep = [out[kind] for out in outcomes]
-        failures[kind] = sum(1 for v in per_rep if v is None)
-        successes = [v for v in per_rep if v is not None]
-        counts = Counter(k for (k, _, _) in successes)
+        fits = [out[kind] for out in outcomes if out[kind] is not None]
+        failures[kind] = replications - len(fits)
+        counts = Counter(pi.size for pi, _ in fits)
         k_counts[kind] = dict(sorted(counts.items()))
-        if counts:
-            top = max(counts.values())
-            k_mode = min(k for k, c in counts.items() if c == top)
-            k_frac = counts.get(K_true, 0) / len(successes)
-        else:
-            k_mode = 0
-            k_frac = 0.0
-        aligned = [
-            _align_to_truth(pi_hat, beta_hat, config.beta_true)
-            for (k, pi_hat, beta_hat) in successes
-            if k == K_true
-        ]
+        # the most frequent K-hat, ties going to the smaller K
+        k_mode = min(counts, key=lambda k: (-counts[k], k), default=0)
+        k_frac = counts[config.K] / len(fits) if fits else 0.0
+        aligned = np.array(
+            [_align_to_truth(pi, beta, truth[:, 1:]) for pi, beta in fits if pi.size == config.K]
+        ).reshape(-1, *truth.shape)
         used = len(aligned)
-
-        def cell(values, truth):
-            if not values:
-                return float("nan"), float("nan")
-            arr = np.asarray(values)
-            bias = float(arr.mean()) - truth
-            sd = float(arr.std(ddof=1)) if used > 1 else float("nan")
-            return bias, sd
-
-        for k in range(K_true):
-            specs = [("pi", config.pi_true[k], [a[0][k] for a in aligned])]
-            for j in range(config.p):
-                specs.append(
-                    (f"beta{j + 1}", config.beta_true[k][j], [a[1][k][j] for a in aligned])
+        for k, j in np.ndindex(truth.shape):
+            column = aligned[:, k, j]
+            rows.append(
+                StudyRow(
+                    penalty=kind,
+                    n=config.n,
+                    censor_target=config.censor_target,
+                    component=k + 1,
+                    parameter=names[j],
+                    bias=float(column.mean() - truth[k, j]) if used else float("nan"),
+                    sd=float(column.std(ddof=1)) if used > 1 else float("nan"),
+                    replications_used=used,
+                    k_hat_mode=k_mode,
+                    k_correct_fraction=k_frac,
                 )
-            for name, truth, values in specs:
-                bias, sd = cell(values, truth)
-                rows.append(
-                    StudyRow(
-                        penalty=kind,
-                        n=config.n,
-                        censor_target=config.censor_target,
-                        component=k + 1,
-                        parameter=name,
-                        bias=bias,
-                        sd=sd,
-                        replications_used=used,
-                        k_hat_mode=k_mode,
-                        k_correct_fraction=k_frac,
-                    )
-                )
+            )
     return StudyResult(
         rows=tuple(rows),
         replications=replications,

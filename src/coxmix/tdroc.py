@@ -66,7 +66,7 @@ def compute_marker(model: FittedModel, data: Dataset, mode: str, t: float | None
         return data.x @ params.beta[0]
     if mode == "mixture_event_prob" and t is None:
         raise ValueError("mixture_event_prob requires an evaluation time")
-    lam_idx = _lambda_index(params.event_times, data.y if mode == "mixture_posterior_lp" else float(t))
+    lam_idx = _lambda_index(params.event_times, data.y if mode == "mixture_posterior_lp" else _horizon(t))
     eta, risk = _cumulative_risks(data.x, params.beta, params.increments, lam_idx)
     if mode == "mixture_posterior_lp":
         return np.sum(e_step(data, params) * eta, axis=1)
@@ -77,9 +77,21 @@ def compute_marker(model: FittedModel, data: Dataset, mode: str, t: float | None
 _BLOCK_ENTRIES = 2**17
 
 
-def _marker_inputs(markers, data: Dataset, bandwidth: float | None, kernel: str) -> tuple[np.ndarray, float]:
-    """Checked markers and the marker bandwidth (the rule of thumb if None); the
-    kernel is checked here too, so a bad one fails even when no curve is built."""
+def _horizon(t) -> float:
+    """The horizon t as a float; NaN is rejected rather than read as t = inf."""
+    t = float(t)
+    if np.isnan(t):
+        raise ValueError("the horizon t is NaN")
+    return t
+
+
+def _marker_inputs(
+    markers, data: Dataset, t, bandwidth: float | None, kernel: str
+) -> tuple[np.ndarray, float, float]:
+    """Checked markers, horizon and marker bandwidth (the rule of thumb if
+    None); the kernel is checked here too, so a bad one fails even when no
+    curve is built."""
+    t = _horizon(t)
     _check_kernel(kernel)
     m = np.asarray(markers, dtype=float)
     if m.shape != (data.n,):
@@ -89,7 +101,7 @@ def _marker_inputs(markers, data: Dataset, bandwidth: float | None, kernel: str)
     h = default_marker_bandwidth(m) if bandwidth is None else float(bandwidth)
     if not h > 0:
         raise ValueError("marker bandwidth must be positive")
-    return m, h
+    return m, t, h
 
 
 class _ConditionalKM:
@@ -157,8 +169,8 @@ def conditional_survival(
     kernel: str = "gaussian",
 ) -> np.ndarray:
     """Kernel-conditional Kaplan-Meier survival at time t, one value per subject."""
-    m, h = _marker_inputs(markers, data, bandwidth, kernel)
-    km = _ConditionalKM(m, data, h, kernel, np.arange(data.n), np.full((data.n, 1), float(t)))
+    m, t, h = _marker_inputs(markers, data, t, bandwidth, kernel)
+    km = _ConditionalKM(m, data, h, kernel, np.arange(data.n), np.full((data.n, 1), t))
     return km.curves[:, 0]
 
 
@@ -178,10 +190,9 @@ def censoring_weights(
     one of these weights uses is skipped: one at an event time in (Y_i, t]
     on the curve of a subject censored before t.
     """
-    m, h = _marker_inputs(markers, data, bandwidth, kernel)
+    m, t, h = _marker_inputs(markers, data, t, bandwidth, kernel)
     y = data.y
     delta = data.delta
-    t = float(t)
     W = np.zeros(data.n)
     W[(y <= t) & (delta == 1)] = 1.0
     frac = (y < t) & (delta == 0)

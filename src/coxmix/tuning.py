@@ -26,7 +26,6 @@ __all__ = [
     "level_from_c",
     "select_tuning",
     "report_to_csv",
-    "report_summary",
 ]
 
 DEFAULT_CN_CONSTANT = 1.0
@@ -185,21 +184,3 @@ def select_tuning(
 def report_to_csv(report: TuningReport, path: str) -> None:
     header = ["c", "level", "k_hat", "bic", "loglik", "iterations", "converged"]
     _write_csv(path, header, map(astuple, report.rows))
-
-
-def report_summary(report: TuningReport) -> dict:
-    """JSON-ready summary of the selected grid point."""
-    best = report.best
-    return {
-        "n": report.n,
-        "cn_constant": report.cn_constant,
-        "grid_points": len(report.rows),
-        "best": {
-            "c": best.c,
-            "level": best.level,
-            "k_hat": best.k_hat,
-            "bic": best.bic,
-            "loglik": best.loglik,
-            "converged": best.converged,
-        },
-    }

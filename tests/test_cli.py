@@ -275,7 +275,12 @@ class TestTune:
         assert model.params.K >= 1
         meta = json.load(open(out + ".meta.json"))
         assert meta["options"]["c_grid"] == [0.3, 0.8]
-        assert "best c" in capsys.readouterr().out
+        # the summary line names one grid row, the one whose model was saved
+        summaries = {
+            f"wrote {out} and {out_model}: best c = {float(c):g}, K = {k}, BIC = {float(bic):.6f}"
+            for c, _, k, bic, *_ in rows[1:] if int(k) == model.params.K
+        }
+        assert capsys.readouterr().out.strip() in summaries
 
     def test_single_record_tune_is_numerical_failure(self, tmp_path, capsys):
         # modified BIC needs log(log(n + K)) > 0; one record cannot satisfy it
@@ -422,6 +427,20 @@ class TestPredictAndRoc:
         for k, lines in enumerate(together):
             assert lines == single[0][k][:1] + [row for runs in single for row in runs[k][1:]]
 
+    @pytest.mark.parametrize(
+        "command, mode",
+        [("predict", "mixture_event_prob"), ("roc", "mixture_event_prob"), ("roc", "mixture_posterior_lp")],
+    )
+    def test_nan_horizon_is_usage_error(self, tmp_path, data_csv, fitted_model, capsys, command, mode):
+        out = tmp_path / "out.csv"
+        argv = [command, "--model", fitted_model, "--data", data_csv, "--marker-mode", mode,
+                "--times", "nan,0.1", "--out", str(out)]
+        if command == "roc":
+            argv += ["--out-roc", str(tmp_path / "roc.csv")]
+        assert run_cli(argv) == 2
+        assert "the horizon t is NaN" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["predict", "roc"])
     @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
     def test_malformed_model_is_usage_error(self, tmp_path, data_csv, capsys, command, case):
@@ -493,6 +512,16 @@ class TestStudy:
         )
         assert code == 2
         assert "unknown penalty kind" in capsys.readouterr().err
+
+    def test_repeated_penalty_kind_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run_cli(
+            ["study", "--penalty", "scad,scad", "--n", "50", "--replications", "1",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert "each named once" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOptionTable:

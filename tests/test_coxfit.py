@@ -662,6 +662,19 @@ class TestBaselineEvaluation:
         vec = cumulative_hazard(bl, np.array([0.0, 1.5, 2.5]))
         assert np.allclose(vec, [0.0, 0.5, 1.5])
 
+    def test_cumulative_hazard_is_nan_at_nan_times(self):
+        bl = BaselineHazard(
+            event_times=np.array([1.0, 2.0]),
+            increments=np.array([0.5, 1.0]),
+            kernel="gaussian",
+            bandwidth=1.0,
+        )
+        assert math.isnan(cumulative_hazard(bl, math.nan))
+        assert cumulative_hazard(bl, math.inf) == 1.5
+        vec = cumulative_hazard(bl, np.array([math.nan, 1.5, math.inf]))
+        assert np.isnan(vec[0])
+        assert np.array_equal(vec[1:], [0.5, 1.5])
+
     def test_baseline_validation(self):
         with pytest.raises(ValueError):
             BaselineHazard(

@@ -158,16 +158,15 @@ class TestCensoringCalibration:
 
 class TestAlignment:
     def test_permutation_recovered(self):
-        truth = ((-3.0, -2.0), (1.0, 1.0))
-        pi, beta = _align_to_truth((0.7, 0.3), ((0.9, 1.1), (-2.8, -2.1)), truth)
-        assert pi == (0.3, 0.7)
-        assert beta == ((-2.8, -2.1), (0.9, 1.1))
+        truth = np.array([[-3.0, -2.0], [1.0, 1.0]])
+        rows = _align_to_truth(np.array([0.7, 0.3]), np.array([[0.9, 1.1], [-2.8, -2.1]]), truth)
+        assert rows.shape == (2, 3)
+        assert np.array_equal(rows, [[0.3, -2.8, -2.1], [0.7, 0.9, 1.1]])
 
     def test_identity_when_already_aligned(self):
-        truth = ((-3.0, -2.0), (1.0, 1.0))
-        pi, beta = _align_to_truth((0.4, 0.6), ((-3.1, -1.9), (1.2, 0.8)), truth)
-        assert pi == (0.4, 0.6)
-        assert beta == ((-3.1, -1.9), (1.2, 0.8))
+        truth = np.array([[-3.0, -2.0], [1.0, 1.0]])
+        rows = _align_to_truth(np.array([0.4, 0.6]), np.array([[-3.1, -1.9], [1.2, 0.8]]), truth)
+        assert np.array_equal(rows, [[0.4, -3.1, -1.9], [0.6, 1.2, 0.8]])
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +231,24 @@ class TestRunStudy:
     def test_replication_count_validated(self):
         with pytest.raises(ValueError):
             run_study(SimConfig(n=50), replications=0)
+
+    @pytest.fixture
+    def no_draw(self, monkeypatch):
+        import coxmix.simgen as simgen_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("drew data before checking kinds")
+
+        monkeypatch.setattr(simgen_mod, "calibrate_censoring", fail)
+
+    @pytest.mark.parametrize("kinds", [(), ("scad", "scad"), ("scad", "mcp", "scad")])
+    def test_empty_or_repeated_kinds_rejected(self, kinds, no_draw):
+        with pytest.raises(ValueError, match="each named once"):
+            run_study(SimConfig(n=50), replications=1, kinds=kinds)
+
+    def test_unknown_kind_rejected_before_any_draw(self, no_draw):
+        with pytest.raises(ValueError, match="unknown penalty kind 'lasso'"):
+            run_study(SimConfig(n=50), replications=1, kinds=("scad", "lasso"))
 
     def test_csv_layout(self, tiny_study):
         _, _, result = tiny_study

@@ -441,6 +441,23 @@ class TestCensoringWeights:
             with pytest.raises(ValueError, match="unknown kernel 'foo'"):
                 func(data.x[:, 0], data, t, kernel="foo")
 
+    @pytest.mark.parametrize("func", [censoring_weights, conditional_survival])
+    def test_nan_horizon_rejected_before_any_curve_is_built(self, func, monkeypatch):
+        data = simulate_single(30, 1, [0.5], seed=107, censor_frac=0.3)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built curves for a NaN horizon")
+
+        monkeypatch.setattr(tdroc, "_ConditionalKM", no_build)
+        with pytest.raises(ValueError, match="the horizon t is NaN"):
+            func(data.x[:, 0], data, math.nan)
+
+    def test_infinite_horizon_reads_the_last_event_time(self):
+        data = simulate_single(30, 1, [0.5], seed=107, censor_frac=0.3)
+        last = float(data.y[data.delta == 1].max())
+        for func in (censoring_weights, conditional_survival):
+            assert np.array_equal(func(data.x[:, 0], data, math.inf), func(data.x[:, 0], data, last))
+
     def test_uncensored_data_weights_are_indicators(self):
         data = simulate_single(30, 1, [0.5], seed=109, censor_frac=0.0)
         t = float(np.median(data.y))
@@ -514,6 +531,17 @@ class TestComputeMarker:
         model = self.make_single_model(data)
         with pytest.raises(ValueError, match="evaluation time"):
             compute_marker(model, data, "mixture_event_prob")
+
+    def test_event_prob_rejects_nan_time_and_reads_inf_as_total_hazard(self):
+        data = simulate_single(20, 2, [0.7, -0.6], seed=131, censor_frac=0.2)
+        model = self.make_mixture_model(data)
+        with pytest.raises(ValueError, match="the horizon t is NaN"):
+            compute_marker(model, data, "mixture_event_prob", t=math.nan)
+        last = float(model.params.event_times[-1])
+        assert np.array_equal(
+            compute_marker(model, data, "mixture_event_prob", t=math.inf),
+            compute_marker(model, data, "mixture_event_prob", t=last),
+        )
 
     def test_unknown_mode(self):
         data = simulate_single(20, 1, [0.5], seed=139)

@@ -14,7 +14,6 @@ from coxmix.tuning import (
     bic_score,
     default_c_grid,
     level_from_c,
-    report_summary,
     report_to_csv,
     select_tuning,
 )
@@ -256,16 +255,6 @@ class TestReportOutputs:
             b"0.90000000000000002,0.27000000000000002,0,nan,nan,0,false\n"
             b"1.5,0.66666666666666663,1,inf,-1e-300,400,false\n"
         )
-
-    def test_summary_fields(self):
-        rows = [_row(0.3, 0.04, 2, -12.5, -10.0, 9, True)]
-        report = TuningReport(rows=rows, best_index=0, cn_constant=2.0, n=80)
-        s = report_summary(report)
-        assert s["n"] == 80
-        assert s["cn_constant"] == 2.0
-        assert s["grid_points"] == 1
-        assert s["best"]["k_hat"] == 2
-        assert s["best"]["bic"] == -12.5
 
 
 def test_subnormal_responsibility_does_not_abort_grid_point():
