@@ -22,10 +22,10 @@ import argparse
 import json
 import platform
 import sys
+from importlib import metadata
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .coxfit import KERNELS, NumericalError
@@ -111,6 +111,14 @@ SCORING = (
 )
 
 
+def _installed_version(package: str) -> str | None:
+    """The installed distribution's version, read without importing it, or None."""
+    try:
+        return metadata.version(package)
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def _write_meta(out_path: str, command: str, options: dict, seed: int | None) -> None:
     meta = {
         "command": command,
@@ -119,7 +127,7 @@ def _write_meta(out_path: str, command: str, options: dict, seed: int | None) ->
         "versions": {
             "coxmix": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _installed_version("scipy"),
             "python": platform.python_version(),
         },
     }

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .data import Dataset
 
@@ -560,17 +559,20 @@ def _lagrange_rows(x: np.ndarray) -> np.ndarray:
     return rows
 
 
+# empty boxes the lattice may hold, as a share of its occupied boxes
+_LATTICE_SLACK = 0.5
+
+
 def _as_slice(idx: np.ndarray):
     """idx as a slice when it is a run of consecutive integers."""
     return slice(int(idx[0]), int(idx[-1]) + 1) if idx[-1] - idx[0] == idx.size - 1 else idx
 
 
-def _box_matrix(box_slot: np.ndarray, x: np.ndarray, boxes: int):
-    """Sparse len(x) x (boxes * 16) matrix interpolating box-node values at x."""
-    p = _CHEB_POINTS
-    cols = box_slot[:, None] * p + np.arange(p)
-    indptr = np.arange(0, x.size * p + 1, p)
-    return sparse.csr_array((_lagrange_rows(x).ravel(), cols.ravel(), indptr), shape=(x.size, boxes * p))
+def _box_runs(box: np.ndarray):
+    """(distinct boxes, slice of the points in each) of sorted box indices."""
+    boxes, starts = np.unique(box, return_index=True)
+    ends = np.append(starts[1:], box.size)
+    return boxes, [slice(int(a), int(b)) for a, b in zip(starts, ends)]
 
 
 class _GaussianBoxes:
@@ -580,47 +582,78 @@ class _GaussianBoxes:
     occupied box gets 16 Chebyshev nodes: sources are anterpolated onto them,
     box pairs interact through one 16 x 16 block per box offset, and the node
     potentials are interpolated to the targets. Offsets beyond _BOX_REACH,
-    where the kernel underflows to 0, are dropped. Only boxes that hold a
-    grid point or a target are built, so memory is 16 (m + len(t)) numbers
-    plus at most 2 _BOX_REACH + 1 box pairs per target box, whatever the
+    where the kernel underflows to 0, are dropped. A box's anterpolation and
+    interpolation are each one matrix product with the dense Lagrange rows of
+    its run of sorted points.
+
+    The occupied boxes sit on one lattice, in order, with every gap wider
+    than _BOX_REACH boxes shrunk to _BOX_REACH + 1: boxes within reach keep
+    their offset and boxes out of reach stay out of it. Each offset then
+    pairs one run of lattice boxes with another, two slices; a box in the
+    run without a partner at that offset meets a box that holds no source,
+    whose charge is zero. When empty boxes would outnumber half the occupied
+    ones (bandwidths far below the spacing of the times), the occupied boxes
+    are packed instead and each offset pairs only the boxes it joins. The
+    rows take 16 (m + len(t)) numbers and a call 32 K numbers per lattice
+    box, with at most 1.5 lattice boxes per occupied box, whatever the
     spread of the times.
     """
 
     def __init__(self, grid: np.ndarray, bandwidth: float, t: np.ndarray):
         self.bandwidth = bandwidth
-        box, x = _box_coordinates((grid - grid[0]) / bandwidth)
-        src_boxes, src_slot = np.unique(box, return_inverse=True)
-        self.sources = src_boxes.size
-        self.anterpolate = _box_matrix(src_slot, x, src_boxes.size).T
+        src_box, x = _box_coordinates((grid - grid[0]) / bandwidth)
+        self.src_rows = _lagrange_rows(x)
         # a target moved to a box out of every source box's reach gets rate 0,
         # as it would where it was; this keeps far targets' boxes representable
         reach = _BOX_REACH + 1
-        box, x = _box_coordinates(np.clip((t - grid[0]) / bandwidth, -reach, src_boxes[-1] + reach))
-        dst_boxes, dst_slot = np.unique(box, return_inverse=True)
-        self.targets = dst_boxes.size
-        self.interpolate = _box_matrix(dst_slot, x, dst_boxes.size)
-        # source box dst - d for each target box and offset d, where occupied
+        order = np.argsort(t, kind="stable")
+        self.restore = np.argsort(order)
+        dst_box, x = _box_coordinates(np.clip((t[order] - grid[0]) / bandwidth, -reach, src_box[-1] + reach))
+        self.dst_rows = _lagrange_rows(x)
+        src_boxes, src_runs = _box_runs(src_box)
+        dst_boxes, dst_runs = _box_runs(dst_box)
+        boxes = np.union1d(src_boxes, dst_boxes)
+        slots = np.concatenate([[0], np.cumsum(np.minimum(np.diff(boxes), reach))])
+        packed = slots[-1] + 1 > (1.0 + _LATTICE_SLACK) * boxes.size
+        if packed:
+            slots = np.arange(boxes.size)
+        self.size = int(slots[-1]) + 1
+        src_slot = slots[np.searchsorted(boxes, src_boxes)]
+        dst_slot = slots[np.searchsorted(boxes, dst_boxes)]
+        self.src_runs = list(zip(src_slot.tolist(), src_runs))
+        self.dst_runs = list(zip(dst_slot.tolist(), dst_runs))
+        # offsets at which some target box has an occupied source box, each
+        # as (block transposed, target slots, source slots); the block of
+        # offset -d is the transpose of the block of offset d
         offsets = np.arange(-_BOX_REACH, _BOX_REACH + 1)
         want = dst_boxes[None, :] - offsets[:, None]
         found = np.minimum(np.searchsorted(src_boxes, want), src_boxes.size - 1)
         hit = src_boxes[found] == want
-        # (block transposed, target slots, source slots) per offset in use;
-        # runs of consecutive slots become slices, which index without copies
-        self.pairs = [
-            (_BOX_BLOCKS[k].T.copy(), _as_slice(np.flatnonzero(hit[k])), _as_slice(found[k][hit[k]]))
-            for k in np.flatnonzero(hit.any(axis=1))
-        ]
+        self.pairs = []
+        for k in np.flatnonzero(hit.any(axis=1)):
+            j = np.flatnonzero(hit[k])
+            dst, src = dst_slot[j], src_slot[found[k, j]]
+            if packed:
+                dst, src = _as_slice(dst), _as_slice(src)
+            else:
+                # lattice slots are as far apart as their boxes, so the run from
+                # the first pair to the last pairs with its shift
+                dst, src = slice(int(dst[0]), int(dst[-1]) + 1), slice(int(src[0]), int(src[-1]) + 1)
+            self.pairs.append((_BOX_BLOCKS[-1 - k], dst, src))
 
     def __call__(self, inc: np.ndarray) -> np.ndarray:
-        p = _CHEB_POINTS
         K = inc.shape[0]
-        # box x component x node, so each offset is one matrix product
-        charge = (self.anterpolate @ inc.T).reshape(self.sources, p, K).transpose(0, 2, 1).copy()
-        potential = np.zeros((self.targets, K, p))
+        # lattice box x component x node, so each offset is one matrix product
+        charge = np.zeros((self.size, K, _CHEB_POINTS))
+        for at, run in self.src_runs:
+            np.matmul(inc[:, run], self.src_rows[run], out=charge[at])
+        potential = np.zeros_like(charge)
         for block_t, dst, src in self.pairs:
             potential[dst] += charge[src] @ block_t
-        nodes = potential.transpose(0, 2, 1).reshape(self.targets * p, K)
-        return (self.interpolate @ nodes).T / self.bandwidth
+        rates = np.empty((K, self.dst_rows.shape[0]))
+        for at, run in self.dst_runs:
+            np.matmul(potential[at], self.dst_rows[run].T, out=rates[:, run])
+        return rates.take(self.restore, axis=1) / self.bandwidth
 
 
 class _EpanechnikovWindows:
@@ -711,16 +744,17 @@ def smooth_baseline_hazard(baseline: BaselineHazard, t):
     """Kernel-smoothed hazard rate (1/h) sum_e K((t - T_e)/h) * increment_e.
 
     Computed in time and memory linear in m event times and len(t) (up to a
-    log m factor for the Epanechnikov kernel), without the len(t) x m kernel
-    matrix. Against that dense sum, the relative error is at most 1e-12
+    log factor for sorting the targets of the Gaussian kernel and for the
+    Epanechnikov scan masks), without the len(t) x m kernel matrix. Against that dense sum, the relative error is at most 1e-12
     wherever the rate is at least 1e-8 sum(increments)/h, and the absolute
     error at most 1e-14 sum(increments)/h everywhere. More than 40h from
     every event time the Gaussian rate is exactly 0, as the dense sum's
     terms underflow there; the Epanechnikov rate is 0 beyond h.
 
     Each call builds the smoother over all m event times for its targets:
-    at m = 4598 one target costs about 1.5 ms and 4800 targets 4 to 6 ms,
-    so pass all times in one array rather than calling once per time.
+    at m = 4598 one target costs about 1 ms and 4800 targets about 3 ms on
+    a 2-core Xeon, so pass all times in one array rather than calling once
+    per time.
     """
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     smooth = _smoother(baseline.event_times, baseline.kernel, baseline.bandwidth, arr)
@@ -775,14 +809,14 @@ def _record_density(data: Dataset, event_times, kernel: str, bandwidth: float):
     on the grid `event_times`. The rates are smoothed at the records' event
     times only, the one place they enter, and floored at 1e-300. The smoother
     and the index of Lambda(y) are built once, here."""
-    event = data.delta == 1
-    smooth = _smoother(event_times, kernel, bandwidth, data.y[event])
+    event = np.flatnonzero(data.delta == 1)
+    smooth = _smoother(event_times, kernel, bandwidth, data.y.take(event))
     lam_idx = _lambda_index(event_times, data.y)
 
     def log_densities(beta, increments) -> np.ndarray:
         eta, risk = _cumulative_risks(data.x, beta, increments, lam_idx)
         out = np.zeros(eta.shape)
-        out[event] = np.log(np.maximum(smooth(increments).T, RATE_FLOOR)) + eta[event]
+        out[event] = np.log(np.maximum(smooth(increments).T, RATE_FLOOR)) + eta.take(event, axis=0)
         out -= risk
         return out
 

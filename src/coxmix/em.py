@@ -8,7 +8,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .coxfit import (
     NumericalError,
@@ -261,6 +260,49 @@ def e_step(data: Dataset, params: MixtureParams) -> np.ndarray:
     return S
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """A root of f in [xa, xb], where f(xa) and f(xb) differ in sign, by
+    Brent's method (Brent 1973, ch. 4): the steps of scipy.optimize.brentq in
+    its order of floating-point operations, so both return the same bits."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        # an interpolation step when it is short enough, else bisection
+        spre_next, scur_next = sbis, sbis
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                spre_next, scur_next = scur, stry
+        spre, scur = spre_next, scur_next
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NumericalError(f"mixing-proportion root not found in {maxiter} iterations")
+
+
 def update_mixing_proportions(S: np.ndarray, pi_prev: np.ndarray, spec: PenaltySpec) -> np.ndarray:
     """Penalized M-step update of the mixing proportions.
 
@@ -310,7 +352,7 @@ def update_mixing_proportions(S: np.ndarray, pi_prev: np.ndarray, spec: PenaltyS
             raise NumericalError(
                 f"mixing-proportion update is infeasible at penalty level {lam!r}"
             )
-        rho = brentq(excess, bracket, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=256)
+        rho = _brentq(excess, bracket, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=256)
     with np.errstate(divide="ignore", invalid="ignore"):
         pi = np.where(active, colsum / (rho + shift), 0.0)
     if np.any(pi[active] <= 0.0) or not np.all(np.isfinite(pi)):

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .coxfit import (
     _check_covariates, _check_kernel, _cumulative_risks, _lambda_index, _rule_of_thumb, _tie_sums, _TimeIndex,
@@ -255,5 +254,6 @@ def roc_curve(markers: np.ndarray, weights: np.ndarray) -> RocCurve:
 
 
 def auc(curve: RocCurve) -> float:
-    """Trapezoidal area under the ROC polygon."""
-    return float(trapezoid(curve.sensitivity, curve.one_minus_specificity))
+    """Trapezoidal area under the ROC polygon, summed as scipy.integrate.trapezoid sums it."""
+    x, y = np.asarray(curve.one_minus_specificity), np.asarray(curve.sensitivity)
+    return float((np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum())

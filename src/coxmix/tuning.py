@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field
 from functools import partial
 
@@ -139,6 +138,9 @@ def _map_in_pool(fn, items: list, workers: int) -> list:
     pool_size = min(workers, len(items))
     if pool_size <= 1:
         return [fn(item) for item in items]
+    # imported here so that a serial run never loads the process-pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
         return list(pool.map(fn, items))
 

@@ -19,6 +19,7 @@ from coxmix.coxfit import (
     smooth_baseline_hazard,
     weighted_partial_loglik,
     _EventWeights,
+    _GaussianBoxes,
     _increments,
     _pl_derivs,
     _pl_value,
@@ -796,6 +797,46 @@ class TestSmoother:
         # boxes spanning the gap between the clusters would take 10^4 x 16 nodes
         assert peak < 4096 * m
         assert_rate_contract(got, dense_rates(grid, kernel, h, t, inc), inc, h)
+
+    @pytest.mark.parametrize("K", [1, 10])
+    def test_clusters_either_side_of_box_reach(self, K):
+        # clusters 3h wide with gaps of 5, 20, 39, 40 and 41 bandwidths;
+        # targets near the clusters and far beyond both ends leave the wide
+        # gaps empty, so the box lattice shrinks those beyond its reach
+        gen = np.random.default_rng(8 + K)
+        h = 0.5
+        gaps = np.array([5.0, 20.0, 39.0, 40.0, 41.0]) * h
+        starts = np.concatenate([[0.0], np.cumsum(3.0 * h + gaps)])
+        grid = np.sort(np.concatenate([s + gen.uniform(0.0, 3.0 * h, size=60) for s in starts]))
+        far = h * np.array([38.0, 39.5, 40.5, 45.0])
+        t = np.concatenate([grid, grid - 0.3 * h, grid + 0.3 * h, grid[0] - far, grid[-1] + far])
+        inc = gen.gamma(2.0, 0.5 / grid.size, size=(K, grid.size))
+        got = _smoother(grid, "gaussian", h, t)(inc)
+        assert_rate_contract(got, dense_rates(grid, "gaussian", h, t, inc), inc, h)
+        # the 41h gap is shrunk: the lattice has fewer boxes than the grid spans
+        assert _GaussianBoxes(grid, h, grid).size < np.floor((grid[-1] - grid[0]) / h) + 1
+
+    def test_bandwidth_far_below_spacing_packs_the_boxes(self, monkeypatch):
+        # event times about 100 boxes apart: a lattice that kept the empty
+        # boxes between them would hold over 30 boxes per event time
+        gen = np.random.default_rng(9)
+        m = 1000
+        grid = np.sort(gen.uniform(0.0, 1.0, m))
+        h = 1e-5
+        t = np.concatenate([grid, grid + 0.3 * h])
+        inc = gen.gamma(2.0, 0.01, size=(3, m))
+        tracemalloc.start()
+        try:
+            got = _smoother(grid, "gaussian", h, t)(inc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8192 * m
+        # the packed boxes give the lattice's sums, less its products with empty boxes
+        monkeypatch.setattr(coxfit, "_LATTICE_SLACK", np.inf)
+        lattice = _GaussianBoxes(grid, h, t)
+        assert lattice.size > 30 * m
+        assert np.array_equal(got, np.maximum(lattice(inc), 0.0))
 
     @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
     def test_no_targets(self, kernel):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 from scipy.special import logsumexp
 
 from coxmix.coxfit import (
@@ -41,7 +41,7 @@ from coxmix.em import (
 )
 from coxmix import em, tuning
 from coxmix.coxfit import NumericalError
-from coxmix.penalties import PenaltySpec, lla_coefficient, log_scale_term
+from coxmix.penalties import KINDS, PenaltySpec, lla_coefficient, log_scale_term
 from coxmix.simgen import SimConfig, generate_dataset, run_study
 
 from conftest import MALFORMED_MODELS, malformed_model_text, simulate_single, stack_fits
@@ -291,6 +291,38 @@ class TestPiUpdate:
             update_mixing_proportions(np.ones(4), np.array([1.0]), spec)
         with pytest.raises(ValueError, match="length"):
             update_mixing_proportions(np.ones((4, 2)) / 2, np.array([1.0]), spec)
+
+    def test_root_is_scipy_brentq_bit_for_bit(self, monkeypatch):
+        # every root equation the update poses, from its own bracket search,
+        # is solved again by scipy.optimize.brentq with the same tolerances
+        port = em._brentq
+        equations = []
+
+        def recording(f, xa, xb, **tolerances):
+            root = port(f, xa, xb, **tolerances)
+            equations.append((f, xa, xb, tolerances, root))
+            return root
+
+        monkeypatch.setattr(em, "_brentq", recording)
+        gen = np.random.default_rng(2026)
+        trials = 0
+        posed = set()
+        while len(equations) < 10_000:
+            K = trials % 10 + 1
+            n = int(gen.integers(10, 400))
+            S = gen.dirichlet(np.full(K, gen.uniform(0.2, 3.0)), size=n)
+            spec = PenaltySpec(kind=KINDS[trials % len(KINDS)], level=float(10.0 ** gen.uniform(-4.0, 0.0)))
+            before = len(equations)
+            try:
+                update_mixing_proportions(S, gen.dirichlet(np.ones(K)), spec)
+            except NumericalError:
+                pass
+            if len(equations) > before:
+                posed.add(K)
+            trials += 1
+        assert posed == set(range(1, 11))
+        differ = [(xa, xb) for f, xa, xb, tol, root in equations if brentq(f, xa, xb, **tol).hex() != root.hex()]
+        assert differ == []
 
     def test_huge_level_stays_on_simplex(self):
         S = np.tile(np.array([0.2, 0.8]), (10, 1))

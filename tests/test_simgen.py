@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import warnings
 
@@ -212,10 +213,9 @@ class TestRunStudy:
         assert parallel.failures == serial.failures
 
     def test_pool_never_exceeds_replications(self, tiny_study, monkeypatch, serial_pool):
-        import coxmix.tuning as tuning_mod
-
         cfg, em, serial = tiny_study
-        monkeypatch.setattr(tuning_mod, "ProcessPoolExecutor", serial_pool)
+        # the pool class is looked up where a multi-worker run starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             pooled = run_study(
@@ -272,12 +272,12 @@ class TestRunStudy:
         assert study_to_csv(result) == (
             "penalty,n,censor_target,component,parameter,bias,sd,"
             "replications_used,K_hat_mode,K_correct_fraction\n"
-            "scad,120,0,1,pi,-0.23561761483544136,nan,1,1,0.5\n"
-            "scad,120,0,1,beta1,0.052082075980306008,nan,1,1,0.5\n"
-            "scad,120,0,1,beta2,0.060110009849278612,nan,1,1,0.5\n"
+            "scad,120,0,1,pi,-0.23561761483544125,nan,1,1,0.5\n"
+            "scad,120,0,1,beta1,0.052082075980307785,nan,1,1,0.5\n"
+            "scad,120,0,1,beta2,0.060110009849278834,nan,1,1,0.5\n"
             "scad,120,0,2,pi,0.2356176148354413,nan,1,1,0.5\n"
-            "scad,120,0,2,beta1,-0.38766481326302182,nan,1,1,0.5\n"
-            "scad,120,0,2,beta2,-0.23064157583493838,nan,1,1,0.5\n"
+            "scad,120,0,2,beta1,-0.38766481326302171,nan,1,1,0.5\n"
+            "scad,120,0,2,beta2,-0.23064157583493827,nan,1,1,0.5\n"
         )
         assert result.k_hat_counts == {"scad": {1: 1, 2: 1}}
         assert result.failures == {"scad": 0}
@@ -310,11 +310,11 @@ class TestRunStudy:
             "penalty,n,censor_target,component,parameter,bias,sd,"
             "replications_used,K_hat_mode,K_correct_fraction\n"
             "scad,80,0.050000000000000003,1,pi,-0.076240318884155445,0.10191332514041104,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,1,beta1,0.23236350125758998,1.3789069141745067,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,1,beta1,0.23236350125758953,1.3789069141745074,9,2,0.90000000000000002\n"
             "scad,80,0.050000000000000003,1,beta2,-0.29121315249904711,0.7441297152204922,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,2,pi,0.0762403188841555,0.10191332514041102,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,2,beta1,0.012576602827214067,0.16297111371748108,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,2,beta2,-0.078904082305298662,0.27533222598734958,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,pi,0.076240318884155389,0.10191332514041099,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,beta1,0.012576602827214067,0.16297111371748099,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,beta2,-0.078904082305298773,0.27533222598734952,9,2,0.90000000000000002\n"
         )
         assert result.k_hat_counts == {"scad": {1: 1, 2: 9}}
         assert result.failures == {"scad": 0}

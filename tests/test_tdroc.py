@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from coxmix import tdroc
 from coxmix.coxfit import _record_log_densities, fit_weighted_cox, kernel_values
@@ -178,6 +179,18 @@ class TestRocCurve:
         m = rng.normal(size=15)
         w = rng.uniform(size=15)
         assert auc(roc_curve(np.exp(m), w)) == pytest.approx(auc(roc_curve(m, w)), abs=1e-15)
+
+    def test_area_is_scipy_trapezoid_bit_for_bit(self, rng):
+        for trial in range(300):
+            n = int(rng.integers(2, 400))
+            # markers on a lattice of n / 7 to n values, so many of them tie
+            m = rng.integers(0, max(2, n // (trial % 7 + 1)), size=n) * 0.1
+            w = rng.uniform(size=n)
+            w[rng.uniform(size=n) < 0.3] = 0.0
+            w[0], w[1] = 1.0, 0.0  # both classes present
+            curve = roc_curve(m, w)
+            want = float(trapezoid(curve.sensitivity, curve.one_minus_specificity))
+            assert auc(curve).hex() == want.hex()
 
     def test_degenerate_weight_errors(self):
         m = np.array([1.0, 2.0])

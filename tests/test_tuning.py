@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import math
 import warnings
@@ -176,9 +177,8 @@ class TestSelectTuning:
             select_tuning(tuning_data, "scad", c_grid=[0.3, 0.8], config=QUICK)
 
     def test_pool_never_exceeds_grid_points(self, tuning_data, monkeypatch, serial_pool):
-        import coxmix.tuning as tuning_mod
-
-        monkeypatch.setattr(tuning_mod, "ProcessPoolExecutor", serial_pool)
+        # the pool class is looked up where a multi-worker run starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             pooled = select_tuning(tuning_data, "scad", c_grid=[0.3, 0.9], config=QUICK, workers=500)
