@@ -559,10 +559,6 @@ def _lagrange_rows(x: np.ndarray) -> np.ndarray:
     return rows
 
 
-# empty boxes the lattice may hold, as a share of its occupied boxes
-_LATTICE_SLACK = 0.5
-
-
 def _as_slice(idx: np.ndarray):
     """idx as a slice when it is a run of consecutive integers."""
     return slice(int(idx[0]), int(idx[-1]) + 1) if idx[-1] - idx[0] == idx.size - 1 else idx
@@ -584,75 +580,53 @@ class _GaussianBoxes:
     potentials are interpolated to the targets. Offsets beyond _BOX_REACH,
     where the kernel underflows to 0, are dropped. A box's anterpolation and
     interpolation are each one matrix product with the dense Lagrange rows of
-    its run of sorted points.
-
-    The occupied boxes sit on one lattice, in order, with every gap wider
-    than _BOX_REACH boxes shrunk to _BOX_REACH + 1: boxes within reach keep
-    their offset and boxes out of reach stay out of it. Each offset then
-    pairs one run of lattice boxes with another, two slices; a box in the
-    run without a partner at that offset meets a box that holds no source,
-    whose charge is zero. When empty boxes would outnumber half the occupied
-    ones (bandwidths far below the spacing of the times), the occupied boxes
-    are packed instead and each offset pairs only the boxes it joins. The
-    rows take 16 (m + len(t)) numbers and a call 32 K numbers per lattice
-    box, with at most 1.5 lattice boxes per occupied box, whatever the
-    spread of the times.
+    its run of sorted points. Only boxes that hold a grid point or a target
+    are built, so memory is 16 (m + len(t)) numbers for the rows, 16 K per
+    source box and per target box for a call, plus at most 2 _BOX_REACH + 1
+    box pairs per target box, whatever the spread of the times. At
+    m = len(t) = 4598 the build peaked at 2 MB and a call with K = 3 at
+    0.4 MB more; at 10^-4 of the rule-of-thumb bandwidth, where nearly every
+    time has a box of its own, at 10.5 and 4.7 MB.
     """
 
     def __init__(self, grid: np.ndarray, bandwidth: float, t: np.ndarray):
         self.bandwidth = bandwidth
-        src_box, x = _box_coordinates((grid - grid[0]) / bandwidth)
+        box, x = _box_coordinates((grid - grid[0]) / bandwidth)
+        src_boxes, self.src_runs = _box_runs(box)
         self.src_rows = _lagrange_rows(x)
         # a target moved to a box out of every source box's reach gets rate 0,
         # as it would where it was; this keeps far targets' boxes representable
         reach = _BOX_REACH + 1
         order = np.argsort(t, kind="stable")
         self.restore = np.argsort(order)
-        dst_box, x = _box_coordinates(np.clip((t[order] - grid[0]) / bandwidth, -reach, src_box[-1] + reach))
+        box, x = _box_coordinates(np.clip((t[order] - grid[0]) / bandwidth, -reach, src_boxes[-1] + reach))
+        dst_boxes, self.dst_runs = _box_runs(box)
         self.dst_rows = _lagrange_rows(x)
-        src_boxes, src_runs = _box_runs(src_box)
-        dst_boxes, dst_runs = _box_runs(dst_box)
-        boxes = np.union1d(src_boxes, dst_boxes)
-        slots = np.concatenate([[0], np.cumsum(np.minimum(np.diff(boxes), reach))])
-        packed = slots[-1] + 1 > (1.0 + _LATTICE_SLACK) * boxes.size
-        if packed:
-            slots = np.arange(boxes.size)
-        self.size = int(slots[-1]) + 1
-        src_slot = slots[np.searchsorted(boxes, src_boxes)]
-        dst_slot = slots[np.searchsorted(boxes, dst_boxes)]
-        self.src_runs = list(zip(src_slot.tolist(), src_runs))
-        self.dst_runs = list(zip(dst_slot.tolist(), dst_runs))
-        # offsets at which some target box has an occupied source box, each
-        # as (block transposed, target slots, source slots); the block of
-        # offset -d is the transpose of the block of offset d
+        # source box dst - d for each target box and offset d, where occupied
         offsets = np.arange(-_BOX_REACH, _BOX_REACH + 1)
         want = dst_boxes[None, :] - offsets[:, None]
         found = np.minimum(np.searchsorted(src_boxes, want), src_boxes.size - 1)
         hit = src_boxes[found] == want
-        self.pairs = []
-        for k in np.flatnonzero(hit.any(axis=1)):
-            j = np.flatnonzero(hit[k])
-            dst, src = dst_slot[j], src_slot[found[k, j]]
-            if packed:
-                dst, src = _as_slice(dst), _as_slice(src)
-            else:
-                # lattice slots are as far apart as their boxes, so the run from
-                # the first pair to the last pairs with its shift
-                dst, src = slice(int(dst[0]), int(dst[-1]) + 1), slice(int(src[0]), int(src[-1]) + 1)
-            self.pairs.append((_BOX_BLOCKS[-1 - k], dst, src))
+        # (block transposed, target slots, source slots) per offset in use;
+        # the block of offset -d is the transpose of the block of offset d,
+        # and runs of consecutive slots become slices, which index without copies
+        self.pairs = [
+            (_BOX_BLOCKS[-1 - k], _as_slice(np.flatnonzero(hit[k])), _as_slice(found[k][hit[k]]))
+            for k in np.flatnonzero(hit.any(axis=1))
+        ]
 
     def __call__(self, inc: np.ndarray) -> np.ndarray:
         K = inc.shape[0]
-        # lattice box x component x node, so each offset is one matrix product
-        charge = np.zeros((self.size, K, _CHEB_POINTS))
-        for at, run in self.src_runs:
-            np.matmul(inc[:, run], self.src_rows[run], out=charge[at])
-        potential = np.zeros_like(charge)
+        # box x component x node, so each offset is one matrix product
+        charge = np.empty((len(self.src_runs), K, _CHEB_POINTS))
+        for box, run in zip(charge, self.src_runs):
+            np.matmul(inc[:, run], self.src_rows[run], out=box)
+        potential = np.zeros((len(self.dst_runs), K, _CHEB_POINTS))
         for block_t, dst, src in self.pairs:
             potential[dst] += charge[src] @ block_t
         rates = np.empty((K, self.dst_rows.shape[0]))
-        for at, run in self.dst_runs:
-            np.matmul(potential[at], self.dst_rows[run].T, out=rates[:, run])
+        for box, run in zip(potential, self.dst_runs):
+            np.matmul(box, self.dst_rows[run].T, out=rates[:, run])
         return rates.take(self.restore, axis=1) / self.bandwidth
 
 
@@ -745,15 +719,16 @@ def smooth_baseline_hazard(baseline: BaselineHazard, t):
 
     Computed in time and memory linear in m event times and len(t) (up to a
     log factor for sorting the targets of the Gaussian kernel and for the
-    Epanechnikov scan masks), without the len(t) x m kernel matrix. Against that dense sum, the relative error is at most 1e-12
-    wherever the rate is at least 1e-8 sum(increments)/h, and the absolute
-    error at most 1e-14 sum(increments)/h everywhere. More than 40h from
-    every event time the Gaussian rate is exactly 0, as the dense sum's
-    terms underflow there; the Epanechnikov rate is 0 beyond h.
+    Epanechnikov scan masks), without the len(t) x m kernel matrix. Against
+    that dense sum, the relative error is at most 1e-12 wherever the rate
+    is at least 1e-8 sum(increments)/h, and the absolute error at most
+    1e-14 sum(increments)/h everywhere. More than 40h from every event time
+    the Gaussian rate is exactly 0, as the dense sum's terms underflow
+    there; the Epanechnikov rate is 0 beyond h.
 
     Each call builds the smoother over all m event times for its targets:
-    at m = 4598 one target costs about 1 ms and 4800 targets about 3 ms on
-    a 2-core Xeon, so pass all times in one array rather than calling once
+    at m = 4598 one target costs 1 to 2 ms and 4800 targets 3 to 5 ms on a
+    2-core Xeon, so pass all times in one array rather than calling once
     per time.
     """
     arr = np.atleast_1d(np.asarray(t, dtype=float))

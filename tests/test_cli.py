@@ -104,7 +104,7 @@ class TestSimulate:
         assert "coxmix" in meta["versions"]
         assert "wrote" in capsys.readouterr().out
 
-    def test_meta_reads_scipy_version_without_importing_it(self, tmp_path, monkeypatch):
+    def test_meta_reads_scipy_version_from_package_metadata(self, tmp_path, monkeypatch):
         # the version comes from the installed distribution's metadata, and
         # is null where scipy is not installed
         out = str(tmp_path / "sim.csv")

@@ -19,7 +19,6 @@ from coxmix.coxfit import (
     smooth_baseline_hazard,
     weighted_partial_loglik,
     _EventWeights,
-    _GaussianBoxes,
     _increments,
     _pl_derivs,
     _pl_value,
@@ -800,9 +799,9 @@ class TestSmoother:
 
     @pytest.mark.parametrize("K", [1, 10])
     def test_clusters_either_side_of_box_reach(self, K):
-        # clusters 3h wide with gaps of 5, 20, 39, 40 and 41 bandwidths;
-        # targets near the clusters and far beyond both ends leave the wide
-        # gaps empty, so the box lattice shrinks those beyond its reach
+        # clusters 3h wide with gaps of 5, 20, 39, 40 and 41 bandwidths, so
+        # some clusters meet across the gap and some are out of each other's
+        # reach; the targets lie near the clusters and far beyond both ends
         gen = np.random.default_rng(8 + K)
         h = 0.5
         gaps = np.array([5.0, 20.0, 39.0, 40.0, 41.0]) * h
@@ -813,12 +812,10 @@ class TestSmoother:
         inc = gen.gamma(2.0, 0.5 / grid.size, size=(K, grid.size))
         got = _smoother(grid, "gaussian", h, t)(inc)
         assert_rate_contract(got, dense_rates(grid, "gaussian", h, t, inc), inc, h)
-        # the 41h gap is shrunk: the lattice has fewer boxes than the grid spans
-        assert _GaussianBoxes(grid, h, grid).size < np.floor((grid[-1] - grid[0]) / h) + 1
 
-    def test_bandwidth_far_below_spacing_packs_the_boxes(self, monkeypatch):
-        # event times about 100 boxes apart: a lattice that kept the empty
-        # boxes between them would hold over 30 boxes per event time
+    def test_bandwidth_far_below_spacing_keeps_memory_linear(self):
+        # event times about 100 boxes apart: boxes spanning the gaps between
+        # them would take 10^5 x 16 nodes
         gen = np.random.default_rng(9)
         m = 1000
         grid = np.sort(gen.uniform(0.0, 1.0, m))
@@ -832,11 +829,7 @@ class TestSmoother:
         finally:
             tracemalloc.stop()
         assert peak < 8192 * m
-        # the packed boxes give the lattice's sums, less its products with empty boxes
-        monkeypatch.setattr(coxfit, "_LATTICE_SLACK", np.inf)
-        lattice = _GaussianBoxes(grid, h, t)
-        assert lattice.size > 30 * m
-        assert np.array_equal(got, np.maximum(lattice(inc), 0.0))
+        assert got.shape == (3, t.size) and np.all(np.isfinite(got))
 
     @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
     def test_no_targets(self, kernel):

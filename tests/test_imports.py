@@ -5,14 +5,17 @@ from pathlib import Path
 
 import coxmix
 
-# a small run of every library layer in a fresh interpreter, then the names of
-# the modules it loaded that coxmix must not need: scipy, and the process-pool
-# machinery that only a multi-worker run starts
+# a small run of every library layer and of the CLI's meta sidecar in a fresh
+# interpreter, then the names of the modules it loaded that coxmix must not
+# need: scipy, and the process-pool machinery that only a multi-worker run starts
 SCRIPT = """
+import os
 import sys
+import tempfile
 
 import numpy as np
 
+from coxmix import cli
 from coxmix import (
     BaselineHazard, EMConfig, PenaltySpec, SimConfig, auc, censoring_weights, compute_marker,
     fit_mixture, generate_dataset, level_from_c, roc_curve, select_tuning, smooth_baseline_hazard,
@@ -29,6 +32,10 @@ for mode in ("mixture_event_prob", "mixture_posterior_lp"):
 params = report.models[report.best_index].params
 baseline = BaselineHazard(params.event_times, params.increments[0], params.kernel, params.bandwidth)
 assert np.all(np.isfinite(smooth_baseline_hazard(baseline, data.y)))
+with tempfile.TemporaryDirectory() as tmp:
+    out = os.path.join(tmp, "sim.csv")
+    assert cli.main(["simulate", "--n", "30", "--out", out]) == 0
+    assert os.path.exists(out + ".meta.json")
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "concurrent.futures.process"))
 """
 
