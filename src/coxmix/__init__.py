@@ -8,13 +8,10 @@ ROC/AUC.
 """
 
 from .coxfit import (
-    BaselineHazard,
-    ComponentFit,
     DegenerateComponentError,
     NumericalError,
     component_log_density,
     cumulative_hazard,
-    fit_weighted_cox,
     partial_loglik_gradient,
     partial_loglik_hessian,
     smooth_baseline_hazard,
@@ -82,8 +79,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BaselineHazard",
-    "ComponentFit",
     "DataError",
     "Dataset",
     "DegenerateComponentError",
@@ -112,7 +107,6 @@ __all__ = [
     "default_marker_bandwidth",
     "e_step",
     "fit_mixture",
-    "fit_weighted_cox",
     "generate_dataset",
     "level_from_c",
     "lla_coefficient",

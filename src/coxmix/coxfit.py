@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,15 +11,12 @@ from .data import Dataset
 __all__ = [
     "NumericalError",
     "DegenerateComponentError",
-    "BaselineHazard",
-    "ComponentFit",
     "KERNELS",
     "kernel_values",
     "default_time_bandwidth",
     "weighted_partial_loglik",
     "partial_loglik_gradient",
     "partial_loglik_hessian",
-    "fit_weighted_cox",
     "smooth_baseline_hazard",
     "cumulative_hazard",
     "component_log_density",
@@ -76,33 +72,6 @@ def default_time_bandwidth(y: np.ndarray) -> float:
     return _rule_of_thumb(y, 1.0)
 
 
-@dataclass(frozen=True)
-class BaselineHazard:
-    """Nonparametric baseline hazard for one component.
-
-    Attributes
-    ----------
-    event_times : ndarray, shape (m,)
-        Strictly increasing distinct event times.
-    increments : ndarray, shape (m,)
-        Nonnegative hazard mass at each event time (ties aggregated).
-    kernel : str
-        Smoothing kernel used when the hazard is evaluated as a rate.
-    bandwidth : float
-        Smoothing bandwidth, positive and finite.
-    """
-
-    event_times: np.ndarray
-    increments: np.ndarray
-    kernel: str
-    bandwidth: float
-
-    def __post_init__(self) -> None:
-        t, inc = _baseline_arrays(self.event_times, self.increments, self.kernel, self.bandwidth)
-        object.__setattr__(self, "event_times", t)
-        object.__setattr__(self, "increments", inc)
-
-
 def _float_array(value, name: str) -> np.ndarray:
     """A fresh float copy of value; ragged or non-numeric input names the field."""
     try:
@@ -122,14 +91,14 @@ def _check_smoothing(kernel: str, bandwidth: float) -> None:
         raise ValueError("bandwidth must be positive and finite")
 
 
-def _baseline_arrays(event_times, increments, kernel: str, bandwidth: float, rows: int | None = None):
-    """Checked read-only copies of a baseline's event times (m) and its
-    increments: m of them, or `rows` x m for components sharing the grid."""
+def _baseline_arrays(event_times, increments, kernel: str, bandwidth: float, rows: int):
+    """Checked read-only copies of the event times (m) and the `rows` x m
+    increments of components sharing one grid."""
     t = _float_array(event_times, "event_times")
     inc = _float_array(increments, "increments")
     if t.ndim != 1:
         raise ValueError("event_times must be a 1-d array")
-    shape = (t.size,) if rows is None else (rows, t.size)
+    shape = (rows, t.size)
     if inc.shape != shape:
         raise ValueError(f"increments must have shape {shape}, one column per event time; got {inc.shape}")
     if t.size and np.any(np.diff(t) <= 0):
@@ -142,30 +111,6 @@ def _baseline_arrays(event_times, increments, kernel: str, bandwidth: float, row
     t.setflags(write=False)
     inc.setflags(write=False)
     return t, inc
-
-
-@dataclass(frozen=True)
-class ComponentFit:
-    """One fitted component: coefficients, baseline hazard, and fit diagnostics.
-
-    `converged` is True when Newton ended with no representable gain left
-    along the Newton direction: no step could raise the partial likelihood by
-    more than its rounding. `iterations` counts accepted Newton steps.
-    """
-
-    beta: np.ndarray
-    baseline: BaselineHazard
-    converged: bool
-    iterations: int
-
-    def __post_init__(self) -> None:
-        beta = np.array(self.beta, dtype=float, copy=True)
-        if beta.ndim != 1:
-            raise ValueError("beta must be a 1-d array")
-        if not np.all(np.isfinite(beta)):
-            raise ValueError("beta must be finite")
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
 
 
 class _TimeIndex:
@@ -393,6 +338,14 @@ def _newton(rs: _RiskSets, w_r, beta0):
     start and each trial of the line search, costs one `_pl_derivs` pass.
     One np.errstate covers the solve: degenerate risk sums give a -inf l or
     non-finite g and H, which the search rejects without a warning.
+
+    `converged` means no representable gain is left along the Newton
+    direction: l is concave, so once s g'step falls within
+    4 eps max(1, |l|) no step length s can raise it. A zero slope, at an
+    exact optimum, counts. A search that runs out of halvings with a larger
+    predicted gain, a slope below -4 eps max(1, |l|) or a NaN slope, or
+    DEFAULT_MAX_ITER (25) accepted steps without that test passing, reports
+    False.
     """
     ew = _EventWeights(rs, w_r)
     beta = np.array(beta0, dtype=float, copy=True)
@@ -471,48 +424,6 @@ def _increments(rs: _RiskSets, w_r, beta) -> np.ndarray:
         if not np.all(np.isfinite(inc[lost])):
             raise DegenerateComponentError("risk-set weight sum at an event time is out of range")
     return inc
-
-
-def fit_weighted_cox(
-    data: Dataset,
-    weights: np.ndarray,
-    beta_init: np.ndarray | None = None,
-    kernel: str = "gaussian",
-    bandwidth: float | None = None,
-) -> ComponentFit:
-    """Fit one weighted Cox component by damped Newton iteration.
-
-    Returns the coefficient vector together with the profile baseline hazard
-    (Breslow-type increments at event times, smoothed on evaluation). If
-    Newton fails from `beta_init`, the fit is retried once from zero.
-
-    `converged` means no representable gain is left along the Newton
-    direction: the partial likelihood is concave, so once s g'step falls
-    within 4 eps max(1, |l|) no step length s can raise it. A zero slope, at
-    an exact optimum, counts. A search that runs out of halvings with a
-    larger predicted gain, a slope below -4 eps max(1, |l|) or a NaN slope,
-    or 25 accepted steps without that test passing, reports False.
-
-    Raises
-    ------
-    DegenerateComponentError
-        If no record has an event and positive weight.
-    NumericalError
-        If the Newton system cannot be solved from either start.
-    """
-    w = _check_weights(data, weights)
-    if not np.any((data.delta == 1) & (w > 0)):
-        raise DegenerateComponentError("no event carries positive weight")
-    beta0 = np.zeros(data.p) if beta_init is None else np.asarray(beta_init, dtype=float)
-    if beta0.shape != (data.p,):
-        raise ValueError("beta_init has wrong length")
-    rs = _RiskSets(data.x, data.y, data.delta)
-    w_r = w.take(rs.rev)
-    beta, iterations, converged = _fit_coefficients(rs, w_r, beta0)
-    h = default_time_bandwidth(data.y) if bandwidth is None else float(bandwidth)
-    inc = _increments(rs, w_r, beta)
-    baseline = BaselineHazard(event_times=rs.grid, increments=inc, kernel=kernel, bandwidth=h)
-    return ComponentFit(beta=beta, baseline=baseline, converged=converged, iterations=iterations)
 
 
 # Chebyshev points per box of the Gaussian smoother: with 16, interpolating
@@ -714,8 +625,11 @@ def _smoother(grid: np.ndarray, kernel: str, bandwidth: float, t: np.ndarray):
     return apply
 
 
-def smooth_baseline_hazard(baseline: BaselineHazard, t):
-    """Kernel-smoothed hazard rate (1/h) sum_e K((t - T_e)/h) * increment_e.
+def smooth_baseline_hazard(params, t):
+    """Kernel-smoothed hazard rates (1/h) sum_e K((t - T_e)/h) * increment_e
+    of the K baselines of `params`, anything with `event_times` (m), K x m
+    `increments`, `kernel` and `bandwidth` (a MixtureParams): K x len(t), or
+    K values at a scalar t.
 
     Computed in time and memory linear in m event times and len(t) (up to a
     log factor for sorting the targets of the Gaussian kernel and for the
@@ -726,15 +640,15 @@ def smooth_baseline_hazard(baseline: BaselineHazard, t):
     the Gaussian rate is exactly 0, as the dense sum's terms underflow
     there; the Epanechnikov rate is 0 beyond h.
 
-    Each call builds the smoother over all m event times for its targets:
-    at m = 4598 one target costs 1 to 2 ms and 4800 targets 3 to 5 ms on a
-    2-core Xeon, so pass all times in one array rather than calling once
-    per time.
+    Each call builds the smoother over all m event times for its targets.
+    At m = 4598 and one row, one target costs about 1.5 ms (Gaussian) or
+    2 ms (Epanechnikov) and 4800 targets about 5 ms on a 2-core Xeon; three
+    rows cost about 10% more (Gaussian) or twice as much (Epanechnikov). So
+    pass all times in one array rather than calling once per time.
     """
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    smooth = _smoother(baseline.event_times, baseline.kernel, baseline.bandwidth, arr)
-    vals = smooth(baseline.increments[None, :])[0]
-    return float(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
+    vals = _smoother(params.event_times, params.kernel, params.bandwidth, arr)(params.increments)
+    return vals[:, 0] if np.ndim(t) == 0 else vals
 
 
 def _padded_cumsum(increments: np.ndarray) -> np.ndarray:
@@ -761,14 +675,14 @@ def _cumulative_risks(x, beta, increments, lam_idx) -> tuple[np.ndarray, np.ndar
     return eta, risk
 
 
-def cumulative_hazard(baseline: BaselineHazard, t):
-    """Step cumulative hazard sum_{T_e <= t} increment_e, the cumulative risk at eta = 0;
-    NaN at NaN times."""
+def cumulative_hazard(params, t):
+    """Step cumulative hazards sum_{T_e <= t} increment_e of the K baselines
+    of `params`, read as `smooth_baseline_hazard` reads them: K x len(t), or
+    K values at a scalar t; NaN at NaN times."""
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    idx = _lambda_index(baseline.event_times, arr)
-    _, vals = _cumulative_risks(np.zeros((arr.size, 0)), np.zeros((1, 0)), baseline.increments[None], idx)
-    vals = np.where(np.isnan(arr), np.nan, vals[:, 0])
-    return float(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
+    vals = _padded_cumsum(params.increments)[:, _lambda_index(params.event_times, arr)]
+    vals[:, np.isnan(arr)] = np.nan
+    return vals[:, 0] if np.ndim(t) == 0 else vals
 
 
 def _check_covariates(beta: np.ndarray, x: np.ndarray) -> None:
@@ -798,20 +712,17 @@ def _record_density(data: Dataset, event_times, kernel: str, bandwidth: float):
     return log_densities
 
 
-def _record_log_densities(data: Dataset, beta, increments, grid) -> np.ndarray:
-    """`_record_density` of any records, built for one call; `grid` carries
-    the shared `event_times`, `kernel` and `bandwidth`."""
-    _check_covariates(beta, data.x)
-    return _record_density(data, grid.event_times, grid.kernel, grid.bandwidth)(beta, increments)
-
-
-def component_log_density(data: Dataset, fit: ComponentFit) -> np.ndarray:
-    """Log density of each record under one component.
+def component_log_density(data: Dataset, params) -> np.ndarray:
+    """n x K log densities of the records of `data` under the K components
+    of `params`, anything with K x p `beta` and the fields that
+    `smooth_baseline_hazard` reads (a MixtureParams).
 
     delta * (log rate(y) + beta.x) - exp(beta.x) * cumhaz(y), where the rate is
     the kernel-smoothed baseline floored at 1e-300 before the log. The rate
     is evaluated only where delta = 1, the one place it enters, with the
-    accuracy and linear memory of `smooth_baseline_hazard`.
+    accuracy and linear memory of `smooth_baseline_hazard`. The smoother is
+    built for this one call; the EM keeps its own for the records it fits.
     """
-    inc = np.array([fit.baseline.increments])
-    return _record_log_densities(data, np.array([fit.beta]), inc, fit.baseline)[:, 0]
+    _check_covariates(params.beta, data.x)
+    density = _record_density(data, params.event_times, params.kernel, params.bandwidth)
+    return density(params.beta, params.increments)

@@ -17,8 +17,8 @@ from .coxfit import (
     _float_array,
     _increments,
     _record_density,
-    _record_log_densities,
     _RiskSets,
+    component_log_density,
     default_time_bandwidth,
 )
 from .data import Dataset, _format_real, standardize_covariates
@@ -256,7 +256,7 @@ def e_step(data: Dataset, params: MixtureParams) -> np.ndarray:
     record with zero density under every component gets a uniform row and
     triggers a warning.
     """
-    S, _, _ = _softmax_rows(params.pi, _record_log_densities(data, params.beta, params.increments, params))
+    S, _, _ = _softmax_rows(params.pi, component_log_density(data, params))
     return S
 
 
@@ -381,7 +381,7 @@ def _apply_prune(pi, rows, keep):
 
 def observed_loglik(data: Dataset, params: MixtureParams) -> float:
     """Unpenalized observed-data mixture log-likelihood."""
-    _, lse = _log_joint(params.pi, _record_log_densities(data, params.beta, params.increments, params))
+    _, lse = _log_joint(params.pi, component_log_density(data, params))
     return float(np.sum(lse))
 
 

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from coxmix.coxfit import default_time_bandwidth
 from coxmix.data import Dataset
-from coxmix.em import MixtureParams
+from coxmix.em import _FitContext
 
 # verdict lines queued by the acceptance tests; printed after capture ends
 ACCEPTANCE_LINES = []
@@ -40,18 +41,13 @@ def simulate_single(n, p, beta, seed, censor_frac=0.0):
     return Dataset(y=y, delta=delta, x=x)
 
 
-def stack_fits(pi, fits):
-    """MixtureParams of `fit_weighted_cox` results fitted on one dataset with
-    one kernel and bandwidth, so their baselines share a grid."""
-    base = fits[0].baseline
-    return MixtureParams(
-        pi=np.asarray(pi, dtype=float),
-        beta=[fit.beta for fit in fits],
-        event_times=base.event_times,
-        increments=[fit.baseline.increments for fit in fits],
-        kernel=base.kernel,
-        bandwidth=base.bandwidth,
-    )
+def stack_fits(data, pi, weights):
+    """MixtureParams of one weighted Cox fit of `data` per weight vector, each
+    from beta = 0, on the data's event-time grid with the Gaussian kernel and
+    the rule-of-thumb bandwidth."""
+    ctx = _FitContext(data, "gaussian", default_time_bandwidth(data.y))
+    betas, incs = zip(*(ctx.refit_component(np.asarray(w, dtype=float), np.zeros(data.p)) for w in weights))
+    return ctx.mixture(np.asarray(pi, dtype=float), np.array(betas), np.array(incs))
 
 
 def _drop(name):

@@ -14,7 +14,6 @@ import pytest
 import coxmix
 from coxmix import cli
 from coxmix.cli import COMMANDS, build_parser, main
-from coxmix.coxfit import fit_weighted_cox
 from coxmix.data import load_dataset, save_dataset
 from coxmix.em import FittedModel, load_model, model_to_json
 from coxmix.penalties import PenaltySpec
@@ -460,9 +459,8 @@ class TestPredictAndRoc:
     def test_malformed_model_is_usage_error(self, tmp_path, data_csv, capsys, command, case):
         data = load_dataset(data_csv)
         w = np.linspace(0.2, 0.8, data.n)
-        fits = [fit_weighted_cox(data, w), fit_weighted_cox(data, 1.0 - w)]
         spec = PenaltySpec(kind="scad", level=0.0)
-        model = FittedModel(params=stack_fits([0.5, 0.5], fits), spec=spec, seed=0)
+        model = FittedModel(params=stack_fits(data, [0.5, 0.5], [w, 1.0 - w]), spec=spec, seed=0)
         path = tmp_path / "bad.json"
         path.write_text(malformed_model_text(model_to_json(model), case))
         code = run_cli(

@@ -7,18 +7,17 @@ from scipy.optimize import minimize
 
 import coxmix.coxfit as coxfit
 from coxmix.coxfit import (
-    BaselineHazard,
     DegenerateComponentError,
     component_log_density,
     cumulative_hazard,
     default_time_bandwidth,
-    fit_weighted_cox,
     kernel_values,
     partial_loglik_gradient,
     partial_loglik_hessian,
     smooth_baseline_hazard,
     weighted_partial_loglik,
     _EventWeights,
+    _fit_coefficients,
     _increments,
     _pl_derivs,
     _pl_value,
@@ -29,8 +28,9 @@ from coxmix.coxfit import (
     _TimeIndex,
 )
 from coxmix.data import Dataset
+from coxmix.em import MixtureParams
 
-from conftest import simulate_single
+from conftest import simulate_single, stack_fits
 
 
 def brute_force_pl(data, w, beta):
@@ -326,12 +326,20 @@ class TestEventWeights:
         assert ll == best
 
 
+def fit_cox(data, w, beta0=None):
+    """(beta, accepted Newton steps, converged) of one weighted Cox fit from
+    beta0, zero by default."""
+    rs = _RiskSets(data.x, data.y, data.delta)
+    beta0 = np.zeros(data.p) if beta0 is None else beta0
+    return _fit_coefficients(rs, np.take(np.asarray(w, dtype=float), rs.rev), beta0)
+
+
 class TestNewtonStop:
     @pytest.mark.parametrize("seed", range(8))
     def test_restart_at_optimum_converges_without_search(self, seed, monkeypatch):
         data = simulate_single(600, 2, [0.8, -0.5], seed=seed, censor_frac=0.2)
         w = np.random.default_rng(seed).uniform(0.05, 1.0, size=data.n)
-        fit = fit_weighted_cox(data, w)
+        beta, _, converged = fit_cox(data, w)
         calls = []
 
         def counting(*args, **kwargs):
@@ -339,16 +347,16 @@ class TestNewtonStop:
             return _pl_derivs(*args, **kwargs)
 
         monkeypatch.setattr(coxfit, "_pl_derivs", counting)
-        again = fit_weighted_cox(data, w, beta_init=fit.beta)
-        assert again.converged
+        _, _, again_converged = fit_cox(data, w, beta)
+        assert again_converged
         # the start point and at most one trial point
         assert len(calls) <= 2
-        assert fit.converged
+        assert converged
 
     def test_rejected_trials_are_not_steps(self, monkeypatch):
         data = simulate_single(600, 2, [0.8, -0.5], seed=3, censor_frac=0.2)
         w = np.random.default_rng(3).uniform(0.05, 1.0, size=data.n)
-        plain = fit_weighted_cox(data, w)
+        plain, _, _ = fit_cox(data, w)
         newton_step = coxfit._newton_step
         # a 64-fold step overshoots, so the first trials of a search fail
         monkeypatch.setattr(coxfit, "_newton_step", lambda hess, grad: 64.0 * newton_step(hess, grad))
@@ -361,61 +369,61 @@ class TestNewtonStop:
             return out
 
         monkeypatch.setattr(coxfit, "_pl_derivs", recording)
-        fit = fit_weighted_cox(data, w)
+        beta, iterations, converged = fit_cox(data, w)
         # a trial is accepted exactly when it beats the last accepted l
         best, accepted = values[0], 0
         for ll in values[1:]:
             if ll > best:
                 best, accepted = ll, accepted + 1
-        assert fit.converged
-        assert fit.iterations == accepted
-        assert len(values) - 1 > fit.iterations
+        assert converged
+        assert iterations == accepted
+        assert len(values) - 1 > iterations
         # one derivative pass per point, accepted or not
         assert len(set(points)) == len(points)
-        assert np.max(np.abs(fit.beta - plain.beta)) <= 1e-8
+        assert np.max(np.abs(beta - plain)) <= 1e-8
 
     def test_non_ascent_direction_is_not_convergence(self, monkeypatch):
         data = simulate_single(50, 2, [0.8, -0.5], seed=21)
         # a step pointing downhill makes g'step negative with |g| above tolerance
         monkeypatch.setattr(coxfit, "_newton_step", lambda hess, grad: -grad)
-        fit = fit_weighted_cox(data, np.ones(data.n))
-        assert not fit.converged
-        assert fit.iterations == 0
+        _, iterations, converged = fit_cox(data, np.ones(data.n))
+        assert not converged
+        assert iterations == 0
 
 
 class TestFit:
     def test_matches_generic_optimizer(self):
         data = simulate_single(50, 2, [0.8, -0.5], seed=21)
         w = np.ones(data.n)
-        fit = fit_weighted_cox(data, w)
+        beta, _, converged = fit_cox(data, w)
         res = minimize(
             lambda b: -brute_force_pl(data, w, b),
             np.zeros(2),
             method="Nelder-Mead",
             options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 5000},
         )
-        assert np.allclose(fit.beta, res.x, atol=1e-6)
-        assert fit.converged
+        assert np.allclose(beta, res.x, atol=1e-6)
+        assert converged
 
     def test_weighted_matches_generic_optimizer(self, rng):
         data = simulate_single(50, 2, [0.8, -0.5], seed=22, censor_frac=0.15)
         w = rng.uniform(0.05, 1.0, size=data.n)
-        fit = fit_weighted_cox(data, w)
+        beta, _, _ = fit_cox(data, w)
         res = minimize(
             lambda b: -brute_force_pl(data, w, b),
-            fit.beta + 0.05,
+            beta + 0.05,
             method="Nelder-Mead",
             options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 5000},
         )
-        assert np.allclose(fit.beta, res.x, atol=1e-6)
+        assert np.allclose(beta, res.x, atol=1e-6)
 
     def test_zero_covariates_give_zero_beta(self):
         data = Dataset(y=np.array([1.0, 2.0, 3.0]), delta=np.array([1, 1, 1]), x=np.zeros((3, 1)))
-        fit = fit_weighted_cox(data, np.ones(3))
-        assert fit.beta[0] == 0.0
+        beta, iterations, converged = fit_cox(data, np.ones(3))
+        assert beta[0] == 0.0
         # g = 0 exactly: a zero slope is an optimum, not a failed search
-        assert fit.converged
-        assert fit.iterations == 0
+        assert converged
+        assert iterations == 0
 
     def test_duplicated_rows_equal_double_weights(self):
         base = simulate_single(25, 2, [0.6, -0.4], seed=5)
@@ -424,26 +432,19 @@ class TestFit:
             delta=np.concatenate([base.delta, base.delta]),
             x=np.vstack([base.x, base.x]),
         )
-        fit_dup = fit_weighted_cox(doubled, np.ones(doubled.n))
-        fit_w = fit_weighted_cox(base, np.full(base.n, 2.0))
-        assert np.allclose(fit_dup.beta, fit_w.beta, atol=1e-10)
+        beta_dup, _, _ = fit_cox(doubled, np.ones(doubled.n))
+        beta_w, _, _ = fit_cox(base, np.full(base.n, 2.0))
+        assert np.allclose(beta_dup, beta_w, atol=1e-10)
 
     def test_weight_scale_invariance(self, rng):
         data = simulate_single(40, 2, [0.5, 0.5], seed=9)
         w = rng.uniform(0.1, 1.0, size=data.n)
-        f1 = fit_weighted_cox(data, w)
-        f2 = fit_weighted_cox(data, w * 0.001)
-        assert np.allclose(f1.beta, f2.beta, atol=1e-8)
-        assert np.allclose(f1.baseline.increments, f2.baseline.increments, atol=1e-12)
-
-    def test_no_event_weight_errors(self, small_data):
-        w = np.where(small_data.delta == 1, 0.0, 1.0)
-        with pytest.raises(DegenerateComponentError):
-            fit_weighted_cox(small_data, w)
-
-    def test_beta_init_length_checked(self, small_data):
-        with pytest.raises(ValueError):
-            fit_weighted_cox(small_data, np.ones(5), beta_init=np.zeros(3))
+        b1, _, _ = fit_cox(data, w)
+        b2, _, _ = fit_cox(data, w * 0.001)
+        assert np.allclose(b1, b2, atol=1e-8)
+        _, inc1 = profile_increments(data, w, b1)
+        _, inc2 = profile_increments(data, w * 0.001, b2)
+        assert np.allclose(inc1, inc2, atol=1e-12)
 
 
 def brute_risk_set(y, s):
@@ -607,96 +608,78 @@ class TestKernelsAndBandwidth:
         assert default_time_bandwidth(np.array([2.0])) == 1.0
 
 
+def baselines(times, inc, kernel="gaussian", bandwidth=1.0):
+    """MixtureParams with one zero-coefficient component per row of inc."""
+    inc = np.atleast_2d(np.asarray(inc, dtype=float))
+    K = inc.shape[0]
+    return MixtureParams(
+        pi=np.full(K, 1.0 / K), beta=np.zeros((K, 1)), event_times=times, increments=inc,
+        kernel=kernel, bandwidth=bandwidth,
+    )
+
+
 class TestBaselineEvaluation:
     def test_smooth_single_increment_at_center(self):
-        bl = BaselineHazard(
-            event_times=np.array([1.0]), increments=np.array([1.0]), kernel="gaussian", bandwidth=1.0
-        )
-        assert smooth_baseline_hazard(bl, 1.0) == pytest.approx(0.3989422804014327, rel=1e-12)
+        bl = baselines([1.0], [1.0])
+        assert smooth_baseline_hazard(bl, 1.0)[0] == pytest.approx(0.3989422804014327, rel=1e-12)
 
     def test_smooth_far_from_mass_epanechnikov(self):
-        bl = BaselineHazard(
-            event_times=np.array([1.0]),
-            increments=np.array([1.0]),
-            kernel="epanechnikov",
-            bandwidth=0.5,
-        )
-        assert smooth_baseline_hazard(bl, 10.0) == 0.0
+        bl = baselines([1.0], [1.0], kernel="epanechnikov", bandwidth=0.5)
+        assert smooth_baseline_hazard(bl, 10.0)[0] == 0.0
 
     def test_smooth_matches_plain_loop(self, rng):
         times = np.sort(rng.uniform(0, 3, size=8))
         inc = rng.uniform(0.01, 0.4, size=8)
-        bl = BaselineHazard(event_times=times, increments=inc, kernel="gaussian", bandwidth=0.37)
+        bl = baselines(times, inc, bandwidth=0.37)
         for t in (0.0, 0.9, 2.5):
             expected = sum(
                 inc[e] * math.exp(-0.5 * ((t - times[e]) / 0.37) ** 2) / math.sqrt(2 * math.pi)
                 for e in range(8)
             ) / 0.37
-            assert smooth_baseline_hazard(bl, t) == pytest.approx(expected, rel=1e-12)
+            assert smooth_baseline_hazard(bl, t)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_large_bandwidth_flattens(self):
-        bl = BaselineHazard(
-            event_times=np.array([1.0, 2.0, 3.0]),
-            increments=np.array([0.2, 0.3, 0.5]),
-            kernel="gaussian",
-            bandwidth=1e6,
-        )
+        bl = baselines([1.0, 2.0, 3.0], [0.2, 0.3, 0.5], bandwidth=1e6)
         grid = np.array([0.5, 1.5, 3.5])
         vals = smooth_baseline_hazard(bl, grid)
         flat = kernel_values("gaussian", np.zeros(1))[0] * 1.0 / 1e6
         assert np.allclose(vals, flat, rtol=1e-6)
 
     def test_cumulative_hazard_steps(self):
-        bl = BaselineHazard(
-            event_times=np.array([1.0, 2.0]),
-            increments=np.array([0.5, 1.0]),
-            kernel="gaussian",
-            bandwidth=1.0,
-        )
-        assert cumulative_hazard(bl, 0.0) == 0.0
-        assert cumulative_hazard(bl, 0.999) == 0.0
-        assert cumulative_hazard(bl, 1.0) == 0.5
-        assert cumulative_hazard(bl, 1.5) == 0.5
-        assert cumulative_hazard(bl, 2.0) == 1.5
-        assert cumulative_hazard(bl, 99.0) == 1.5
+        bl = baselines([1.0, 2.0], [0.5, 1.0])
+        assert cumulative_hazard(bl, 0.0)[0] == 0.0
+        assert cumulative_hazard(bl, 0.999)[0] == 0.0
+        assert cumulative_hazard(bl, 1.0)[0] == 0.5
+        assert cumulative_hazard(bl, 1.5)[0] == 0.5
+        assert cumulative_hazard(bl, 2.0)[0] == 1.5
+        assert cumulative_hazard(bl, 99.0)[0] == 1.5
         vec = cumulative_hazard(bl, np.array([0.0, 1.5, 2.5]))
-        assert np.allclose(vec, [0.0, 0.5, 1.5])
+        assert np.allclose(vec, [[0.0, 0.5, 1.5]])
 
     def test_cumulative_hazard_is_nan_at_nan_times(self):
-        bl = BaselineHazard(
-            event_times=np.array([1.0, 2.0]),
-            increments=np.array([0.5, 1.0]),
-            kernel="gaussian",
-            bandwidth=1.0,
-        )
-        assert math.isnan(cumulative_hazard(bl, math.nan))
-        assert cumulative_hazard(bl, math.inf) == 1.5
+        bl = baselines([1.0, 2.0], [[0.5, 1.0], [0.25, 0.0]])
+        assert np.isnan(cumulative_hazard(bl, math.nan)).all()
+        assert np.array_equal(cumulative_hazard(bl, math.inf), [1.5, 0.25])
         vec = cumulative_hazard(bl, np.array([math.nan, 1.5, math.inf]))
-        assert np.isnan(vec[0])
-        assert np.array_equal(vec[1:], [0.5, 1.5])
+        assert np.isnan(vec[:, 0]).all()
+        assert np.array_equal(vec[:, 1:], [[0.5, 1.5], [0.25, 0.25]])
 
-    def test_baseline_validation(self):
-        with pytest.raises(ValueError):
-            BaselineHazard(
-                event_times=np.array([2.0, 1.0]),
-                increments=np.array([0.1, 0.1]),
-                kernel="gaussian",
-                bandwidth=1.0,
-            )
-        with pytest.raises(ValueError):
-            BaselineHazard(
-                event_times=np.array([1.0]),
-                increments=np.array([-0.1]),
-                kernel="gaussian",
-                bandwidth=1.0,
-            )
-        with pytest.raises(ValueError):
-            BaselineHazard(
-                event_times=np.array([1.0]),
-                increments=np.array([0.1]),
-                kernel="gaussian",
-                bandwidth=0.0,
-            )
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    def test_rows_are_components(self, kernel, rng):
+        times = np.sort(rng.uniform(0, 3, size=20))
+        inc = rng.uniform(0.0, 0.4, size=(3, 20))
+        bl = baselines(times, inc, kernel=kernel, bandwidth=0.4)
+        t = np.array([-1.0, 0.2, 1.3, 2.9, 5.0])
+        rates, cums = smooth_baseline_hazard(bl, t), cumulative_hazard(bl, t)
+        assert rates.shape == cums.shape == (3, t.size)
+        assert smooth_baseline_hazard(bl, 1.3).shape == cumulative_hazard(bl, 1.3).shape == (3,)
+        # a row's rates may differ from its lone smoothing in the last bits,
+        # as the smoother's matrix products run over all K rows at once
+        for k in range(3):
+            one = baselines(times, inc[k], kernel=kernel, bandwidth=0.4)
+            np.testing.assert_allclose(smooth_baseline_hazard(one, t)[0], rates[k], rtol=1e-13, atol=0)
+            np.testing.assert_allclose(smooth_baseline_hazard(one, 1.3), rates[k, [2]], rtol=1e-13, atol=0)
+            assert np.array_equal(cumulative_hazard(one, t)[0], cums[k])
 
 
 def dense_rates(grid, kernel, h, t, inc):
@@ -835,57 +818,47 @@ class TestSmoother:
     def test_no_targets(self, kernel):
         grid = np.array([1.0, 2.0, 3.5])
         assert _smoother(grid, kernel, 0.7, np.array([]))(np.ones((3, 3))).shape == (3, 0)
-        bl = BaselineHazard(event_times=grid, increments=np.array([0.1, 0.2, 0.3]), kernel=kernel, bandwidth=0.7)
-        assert smooth_baseline_hazard(bl, np.array([])).shape == (0,)
+        bl = baselines(grid, [[0.1, 0.2, 0.3]] * 2, kernel=kernel, bandwidth=0.7)
+        assert smooth_baseline_hazard(bl, np.array([])).shape == (2, 0)
 
     @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
     def test_scalar_and_vector_public_calls_agree(self, kernel):
         gen = np.random.default_rng(7)
         grid, h = smoothing_grid("untied", gen)
         inc = gen.gamma(2.0, 0.5 / grid.size, size=grid.size)
-        bl = BaselineHazard(event_times=grid, increments=inc, kernel=kernel, bandwidth=h)
+        bl = baselines(grid, inc, kernel=kernel, bandwidth=h)
         t = smoothing_targets(grid, h, gen)[::97]
         vec = smooth_baseline_hazard(bl, t)
-        assert [smooth_baseline_hazard(bl, float(v)) for v in t] == pytest.approx(vec, rel=1e-12, abs=0.0)
-        assert_rate_contract(vec[None, :], dense_rates(grid, kernel, h, t, inc[None, :]), inc[None, :], h)
+        assert [smooth_baseline_hazard(bl, float(v))[0] for v in t] == pytest.approx(vec[0], rel=1e-12, abs=0.0)
+        assert_rate_contract(vec, dense_rates(grid, kernel, h, t, inc[None, :]), inc[None, :], h)
 
 
 class TestComponentLogDensity:
     def test_censored_survivor_term_only(self):
         # delta=0, beta.x=0, cumhaz(y)=0.5 -> log density -0.5
-        bl = BaselineHazard(
-            event_times=np.array([1.0]), increments=np.array([0.5]), kernel="gaussian", bandwidth=1.0
-        )
         data = Dataset(y=np.array([1.0, 2.0]), delta=np.array([1, 0]), x=np.zeros((2, 1)))
-        fit = fit_weighted_cox(data, np.ones(2))
-        fit = type(fit)(beta=np.array([0.0]), baseline=bl, converged=True, iterations=1)
-        logd = component_log_density(data, fit)
-        assert logd[1] == pytest.approx(-0.5, abs=1e-14)
+        logd = component_log_density(data, baselines([1.0], [0.5]))
+        assert logd.shape == (2, 1)
+        assert logd[1, 0] == pytest.approx(-0.5, abs=1e-14)
 
     def test_event_term_matches_hand_formula(self, rng):
         data = simulate_single(12, 2, [0.5, -0.5], seed=31, censor_frac=0.25)
         w = rng.uniform(0.2, 1.0, size=data.n)
-        fit = fit_weighted_cox(data, w)
-        logd = component_log_density(data, fit)
+        params = stack_fits(data, [0.5, 0.5], [w, 1.0 - w])
+        logd = component_log_density(data, params)
+        assert logd.shape == (data.n, 2)
         for i in range(data.n):
-            eta = float(data.x[i] @ fit.beta)
-            rate = smooth_baseline_hazard(fit.baseline, float(data.y[i]))
-            cum = cumulative_hazard(fit.baseline, float(data.y[i]))
-            expected = data.delta[i] * (math.log(max(rate, 1e-300)) + eta) - math.exp(eta) * cum
-            assert logd[i] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            eta = data.x[i] @ params.beta.T
+            rate = smooth_baseline_hazard(params, float(data.y[i]))
+            cum = cumulative_hazard(params, float(data.y[i]))
+            for k in range(2):
+                expected = data.delta[i] * (math.log(max(rate[k], 1e-300)) + eta[k]) - math.exp(eta[k]) * cum[k]
+                assert logd[i, k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_zero_rate_floored_not_nan(self):
-        bl = BaselineHazard(
-            event_times=np.array([1.0]),
-            increments=np.array([1.0]),
-            kernel="epanechnikov",
-            bandwidth=0.1,
-        )
+        bl = baselines([1.0], [1.0], kernel="epanechnikov", bandwidth=0.1)
         # event far outside the kernel support: rate is exactly 0 -> floored log
         data = Dataset(y=np.array([50.0]), delta=np.array([1]), x=np.zeros((1, 1)))
-        from coxmix.coxfit import ComponentFit
-
-        fit = ComponentFit(beta=np.array([0.0]), baseline=bl, converged=True, iterations=0)
-        logd = component_log_density(data, fit)
-        assert np.isfinite(logd[0])
-        assert logd[0] < -600
+        logd = component_log_density(data, bl)
+        assert np.isfinite(logd[0, 0])
+        assert logd[0, 0] < -600

@@ -10,11 +10,9 @@ from scipy.optimize import brentq, minimize
 from scipy.special import logsumexp
 
 from coxmix.coxfit import (
-    _record_log_densities,
     component_log_density,
     cumulative_hazard,
     default_time_bandwidth,
-    fit_weighted_cox,
     kernel_values,
     smooth_baseline_hazard,
 )
@@ -39,7 +37,7 @@ from coxmix.em import (
     save_model,
     update_mixing_proportions,
 )
-from coxmix import em, tuning
+from coxmix import coxfit, em, tdroc, tuning
 from coxmix.coxfit import NumericalError
 from coxmix.penalties import KINDS, PenaltySpec, lla_coefficient, log_scale_term
 from coxmix.simgen import SimConfig, generate_dataset, run_study
@@ -47,16 +45,11 @@ from coxmix.simgen import SimConfig, generate_dataset, run_study
 from conftest import MALFORMED_MODELS, malformed_model_text, simulate_single, stack_fits
 
 
-def two_component_fits(data, seed=0):
-    """Two weighted fits with complementary random weights."""
-    gen = np.random.default_rng(seed)
-    w1 = gen.uniform(0.2, 0.8, size=data.n)
-    return [fit_weighted_cox(data, w1), fit_weighted_cox(data, 1.0 - w1)]
-
-
 def two_component_params(data, seed=0):
-    """A small synthetic 2-component model built from two weighted fits."""
-    return stack_fits([0.4, 0.6], two_component_fits(data, seed))
+    """A small synthetic 2-component model built from two weighted fits with
+    complementary random weights."""
+    w1 = np.random.default_rng(seed).uniform(0.2, 0.8, size=data.n)
+    return stack_fits(data, [0.4, 0.6], [w1, 1.0 - w1])
 
 
 def mixture_fields(**changes):
@@ -117,14 +110,12 @@ class TestMixtureParams:
 
 class TestEStep:
     def test_single_component_all_ones(self, small_data):
-        fit = fit_weighted_cox(small_data, np.ones(small_data.n))
-        params = stack_fits([1.0], [fit])
+        params = stack_fits(small_data, [1.0], [np.ones(small_data.n)])
         S = e_step(small_data, params)
         assert np.allclose(S, 1.0)
 
     def test_identical_components_give_half(self, small_data):
-        fit = fit_weighted_cox(small_data, np.ones(small_data.n))
-        params = stack_fits([0.5, 0.5], [fit, fit])
+        params = stack_fits(small_data, [0.5, 0.5], [np.ones(small_data.n)] * 2)
         S = e_step(small_data, params)
         assert np.allclose(S, 0.5, atol=1e-14)
 
@@ -134,10 +125,9 @@ class TestEStep:
             delta=np.array([1, 0, 1]),
             x=np.array([[0.5], [-0.3], [1.0]]),
         )
-        fits = two_component_fits(data)
-        params = stack_fits([0.4, 0.6], fits)
+        params = two_component_params(data)
         S = e_step(data, params)
-        dens = np.exp(np.column_stack([component_log_density(data, c) for c in fits]))
+        dens = np.exp(component_log_density(data, params))
         direct = params.pi[None, :] * dens
         direct = direct / direct.sum(axis=1, keepdims=True)
         assert np.allclose(S, direct, atol=1e-12)
@@ -209,9 +199,8 @@ class TestEStepOracle:
             assert abs(ll - want_ll) <= 1e-14 * abs(want_ll)
         np.testing.assert_allclose(S, want_S, rtol=1e-14, atol=0)
         assert dev <= 1e-15
-        fit = fit_weighted_cox(small_data, np.ones(small_data.n))
-        params = stack_fits(pi, [fit] * pi.size)
-        monkeypatch.setattr(em, "_record_log_densities", lambda data, *fields: logd)
+        params = stack_fits(small_data, pi, [np.ones(small_data.n)] * pi.size)
+        monkeypatch.setattr(em, "component_log_density", lambda data, params: logd)
         got = observed_loglik(small_data, params)
         if case == "all_minus_inf":
             assert got == -np.inf
@@ -381,9 +370,8 @@ class TestLoglikFunctions:
             delta=np.array([1, 0, 1]),
             x=np.array([[0.5], [-0.3], [1.0]]),
         )
-        fits = two_component_fits(data)
-        params = stack_fits([0.4, 0.6], fits)
-        dens = np.exp(np.column_stack([component_log_density(data, c) for c in fits]))
+        params = two_component_params(data)
+        dens = np.exp(component_log_density(data, params))
         expected = float(np.sum(np.log(dens @ params.pi)))
         assert observed_loglik(data, params) == pytest.approx(expected, abs=1e-10)
 
@@ -402,24 +390,49 @@ class TestLoglikFunctions:
 
     def test_level_zero_single_component_is_cox_loglik(self):
         data = simulate_single(25, 2, [0.7, -0.4], seed=41, censor_frac=0.2)
-        fit = fit_weighted_cox(data, np.ones(data.n))
-        params = stack_fits([1.0], [fit])
+        params = stack_fits(data, [1.0], [np.ones(data.n)])
         spec = PenaltySpec(kind="scad", level=0.0)
         expected = 0.0
         for i in range(data.n):
-            eta = float(data.x[i] @ fit.beta)
-            lam = smooth_baseline_hazard(fit.baseline, float(data.y[i]))
-            cum = cumulative_hazard(fit.baseline, float(data.y[i]))
+            eta = float(data.x[i] @ params.beta[0])
+            (lam,) = smooth_baseline_hazard(params, float(data.y[i]))
+            (cum,) = cumulative_hazard(params, float(data.y[i]))
             expected += data.delta[i] * (math.log(lam) + eta) - math.exp(eta) * cum
         assert penalized_observed_loglik(data, params, spec) == pytest.approx(expected, abs=1e-10)
 
     def test_duplicate_component_leaves_mixture_term_unchanged(self, small_data):
-        fit = fit_weighted_cox(small_data, np.ones(small_data.n))
-        one = stack_fits([1.0], [fit])
-        two = stack_fits([0.5, 0.5], [fit, fit])
+        w = np.ones(small_data.n)
+        one = stack_fits(small_data, [1.0], [w])
+        two = stack_fits(small_data, [0.5, 0.5], [w, w])
         assert observed_loglik(small_data, two) == pytest.approx(
             observed_loglik(small_data, one), abs=1e-12
         )
+
+
+class TestLogDensityEntryPoint:
+    """Every n x K log density outside the EM's cached context goes through
+    `component_log_density`, the name the benchmark's `coxfit.log_density`
+    layer times."""
+
+    def test_each_scoring_path_calls_it_once(self, small_data, monkeypatch):
+        assert em.component_log_density is coxfit.component_log_density
+        calls = []
+
+        def counting(data, params):
+            calls.append(1)
+            return coxfit.component_log_density(data, params)
+
+        monkeypatch.setattr(em, "component_log_density", counting)
+        params = two_component_params(small_data)
+        model = FittedModel(params=params, spec=PenaltySpec(kind="scad", level=0.0), seed=0)
+        for score in (
+            lambda: e_step(small_data, params),
+            lambda: observed_loglik(small_data, params),
+            lambda: tdroc.compute_marker(model, small_data, "mixture_posterior_lp"),
+        ):
+            before = len(calls)
+            score()
+            assert len(calls) == before + 1
 
 
 class TestConvergence:
@@ -528,7 +541,7 @@ class TestFitContext:
         assert got.shape == (std.n, K)
         np.testing.assert_allclose(got, dense_log_densities(std, params, ctx), rtol=1e-12, atol=0)
         # the EM's cached path and the public one-call path agree exactly
-        assert np.array_equal(got, _record_log_densities(std, params.beta, params.increments, params))
+        assert np.array_equal(got, component_log_density(std, params))
 
     @pytest.mark.parametrize("n", [3000, 20000])
     def test_build_memory_is_linear_in_events(self, n):
@@ -633,6 +646,26 @@ class TestEMState:
         assert paused.prune_events == whole.prune_events
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_converged_state_is_a_fixed_point(self, seed):
+        # "converged" tests the objective only; one more EM step from a
+        # converged state must also leave the parameters where they are
+        data, _ = generate_dataset(SimConfig(300, censor_target=0.05, seed=2026), np.random.default_rng(1))
+        std, _ = standardize_covariates(data)
+        ctx = _FitContext(std, "gaussian", default_time_bandwidth(std.y))
+        spec = PenaltySpec(kind="scad", level=tuning.level_from_c(0.6, data.n))
+        config = EMConfig(k_init=10, max_iterations=400, restarts=1, seed=seed)
+        # the restart stream fit_mixture gives this config's one restart
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+        state = em._run_em(ctx, spec, config, rng)
+        assert state.converged
+        before = state.params
+        em._em_step(ctx, spec, config, state)
+        assert state.params.K == before.K
+        assert np.max(np.abs(state.params.beta - before.beta)) <= 1e-6
+        assert np.max(np.abs(state.params.pi - before.pi)) <= 1e-8
+
+
 @pytest.fixture(scope="class")
 def criterion_5_m_steps():
     """Replication 0 of the criterion-5 cell (data from SeedSequence([2026, 0, 0]))
@@ -670,10 +703,11 @@ class TestFitMixture:
         data = simulate_single(50, 2, [0.8, -0.5], seed=23, censor_frac=0.1)
         spec = PenaltySpec(kind="scad", level=0.0)
         model = fit_mixture(data, spec, EMConfig(k_init=1, restarts=1, seed=4))
-        direct = fit_weighted_cox(data, np.ones(data.n))
+        # one weighted Cox fit on the unstandardized covariates
+        direct = stack_fits(data, [1.0], [np.ones(data.n)])
         assert model.params.K == 1
-        assert np.allclose(model.params.beta[0], direct.beta, atol=1e-6)
-        assert np.allclose(model.params.increments[0], direct.baseline.increments, atol=1e-8)
+        assert np.allclose(model.params.beta, direct.beta, atol=1e-6)
+        assert np.allclose(model.params.increments, direct.increments, atol=1e-8)
 
     def test_every_m_step_converges_on_criterion_5_data(self, criterion_5_m_steps):
         # a Newton search that ran out of halvings used to report

@@ -17,7 +17,7 @@ import numpy as np
 
 from coxmix import cli
 from coxmix import (
-    BaselineHazard, EMConfig, PenaltySpec, SimConfig, auc, censoring_weights, compute_marker,
+    EMConfig, PenaltySpec, SimConfig, auc, censoring_weights, compute_marker,
     fit_mixture, generate_dataset, level_from_c, roc_curve, select_tuning, smooth_baseline_hazard,
 )
 
@@ -30,8 +30,7 @@ for mode in ("mixture_event_prob", "mixture_posterior_lp"):
     markers = compute_marker(model, data, mode, t)
     assert 0.0 <= auc(roc_curve(markers, censoring_weights(markers, data, t))) <= 1.0
 params = report.models[report.best_index].params
-baseline = BaselineHazard(params.event_times, params.increments[0], params.kernel, params.bandwidth)
-assert np.all(np.isfinite(smooth_baseline_hazard(baseline, data.y)))
+assert np.all(np.isfinite(smooth_baseline_hazard(params, data.y)))
 with tempfile.TemporaryDirectory() as tmp:
     out = os.path.join(tmp, "sim.csv")
     assert cli.main(["simulate", "--n", "30", "--out", out]) == 0

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 from coxmix import tdroc
-from coxmix.coxfit import _record_log_densities, fit_weighted_cox, kernel_values
+from coxmix.coxfit import component_log_density, kernel_values
 from coxmix.data import Dataset
 from coxmix.em import e_step, FittedModel, MixtureParams, fit_mixture, EMConfig, observed_loglik
 from coxmix.penalties import PenaltySpec
@@ -480,16 +480,13 @@ class TestCensoringWeights:
 
 class TestComputeMarker:
     def make_single_model(self, data):
-        fit = fit_weighted_cox(data, np.ones(data.n))
-        params = stack_fits([1.0], [fit])
+        params = stack_fits(data, [1.0], [np.ones(data.n)])
         return FittedModel(params=params, spec=PenaltySpec(kind="scad", level=0.0), seed=0)
 
     def make_mixture_model(self, data):
         gen = np.random.default_rng(7)
         w = gen.uniform(0.2, 0.8, size=data.n)
-        c1 = fit_weighted_cox(data, w)
-        c2 = fit_weighted_cox(data, 1.0 - w)
-        params = stack_fits([0.45, 0.55], [c1, c2])
+        params = stack_fits(data, [0.45, 0.55], [w, 1.0 - w])
         return FittedModel(params=params, spec=PenaltySpec(kind="scad", level=0.1), seed=0)
 
     def test_linear_predictor(self):
@@ -574,7 +571,7 @@ class TestComputeMarker:
         model = FittedModel(params=params, spec=PenaltySpec(kind="scad", level=0.0), seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            logd = _record_log_densities(data, params.beta, params.increments, params)
+            logd = component_log_density(data, params)
             S = e_step(data, params)
             loglik = observed_loglik(data, params)
             lp = compute_marker(model, data, "mixture_posterior_lp")
