@@ -144,15 +144,16 @@ class _TimeIndex:
         self.rounds = [(pos[rank == k], cols[rank == k]) for k in range(int(rank.max()) + 1)]
 
 
-def _tie_sums(ix: _TimeIndex, w: np.ndarray, m: int) -> np.ndarray:
-    """Sums of w over the events at each of the first m grid times, tied
-    events added in record order. The last axis of w runs over the records
-    in risk order: one weight vector or a block of rows."""
+def _tie_sums(ix: _TimeIndex, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Sums of w over the events at grid times lo..hi-1, tied events added in
+    record order. The last axis of w runs over the records in risk order: one
+    weight vector or a block of rows, and it may stop after the risk set of
+    grid time lo closes (`grid_row[lo] + 1` records)."""
     (_, first), *ties = ix.rounds
-    out = w[..., first[:m]]
+    out = w[..., first[lo:hi]]
     for pos, cols in ties:
-        k = np.searchsorted(pos, m)
-        out[..., pos[:k]] += w[..., cols[:k]]
+        a, b = np.searchsorted(pos, (lo, hi))
+        out[..., pos[a:b] - lo] += w[..., cols[a:b]]
     return out
 
 
@@ -406,7 +407,7 @@ def _increments(rs: _RiskSets, w_r, beta) -> np.ndarray:
     order: at each time, the weight of its tied events over its risk-set sum
     of w exp(eta)."""
     eta, shift, e = _risk_weights(rs, w_r, beta)
-    num = _tie_sums(rs, w_r, rs.grid.size)
+    num = _tie_sums(rs, w_r, 0, rs.grid.size)
     den = e.cumsum().take(rs.grid_row)
     # eta on the caller's covariates is the index's eta plus this offset
     offset = float(rs.center @ beta)

@@ -3,10 +3,13 @@
 Cases at horizon t are subjects with an observed event by t; controls are
 subjects still event-free. Censoring before t is handled with fractional
 weights from a marker-conditional Kaplan-Meier estimate, so a subject censored
-early counts partially as a case and partially as a control. Those curves are
-built only for the subjects censored before t and only at event times up to
-t, in O(r * n) time for r such subjects out of n. The rows are built a block
-at a time, so memory is O(block * n + r) and grows linearly in n.
+early counts partially as a case and partially as a control. Subject i's weight
+reads only the curve's factors at the event times in its window (Y_i, t],
+and those read only the subjects with y_j > Y_i. So for the r subjects
+censored before t the weights cost about sum_i #{j : y_j > Y_i} kernel
+entries plus r times the window's event times, at most O(r * n). The rows
+are built a block at a time, so memory is O(block * n + r) and grows
+linearly in n.
 """
 
 from __future__ import annotations
@@ -63,12 +66,13 @@ def compute_marker(model: FittedModel, data: Dataset, mode: str, t: float | None
         if params.K != 1:
             raise ValueError("cox_linear_predictor requires a single-component model")
         return data.x @ params.beta[0]
-    if mode == "mixture_event_prob" and t is None:
-        raise ValueError("mixture_event_prob requires an evaluation time")
-    lam_idx = _lambda_index(params.event_times, data.y if mode == "mixture_posterior_lp" else _horizon(t))
-    eta, risk = _cumulative_risks(data.x, params.beta, params.increments, lam_idx)
     if mode == "mixture_posterior_lp":
-        return np.sum(e_step(data, params) * eta, axis=1)
+        # eta = x beta^T, the product `_cumulative_risks` takes
+        return np.sum(e_step(data, params) * (data.x @ params.beta.T), axis=1)
+    if t is None:
+        raise ValueError("mixture_event_prob requires an evaluation time")
+    lam_idx = _lambda_index(params.event_times, _horizon(t))
+    _, risk = _cumulative_risks(data.x, params.beta, params.increments, lam_idx)
     return 1.0 - np.exp(-risk) @ params.pi
 
 
@@ -104,58 +108,65 @@ def _marker_inputs(
 
 
 class _ConditionalKM:
-    """Kernel-weighted Kaplan-Meier survival for the markers of selected rows.
+    """Kernel-weighted Kaplan-Meier products over a window of event times.
 
     The factor at event time s for subject i is
     1 - sum_j K_h(M_j - M_i) I(y_j = s, d_j = 1) / sum_j K_h(M_j - M_i) I(y_j >= s);
     a factor with an empty risk set is skipped with a warning.
 
-    The sums run on the Cox fit's time index: risk sets are cumulative sums
-    in risk order, and tied events are added in record order (`_tie_sums`).
-    Row i of `at` holds the times at which the curve of subject `rows[i]` is
-    read, and row i of `curves` holds the survival there (1 before the first
-    event time). Only event times up to the latest time in `at` enter, since
-    the product up to t is a prefix of the full one. Rows are built in blocks
-    of about `_BLOCK_ENTRIES` kernel entries, each row with the same
-    operations in the same order whatever block it falls in. Every risk set
-    still sums over all n subjects, so time is O(len(rows) * n) and memory
-    O(block * n + len(rows)).
+    Entry i of `curves` is the product of the factors of subject `rows[i]` at
+    the event times s with after[i] < s <= t, that is S(t|M)/S(after[i]|M);
+    it is 1 when no event time falls in the window. The sums run on the Cox
+    fit's time index: risk sets are cumulative sums in risk order, and tied
+    events are added in record order (`_tie_sums`).
+
+    The factors at times in (after_i, t] read only the subjects with
+    y_j > after_i, the first records in risk order. So rows are sorted by
+    their first window column a, and each block is built over the prefix of
+    `grid_row[a] + 1` records and the columns a..m-1 that its earliest window
+    reads; a block holds about `_BLOCK_ENTRIES` kernel entries. That costs
+    about sum_i #{j : y_j > after_i} kernel entries and len(rows) times the
+    window columns in factors, in O(block * n + len(rows)) memory. Each
+    product runs from t back to the row's own first column, so its bits do
+    not depend on the block the row falls in.
     """
 
     def __init__(
         self, markers: np.ndarray, data: Dataset, bandwidth: float, kernel: str, rows: np.ndarray,
-        at: np.ndarray,
+        after: np.ndarray, t: float,
     ):
         ix = _TimeIndex(data.y, data.delta)
-        # the event times up to the latest time read
-        m = int(_lambda_index(ix.grid, at.max()))
-        self.curves = np.ones(at.shape)
-        if m == 0:
-            return
+        # the window of row i is grid columns first[i]..m-1
+        m = int(_lambda_index(ix.grid, t))
+        first = _lambda_index(ix.grid, after)
+        self.curves = np.ones(rows.size)
+        order = np.argsort(first, kind="stable")
+        order = order[first[order] < m]
         m_risk = markers[ix.rev]
 
-        step = max(1, _BLOCK_ENTRIES // data.n)
         any_empty = False
-        for lo in range(0, rows.size, step):
-            block = rows[lo : lo + step]
+        lo = 0
+        while lo < order.size:
+            a = int(first[order[lo]])
+            width = int(ix.grid_row[a]) + 1
+            block = order[lo : lo + max(1, _BLOCK_ENTRIES // width)]
+            lo += block.size
             if np.isinf(bandwidth):
                 # every weight collapses to K(0)
-                u = np.zeros((block.size, data.n))
+                u = np.zeros((block.size, width))
             else:
                 with np.errstate(over="ignore"):
-                    u = (m_risk[None, :] - markers[block, None]) / bandwidth
+                    u = (m_risk[None, :width] - markers[rows[block], None]) / bandwidth
             w = kernel_values(kernel, u)
-            num = _tie_sums(ix, w, m)
+            num = _tie_sums(ix, w, a, m)
             # cumulative sums in risk order give the weighted risk-set mass
-            den = w.cumsum(axis=1, out=w)[:, ix.grid_row[:m]]
+            den = w.cumsum(axis=1, out=w)[:, ix.grid_row[a:m]]
             empty = den <= 0.0
             any_empty = any_empty or bool(np.any(empty))
             factors = np.where(empty, 1.0, 1.0 - num / np.where(empty, 1.0, den))
-            # each curve led by a 1, so the Lambda index reads it as it reads Lambda
-            curves = np.ones((block.size, m + 1))
-            np.cumprod(factors, axis=1, out=curves[:, 1:])
-            idx = _lambda_index(ix.grid, at[lo : lo + step])
-            self.curves[lo : lo + step] = np.take_along_axis(curves, idx, axis=1)
+            # column k of the reversed products holds those at columns m-1-k..m-1
+            back = np.cumprod(factors[:, ::-1], axis=1)
+            self.curves[block] = back[np.arange(block.size), m - 1 - first[block]]
         if any_empty:
             warnings.warn("empty weighted risk set; the corresponding factor is skipped", stacklevel=3)
 
@@ -169,8 +180,7 @@ def conditional_survival(
 ) -> np.ndarray:
     """Kernel-conditional Kaplan-Meier survival at time t, one value per subject."""
     m, t, h = _marker_inputs(markers, data, t, bandwidth, kernel)
-    km = _ConditionalKM(m, data, h, kernel, np.arange(data.n), np.full((data.n, 1), t))
-    return km.curves[:, 0]
+    return _ConditionalKM(m, data, h, kernel, np.arange(data.n), np.full(data.n, -np.inf), t).curves
 
 
 def censoring_weights(
@@ -183,7 +193,12 @@ def censoring_weights(
     """Case weight W_i at horizon t.
 
     W = 0 for subjects beyond t or censored exactly at t, W = 1 for events by
-    t, and W = 1 - S(t|M_i)/S(Y_i|M_i) for subjects censored before t.
+    t, and W = 1 - S(t|M_i)/S(Y_i|M_i) for subjects censored before t. That
+    ratio is the product of the conditional Kaplan-Meier factors at the event
+    times in (Y_i, t], and only those are built: about sum_i #{j : y_j > Y_i}
+    kernel entries over the subjects censored before t. S(Y_i|M_i) is never
+    0: subject i is in its own risk set, with kernel weight K(0) > 0, at every
+    event time up to Y_i, so every factor there is positive.
 
     The "empty weighted risk set" warning is raised only when a factor that
     one of these weights uses is skipped: one at an event time in (Y_i, t]
@@ -197,13 +212,8 @@ def censoring_weights(
     frac = (y < t) & (delta == 0)
     if np.any(frac):
         rows = np.flatnonzero(frac)
-        km = _ConditionalKM(m, data, h, kernel, rows, np.column_stack((np.full(rows.size, t), y[rows])))
-        s_t, s_y = km.curves.T
-        zero = s_y <= 0.0
-        if np.any(zero):
-            warnings.warn("conditional survival vanished at a censoring time; weight set to 1", stacklevel=2)
-        ratio = np.where(zero, 0.0, s_t / np.where(zero, 1.0, s_y))
-        W[frac] = np.clip(1.0 - ratio, 0.0, 1.0)
+        km = _ConditionalKM(m, data, h, kernel, rows, y[rows], t)
+        W[frac] = np.clip(1.0 - km.curves, 0.0, 1.0)
     return W
 
 

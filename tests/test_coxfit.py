@@ -494,15 +494,19 @@ class TestTimeIndex:
         ix = _TimeIndex(y, delta)
         w = rng.uniform(size=(3, sample.n))
         w_r = w[:, ix.rev]
-        for m in (ix.grid.size, ix.grid.size // 2, 0):
-            want = np.zeros((3, m))
-            for g, s in enumerate(ix.grid[:m]):
+        g = ix.grid.size
+        for lo, hi in ((0, g), (0, g // 2), (g // 3, g), (g // 3, g // 2), (0, 0)):
+            want = np.zeros((3, hi - lo))
+            for c, s in enumerate(ix.grid[lo:hi]):
                 first, *rest = np.flatnonzero((y == s) & (delta == 1))
-                want[:, g] = w[:, first]
+                want[:, c] = w[:, first]
                 for i in rest:
-                    want[:, g] += w[:, i]
-            assert np.array_equal(_tie_sums(ix, w_r, m), want)
-            assert np.array_equal(_tie_sums(ix, w_r[0], m), want[0])
+                    want[:, c] += w[:, i]
+            assert np.array_equal(_tie_sums(ix, w_r, lo, hi), want)
+            assert np.array_equal(_tie_sums(ix, w_r[0], lo, hi), want[0])
+            # the records after grid time lo's risk set closes are never read
+            prefix = w_r[:, : ix.grid_row[lo] + 1]
+            assert np.array_equal(_tie_sums(ix, prefix, lo, hi), want)
 
 
 def profile_increments(data, w, beta):

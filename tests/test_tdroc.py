@@ -53,12 +53,12 @@ def plain_km(data, t):
     return s
 
 
-def dense_conditional_km(markers, data, bandwidth, kernel):
-    """Reference build of every subject's curve over every event time.
+def dense_factors(markers, data, bandwidth, kernel):
+    """Reference build of every subject's Kaplan-Meier factors at every event time.
 
-    Returns (times, curves) with one row of `curves` per subject. This is
-    the all-rows, all-times algorithm the library restricts; per row it runs
-    the same elementwise operations in the same order.
+    Returns (times, factors) with one row of `factors` per subject. This is
+    the all-rows, all-times algorithm the library restricts; per entry it
+    runs the same elementwise operations in the same order.
     """
     m = np.asarray(markers, dtype=float)
     times = np.unique(data.y[data.delta == 1])
@@ -74,7 +74,12 @@ def dense_conditional_km(markers, data, bandwidth, kernel):
     num = np.zeros_like(den)
     np.add.at(num.T, np.searchsorted(times, data.y[ev]), w[:, ev].T)
     empty = den <= 0.0
-    factors = np.where(empty, 1.0, 1.0 - num / np.where(empty, 1.0, den))
+    return times, np.where(empty, 1.0, 1.0 - num / np.where(empty, 1.0, den))
+
+
+def dense_conditional_km(markers, data, bandwidth, kernel):
+    """(times, curves): every subject's survival curve, the forward products of its factors."""
+    times, factors = dense_factors(markers, data, bandwidth, kernel)
     return times, np.cumprod(factors, axis=1)
 
 
@@ -85,16 +90,54 @@ def dense_survival_at(times, curves, at):
     return np.where(idx >= 0, curves[rows, np.maximum(idx, 0)], 1.0)
 
 
+def dense_window_products(markers, data, t, after, bandwidth, kernel):
+    """Each subject's product of its dense factors at the event times in
+    (after_i, t], multiplied from t back to the first event time after after_i."""
+    times, factors = dense_factors(markers, data, bandwidth, kernel)
+    m = np.searchsorted(times, t, side="right")
+    # column k holds the product of the last k factors up to t
+    back = np.ones((data.n, m + 1))
+    back[:, 1:] = np.cumprod(factors[:, :m][:, ::-1], axis=1)
+    k = np.maximum(m - np.searchsorted(times, after, side="right"), 0)
+    return back[np.arange(data.n), k]
+
+
 def dense_censoring_weights(markers, data, t, bandwidth, kernel):
+    W = np.zeros(data.n)
+    W[(data.y <= t) & (data.delta == 1)] = 1.0
+    frac = (data.y < t) & (data.delta == 0)
+    products = dense_window_products(markers, data, t, data.y, bandwidth, kernel)
+    W[frac] = np.clip(1.0 - products[frac], 0.0, 1.0)
+    return W
+
+
+def ratio_censoring_weights(markers, data, t, bandwidth, kernel):
+    """W = 1 - S(t)/S(Y_i), the two survivals read off the forward curves."""
     times, curves = dense_conditional_km(markers, data, bandwidth, kernel)
     W = np.zeros(data.n)
     W[(data.y <= t) & (data.delta == 1)] = 1.0
     frac = (data.y < t) & (data.delta == 0)
     s_t = dense_survival_at(times, curves, np.full(data.n, t))[frac]
     s_y = dense_survival_at(times, curves, data.y)[frac]
-    zero = s_y <= 0.0
-    ratio = np.where(zero, 0.0, s_t / np.where(zero, 1.0, s_y))
-    W[frac] = np.clip(1.0 - ratio, 0.0, 1.0)
+    W[frac] = np.clip(1.0 - s_t / s_y, 0.0, 1.0)
+    return W
+
+
+def check_against_dense_builds(markers, data, t, bandwidth, kernel):
+    """Weights and survivals equal the windowed dense build bit for bit, and
+    the ratio of forward curves to rounding; returns the weights."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        W = censoring_weights(markers, data, t, bandwidth=bandwidth, kernel=kernel)
+        S = conditional_survival(markers, data, t, bandwidth=bandwidth, kernel=kernel)
+        W_dense = dense_censoring_weights(markers, data, t, bandwidth, kernel)
+        S_dense = dense_window_products(markers, data, t, np.full(data.n, -np.inf), bandwidth, kernel)
+        W_ratio = ratio_censoring_weights(markers, data, t, bandwidth, kernel)
+        times, curves = dense_conditional_km(markers, data, bandwidth, kernel)
+    assert np.array_equal(W, W_dense)
+    assert np.array_equal(S, S_dense)
+    np.testing.assert_allclose(W, W_ratio, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(S, dense_survival_at(times, curves, np.full(data.n, t)), rtol=0, atol=1e-13)
     return W
 
 
@@ -289,40 +332,59 @@ class TestRestrictedBuild:
     @pytest.mark.parametrize("bandwidth", [0.4, np.inf])
     def test_bit_identical_to_dense_build(self, kernel, tied, where, bandwidth):
         data = self.make_data(tied)
-        markers = data.x[:, 0]
         t = horizon(data, where)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            W = censoring_weights(markers, data, t, bandwidth=bandwidth, kernel=kernel)
-            S = conditional_survival(markers, data, t, bandwidth=bandwidth, kernel=kernel)
-            times, curves = dense_conditional_km(markers, data, bandwidth, kernel)
-            W_dense = dense_censoring_weights(markers, data, t, bandwidth, kernel)
-        assert np.array_equal(W, W_dense)
-        assert np.array_equal(S, dense_survival_at(times, curves, np.full(data.n, t)))
+        W = check_against_dense_builds(data.x[:, 0], data, t, bandwidth, kernel)
         if where in ("at_event", "between_events"):
             assert np.any((W > 0.0) & (W < 1.0))  # the fractional weights are exercised
 
     @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
     @pytest.mark.parametrize("tied", [False, True])
-    @pytest.mark.parametrize("rows_per_block", [1, 3])
+    @pytest.mark.parametrize("rows_per_block", [1, 3, None])
     def test_bit_identical_across_blocks_and_tie_rounds(self, monkeypatch, kernel, tied, rows_per_block):
+        # blocks of at least 1 or 3 rows (more where the risk-order prefix is
+        # shorter than n), or the default block size
         data = self.make_data(tied)
         if tied:
             _, counts = np.unique(data.y[data.delta == 1], return_counts=True)
             assert counts.max() >= 3  # several tie rounds at one time
-        monkeypatch.setattr(tdroc, "_BLOCK_ENTRIES", rows_per_block * data.n)
-        markers = data.x[:, 0]
-        times, curves = dense_conditional_km(markers, data, 0.4, kernel)
+        if rows_per_block is not None:
+            monkeypatch.setattr(tdroc, "_BLOCK_ENTRIES", rows_per_block * data.n)
         for where in ("at_event", "between_events", "before_first", "after_last"):
             t = horizon(data, where)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                W = censoring_weights(markers, data, t, bandwidth=0.4, kernel=kernel)
-                S = conditional_survival(markers, data, t, bandwidth=0.4, kernel=kernel)
-                W_dense = dense_censoring_weights(markers, data, t, 0.4, kernel)
-            assert np.array_equal(W, W_dense)
-            assert np.array_equal(S, dense_survival_at(times, curves, np.full(data.n, t)))
-        assert np.sum((data.y < t) & (data.delta == 0)) > 3 * rows_per_block  # many blocks
+            check_against_dense_builds(data.x[:, 0], data, t, 0.4, kernel)
+        if rows_per_block is not None:
+            assert np.sum((data.y < t) & (data.delta == 0)) > 3 * rows_per_block  # many blocks
+
+    def test_kernel_entries_cover_each_window_only(self, monkeypatch):
+        # one row per block: row i evaluates the kernel at the records still
+        # at risk at s_i, the first event time after Y_i, and nowhere else
+        n = 400
+        gen = np.random.default_rng(181)
+        y = gen.standard_exponential(n)
+        delta = np.ones(n, dtype=int)
+        delta[np.argsort(y)[5 :: n // 25]] = 0  # censored records spread over time
+        data = Dataset(y=y, delta=delta, x=gen.standard_normal((n, 1)))
+        t = float(np.quantile(y, 0.9))
+        frac = (y < t) & (delta == 0)
+        times = np.unique(y[delta == 1])
+        s = times[np.searchsorted(times, y[frac], side="right")]
+        assert np.all(s <= t)  # every window holds an event time
+        want = int(sum(np.sum(y >= s_i) for s_i in s))
+        assert want < 0.6 * frac.sum() * n  # a full-width build would reach r * n
+
+        entries = []
+
+        def counting(kernel, u):
+            entries.append(np.size(u))
+            return kernel_values(kernel, u)
+
+        monkeypatch.setattr(tdroc, "_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(tdroc, "kernel_values", counting)
+        W = censoring_weights(data.x[:, 0], data, t, bandwidth=0.3)
+        assert len(entries) == frac.sum()
+        assert sum(entries) == want
+        monkeypatch.undo()
+        assert np.array_equal(W, dense_censoring_weights(data.x[:, 0], data, t, 0.3, "gaussian"))
 
     def test_builds_only_rows_censored_before_horizon(self, monkeypatch):
         data = simulate_single(120, 1, [0.6], seed=163, censor_frac=0.3)
@@ -400,6 +462,19 @@ class TestRestrictedBuild:
         with pytest.warns(UserWarning, match="empty weighted risk set"):
             got = conditional_survival(np.array([0.0, 1.0, 2.0]), data, 2.5, bandwidth=1e-320)
         assert np.array_equal(got, np.array([0.0, 0.0, 1.0]))
+
+    def test_tiny_bandwidth_weight_of_a_censored_subject_is_zero(self):
+        # at h = 1e-320 every kernel weight but a subject's own is 0: subject
+        # 1, censored at 2, is alone in its risk set up to 2 and out of every
+        # later one, so the factor at 3 is skipped and no case mass moves
+        data = Dataset(
+            y=np.array([1.0, 2.0, 3.0, 4.0]), delta=np.array([1, 0, 1, 1]), x=np.zeros((4, 1))
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            W = censoring_weights(np.array([0.0, 1.0, 2.0, 3.0]), data, 3.5, bandwidth=1e-320)
+        assert [str(w.message) for w in caught] == ["empty weighted risk set; the corresponding factor is skipped"]
+        assert np.array_equal(W, np.array([1.0, 0.0, 1.0, 0.0]))
 
 
 class TestCensoringWeights:
