@@ -46,10 +46,24 @@ class DegenerateComponentError(NumericalError):
 def kernel_values(kernel: str, u: np.ndarray) -> np.ndarray:
     """Kernel K(u): standard Gaussian density or Epanechnikov 0.75(1-u^2) on [-1, 1]."""
     _check_kernel(kernel)
-    u = np.asarray(u, dtype=float)
+    return _kernel_in_place(kernel, np.array(u, dtype=float))
+
+
+def _kernel_in_place(kernel: str, u: np.ndarray) -> np.ndarray:
+    """Overwrite the float array u with K(u) and return it. The Gaussian is
+    exp((u*u)*(-0.5))/sqrt(2 pi), the same bits as exp(-0.5*u*u)/sqrt(2 pi);
+    the Epanechnikov is 0 where |u| > 1 and at NaN. Where u*u overflows, K(u)
+    is 0 exactly, so the overflow is not reported."""
+    with np.errstate(over="ignore"):
+        np.multiply(u, u, out=u)
     if kernel == "gaussian":
-        return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+        np.multiply(u, -0.5, out=u)
+        np.exp(u, out=u)
+        return np.divide(u, math.sqrt(2.0 * math.pi), out=u)
+    np.subtract(1.0, u, out=u)
+    np.multiply(u, 0.75, out=u)
+    # 1 - u*u < 0 exactly where |u| > 1, and fmax maps NaN to 0
+    return np.fmax(u, 0.0, out=u)
 
 
 def _rule_of_thumb(values: np.ndarray, factor: float) -> float:

@@ -7,9 +7,10 @@ early counts partially as a case and partially as a control. Subject i's weight
 reads only the curve's factors at the event times in its window (Y_i, t],
 and those read only the subjects with y_j > Y_i. So for the r subjects
 censored before t the weights cost about sum_i #{j : y_j > Y_i} kernel
-entries plus r times the window's event times, at most O(r * n). The rows
-are built a block at a time, so memory is O(block * n + r) and grows
-linearly in n.
+entries, at most r * n, all evaluated in one reused buffer, plus r times the
+window's event times in factors. Cumulative sums run only over the records
+inside a window; the records at risk at every window time enter each risk
+set as one pairwise sum. Memory is O(block + n + r), linear in n.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coxfit import (
-    _check_covariates, _check_kernel, _cumulative_risks, _lambda_index, _rule_of_thumb, _tie_sums, _TimeIndex,
-    kernel_values,
+    _check_covariates, _check_kernel, _cumulative_risks, _kernel_in_place, _lambda_index, _rule_of_thumb, _tie_sums,
+    _TimeIndex,
 )
 from .data import Dataset
 from .em import FittedModel, e_step
@@ -76,7 +77,9 @@ def compute_marker(model: FittedModel, data: Dataset, mode: str, t: float | None
     return 1.0 - np.exp(-risk) @ params.pi
 
 
-# kernel entries (rows x subjects) of one block of curves built at once
+# kernel entries (rows x subjects) of one block of curves built at once: the
+# size of the one buffer a build reuses for every block (or of its widest
+# row, if longer)
 _BLOCK_ENTRIES = 2**17
 
 
@@ -117,18 +120,23 @@ class _ConditionalKM:
     Entry i of `curves` is the product of the factors of subject `rows[i]` at
     the event times s with after[i] < s <= t, that is S(t|M)/S(after[i]|M);
     it is 1 when no event time falls in the window. The sums run on the Cox
-    fit's time index: risk sets are cumulative sums in risk order, and tied
-    events are added in record order (`_tie_sums`).
+    fit's time index, and tied events are added in record order
+    (`_tie_sums`). A risk-set mass is the pairwise `np.sum` over the records
+    at risk at the last window time (y >= the last event time up to t),
+    which every risk set of the window holds, followed by cumulative sums in
+    risk order over the other records of the window.
 
     The factors at times in (after_i, t] read only the subjects with
     y_j > after_i, the first records in risk order. So rows are sorted by
     their first window column a, and each block is built over the prefix of
     `grid_row[a] + 1` records and the columns a..m-1 that its earliest window
-    reads; a block holds about `_BLOCK_ENTRIES` kernel entries. That costs
-    about sum_i #{j : y_j > after_i} kernel entries and len(rows) times the
-    window columns in factors, in O(block * n + len(rows)) memory. Each
-    product runs from t back to the row's own first column, so its bits do
-    not depend on the block the row falls in.
+    reads. Every block is a view of one buffer of `_BLOCK_ENTRIES` floats (or
+    of the widest row), allocated once per build, and every pass over its
+    kernel entries runs in place. That costs about sum_i #{j : y_j > after_i}
+    kernel entries and len(rows) times the window columns in factors, in
+    O(block + n + len(rows)) memory. A row's sums and its product, which runs
+    from t back to the row's own first column, never mix in other rows, so
+    its bits do not depend on the block the row falls in.
     """
 
     def __init__(
@@ -142,7 +150,12 @@ class _ConditionalKM:
         self.curves = np.ones(rows.size)
         order = np.argsort(first, kind="stable")
         order = order[first[order] < m]
+        if order.size == 0:
+            return
         m_risk = markers[ix.rev]
+        # the first `tail` records in risk order are at risk at every window time
+        tail = int(ix.grid_row[m - 1]) + 1
+        buf = np.empty(max(_BLOCK_ENTRIES, int(ix.grid_row[first[order[0]]]) + 1))
 
         any_empty = False
         lo = 0
@@ -151,21 +164,30 @@ class _ConditionalKM:
             width = int(ix.grid_row[a]) + 1
             block = order[lo : lo + max(1, _BLOCK_ENTRIES // width)]
             lo += block.size
+            w = buf[: block.size * width].reshape(block.size, width)
             if np.isinf(bandwidth):
                 # every weight collapses to K(0)
-                u = np.zeros((block.size, width))
+                w.fill(0.0)
             else:
                 with np.errstate(over="ignore"):
-                    u = (m_risk[None, :width] - markers[rows[block], None]) / bandwidth
-            w = kernel_values(kernel, u)
+                    np.subtract(m_risk[None, :width], markers[rows[block], None], out=w)
+                    np.divide(w, bandwidth, out=w)
+            _kernel_in_place(kernel, w)
             num = _tie_sums(ix, w, a, m)
-            # cumulative sums in risk order give the weighted risk-set mass
-            den = w.cumsum(axis=1, out=w)[:, ix.grid_row[a:m]]
+            # risk-set masses: one sum over the records at risk at every window
+            # time, then cumulative sums in risk order over the rest
+            w[:, tail - 1] = w[:, :tail].sum(axis=1)
+            rest = w[:, tail - 1 :]
+            np.cumsum(rest, axis=1, out=rest)
+            den = w[:, ix.grid_row[a:m]]
             empty = den <= 0.0
             any_empty = any_empty or bool(np.any(empty))
-            factors = np.where(empty, 1.0, 1.0 - num / np.where(empty, 1.0, den))
-            # column k of the reversed products holds those at columns m-1-k..m-1
-            back = np.cumprod(factors[:, ::-1], axis=1)
+            factors = np.divide(num, den, out=num, where=~empty)
+            np.subtract(1.0, factors, out=factors)
+            factors[empty] = 1.0
+            # column k of the reversed products, written over den, holds
+            # those at columns m-1-k..m-1
+            back = np.cumprod(factors[:, ::-1], axis=1, out=den)
             self.curves[block] = back[np.arange(block.size), m - 1 - first[block]]
         if any_empty:
             warnings.warn("empty weighted risk set; the corresponding factor is skipped", stacklevel=3)
@@ -195,8 +217,10 @@ def censoring_weights(
     W = 0 for subjects beyond t or censored exactly at t, W = 1 for events by
     t, and W = 1 - S(t|M_i)/S(Y_i|M_i) for subjects censored before t. That
     ratio is the product of the conditional Kaplan-Meier factors at the event
-    times in (Y_i, t], and only those are built: about sum_i #{j : y_j > Y_i}
-    kernel entries over the subjects censored before t. S(Y_i|M_i) is never
+    times in (Y_i, t], and only those are built: sum_i #{j : y_j > Y_i}
+    kernel entries over the subjects censored before t, in one reused buffer,
+    with cumulative sums only over the records inside each window, in
+    O(block + n + r) memory. S(Y_i|M_i) is never
     0: subject i is in its own risk set, with kernel weight K(0) > 0, at every
     event time up to Y_i, so every factor there is positive.
 

@@ -598,6 +598,23 @@ class TestKernelsAndBandwidth:
         assert vals[2] == 0.75
         assert vals[3] == pytest.approx(0.75 * (1 - 0.25), rel=1e-15)
 
+    def test_kernel_formulas_bit_for_bit(self):
+        one_up, one_down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+        u = np.array([0.0, 0.5, 1.0, one_up, one_down, 38.5, 40.0, np.inf, 1e-160])
+        u = np.concatenate([u, -u, [np.nan]])
+        gaussian = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        epanechnikov = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+        assert kernel_values("gaussian", u).tobytes() == gaussian.tobytes()
+        assert kernel_values("epanechnikov", u).tobytes() == epanechnikov.tobytes()
+        assert kernel_values("epanechnikov", np.array([np.nan]))[0] == 0.0
+
+    @pytest.mark.parametrize("kernel", coxfit.KERNELS)
+    def test_caller_array_is_left_unchanged(self, kernel):
+        u = np.linspace(-2.0, 2.0, 9)
+        before = u.copy()
+        kernel_values(kernel, u)
+        assert np.array_equal(u, before)
+
     def test_unknown_kernel_errors(self):
         with pytest.raises(ValueError, match="kernel"):
             kernel_values("triangular", np.array([0.0]))

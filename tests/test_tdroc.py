@@ -53,51 +53,60 @@ def plain_km(data, t):
     return s
 
 
-def dense_factors(markers, data, bandwidth, kernel):
-    """Reference build of every subject's Kaplan-Meier factors at every event time.
+def dense_factors(markers, data, t, bandwidth, kernel):
+    """Reference build of every subject's Kaplan-Meier factors at the event times up to t.
 
     Returns (times, factors) with one row of `factors` per subject. This is
-    the all-rows, all-times algorithm the library restricts; per entry it
-    runs the same elementwise operations in the same order.
+    the all-rows algorithm the library restricts; per entry it runs the same
+    elementwise operations in the same order. A risk-set mass is the pairwise
+    `np.sum` of the weights of the records with y >= the last event time up
+    to t, followed by sequential sums in risk order over the other records.
     """
     m = np.asarray(markers, dtype=float)
     times = np.unique(data.y[data.delta == 1])
+    times = times[times <= t]
+    if times.size == 0:
+        return times, np.ones((data.n, 0))
     with np.errstate(invalid="ignore"):
         u = (m[None, :] - m[:, None]) / bandwidth
     if not np.all(np.isfinite(u)):
         u = np.zeros_like(u)
     w = kernel_values(kernel, u)
     order = np.argsort(data.y, kind="stable")
-    suffix = np.cumsum(w[:, order][:, ::-1], axis=1)[:, ::-1]
-    den = suffix[:, np.searchsorted(data.y[order], times, side="left")]
-    ev = data.delta == 1
+    # C order, so that each row's pairwise sum runs along the row as the library's does
+    w_risk = np.ascontiguousarray(w[:, order[::-1]])
+    # the risk set at times[c] is the first at_risk[c] records in risk order
+    at_risk = data.n - np.searchsorted(data.y[order], times, side="left")
+    tail = at_risk[-1]
+    mass = np.cumsum(np.column_stack([w_risk[:, :tail].sum(axis=1), w_risk[:, tail:]]), axis=1)
+    den = mass[:, at_risk - tail]
+    ev = (data.delta == 1) & (data.y <= t)
     num = np.zeros_like(den)
     np.add.at(num.T, np.searchsorted(times, data.y[ev]), w[:, ev].T)
     empty = den <= 0.0
     return times, np.where(empty, 1.0, 1.0 - num / np.where(empty, 1.0, den))
 
 
-def dense_conditional_km(markers, data, bandwidth, kernel):
-    """(times, curves): every subject's survival curve, the forward products of its factors."""
-    times, factors = dense_factors(markers, data, bandwidth, kernel)
+def dense_conditional_km(markers, data, t, bandwidth, kernel):
+    """(times, curves): every subject's survival curve up to t, the forward products of its factors."""
+    times, factors = dense_factors(markers, data, t, bandwidth, kernel)
     return times, np.cumprod(factors, axis=1)
 
 
 def dense_survival_at(times, curves, at):
     """Each row's curve at its own time in `at` (1 before the first event)."""
-    idx = np.searchsorted(times, at, side="right") - 1
-    rows = np.arange(curves.shape[0])
-    return np.where(idx >= 0, curves[rows, np.maximum(idx, 0)], 1.0)
+    padded = np.column_stack([np.ones(curves.shape[0]), curves])
+    return padded[np.arange(curves.shape[0]), np.searchsorted(times, at, side="right")]
 
 
 def dense_window_products(markers, data, t, after, bandwidth, kernel):
     """Each subject's product of its dense factors at the event times in
     (after_i, t], multiplied from t back to the first event time after after_i."""
-    times, factors = dense_factors(markers, data, bandwidth, kernel)
-    m = np.searchsorted(times, t, side="right")
+    times, factors = dense_factors(markers, data, t, bandwidth, kernel)
+    m = times.size
     # column k holds the product of the last k factors up to t
     back = np.ones((data.n, m + 1))
-    back[:, 1:] = np.cumprod(factors[:, :m][:, ::-1], axis=1)
+    back[:, 1:] = np.cumprod(factors[:, ::-1], axis=1)
     k = np.maximum(m - np.searchsorted(times, after, side="right"), 0)
     return back[np.arange(data.n), k]
 
@@ -113,7 +122,7 @@ def dense_censoring_weights(markers, data, t, bandwidth, kernel):
 
 def ratio_censoring_weights(markers, data, t, bandwidth, kernel):
     """W = 1 - S(t)/S(Y_i), the two survivals read off the forward curves."""
-    times, curves = dense_conditional_km(markers, data, bandwidth, kernel)
+    times, curves = dense_conditional_km(markers, data, t, bandwidth, kernel)
     W = np.zeros(data.n)
     W[(data.y <= t) & (data.delta == 1)] = 1.0
     frac = (data.y < t) & (data.delta == 0)
@@ -133,12 +142,19 @@ def check_against_dense_builds(markers, data, t, bandwidth, kernel):
         W_dense = dense_censoring_weights(markers, data, t, bandwidth, kernel)
         S_dense = dense_window_products(markers, data, t, np.full(data.n, -np.inf), bandwidth, kernel)
         W_ratio = ratio_censoring_weights(markers, data, t, bandwidth, kernel)
-        times, curves = dense_conditional_km(markers, data, bandwidth, kernel)
+        times, curves = dense_conditional_km(markers, data, t, bandwidth, kernel)
     assert np.array_equal(W, W_dense)
     assert np.array_equal(S, S_dense)
     np.testing.assert_allclose(W, W_ratio, rtol=0, atol=1e-13)
     np.testing.assert_allclose(S, dense_survival_at(times, curves, np.full(data.n, t)), rtol=0, atol=1e-13)
     return W
+
+
+HORIZONS = (
+    "at_event", "between_events", "before_first", "after_last",
+    # the last event time up to t is the first or the last one
+    "first_event", "last_event", "before_last_censoring", "inf",
+)
 
 
 def horizon(data, where):
@@ -151,6 +167,15 @@ def horizon(data, where):
         return float(0.5 * (times[k] + times[k + 1]))
     if where == "before_first":
         return float(times[0] - 1e-3)
+    if where == "first_event":
+        return float(times[0])
+    if where == "last_event":
+        return float(times[-1])
+    if where == "before_last_censoring":
+        assert data.y.max() > times[-1]  # the last record is censored
+        return float(0.5 * (times[-1] + data.y.max()))
+    if where == "inf":
+        return np.inf
     return float(data.y.max() + 1.0)
 
 
@@ -328,7 +353,7 @@ class TestRestrictedBuild:
 
     @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
     @pytest.mark.parametrize("tied", [False, True])
-    @pytest.mark.parametrize("where", ["at_event", "between_events", "before_first", "after_last"])
+    @pytest.mark.parametrize("where", HORIZONS)
     @pytest.mark.parametrize("bandwidth", [0.4, np.inf])
     def test_bit_identical_to_dense_build(self, kernel, tied, where, bandwidth):
         data = self.make_data(tied)
@@ -336,6 +361,10 @@ class TestRestrictedBuild:
         W = check_against_dense_builds(data.x[:, 0], data, t, bandwidth, kernel)
         if where in ("at_event", "between_events"):
             assert np.any((W > 0.0) & (W < 1.0))  # the fractional weights are exercised
+        if where in ("before_last_censoring", "inf"):
+            # no event time past the last one changes a weight
+            last = horizon(data, "last_event")
+            assert np.array_equal(W, check_against_dense_builds(data.x[:, 0], data, last, bandwidth, kernel))
 
     @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
     @pytest.mark.parametrize("tied", [False, True])
@@ -349,11 +378,26 @@ class TestRestrictedBuild:
             assert counts.max() >= 3  # several tie rounds at one time
         if rows_per_block is not None:
             monkeypatch.setattr(tdroc, "_BLOCK_ENTRIES", rows_per_block * data.n)
-        for where in ("at_event", "between_events", "before_first", "after_last"):
+        for where in HORIZONS:
             t = horizon(data, where)
             check_against_dense_builds(data.x[:, 0], data, t, 0.4, kernel)
         if rows_per_block is not None:
             assert np.sum((data.y < t) & (data.delta == 0)) > 3 * rows_per_block  # many blocks
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("bandwidth", [0.4, np.inf])
+    def test_caller_arrays_are_left_unchanged(self, kernel, bandwidth):
+        data = self.make_data(True)
+        markers = data.x[:, 0].copy()
+        before = (markers.copy(), data.y.copy(), data.delta.copy())
+        t = horizon(data, "between_events")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            censoring_weights(markers, data, t, bandwidth=bandwidth, kernel=kernel)
+            conditional_survival(markers, data, t, bandwidth=bandwidth, kernel=kernel)
+        assert markers.flags.writeable
+        for got, want in zip((markers, data.y, data.delta), before):
+            assert np.array_equal(got, want)
 
     def test_kernel_entries_cover_each_window_only(self, monkeypatch):
         # one row per block: row i evaluates the kernel at the records still
@@ -376,10 +420,11 @@ class TestRestrictedBuild:
 
         def counting(kernel, u):
             entries.append(np.size(u))
-            return kernel_values(kernel, u)
+            return kernel_in_place(kernel, u)
 
+        kernel_in_place = tdroc._kernel_in_place
         monkeypatch.setattr(tdroc, "_BLOCK_ENTRIES", 1)
-        monkeypatch.setattr(tdroc, "kernel_values", counting)
+        monkeypatch.setattr(tdroc, "_kernel_in_place", counting)
         W = censoring_weights(data.x[:, 0], data, t, bandwidth=0.3)
         assert len(entries) == frac.sum()
         assert sum(entries) == want
