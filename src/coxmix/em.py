@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -54,6 +55,9 @@ INIT_MASS_FLOOR = 0.05
 # coefficient vectors closer than this in sup norm are flagged as indistinct
 DISTINCT_TOL = 1e-6
 
+# Newton steps allowed for the root of the penalized mixing-proportion update
+PI_NEWTON_MAX_STEPS = 100
+
 
 @dataclass(frozen=True)
 class EMConfig:
@@ -67,6 +71,11 @@ class EMConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("k_init", "max_iterations", "restarts", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.k_init < 1:
             raise ValueError("k_init must be at least 1")
         if self.max_iterations < 1:
@@ -75,7 +84,7 @@ class EMConfig:
             raise ValueError("convergence tolerances must lie in (0, 1)")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit nonnegative integer")
 
 
@@ -260,49 +269,6 @@ def e_step(data: Dataset, params: MixtureParams) -> np.ndarray:
     return S
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """A root of f in [xa, xb], where f(xa) and f(xb) differ in sign, by
-    Brent's method (Brent 1973, ch. 4): the steps of scipy.optimize.brentq in
-    its order of floating-point operations, so both return the same bits."""
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        # an interpolation step when it is short enough, else bisection
-        spre_next, scur_next = sbis, sbis
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            limit = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
-                spre_next, scur_next = scur, stry
-        spre, scur = spre_next, scur_next
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise NumericalError(f"mixing-proportion root not found in {maxiter} iterations")
-
-
 def update_mixing_proportions(S: np.ndarray, pi_prev: np.ndarray, spec: PenaltySpec) -> np.ndarray:
     """Penalized M-step update of the mixing proportions.
 
@@ -310,10 +276,20 @@ def update_mixing_proportions(S: np.ndarray, pi_prev: np.ndarray, spec: PenaltyS
     simplex, where g_k is the local linear approximation slope of the penalty
     at pi_prev. The maximizer is pi_k = colsum_k / (rho + n * level * g_k) with
     rho chosen so the proportions sum to one.
+
+    Over the components with mass, write gap_k for each shift n * level * g_k
+    less the smallest, and r = rho + min(shift): the proportions ca_k / (r +
+    gap_k) sum to f(r), which falls and is convex for r > 0, so f(r) = 1 has
+    one root. Newton starts at r = max_k(ca_k - gap_k), where f(r) >= 1 and
+    every denominator is at least ca_k. f lies above each of its tangents, so
+    no step passes the root and the iterates rise; the first one that does
+    not rise ends the search, a point floating point always reaches.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2:
         raise ValueError("responsibilities must be a 2-d array")
+    if not np.all(np.isfinite(S)) or np.any(S < 0.0):
+        raise ValueError("responsibilities must be finite and nonnegative")
     n, K = S.shape
     pi_prev = np.asarray(pi_prev, dtype=float)
     if pi_prev.shape != (K,):
@@ -331,34 +307,22 @@ def update_mixing_proportions(S: np.ndarray, pi_prev: np.ndarray, spec: PenaltyS
         return colsum / n
 
     ca = colsum[active]
-    sa = shift[active]
-
-    def excess(rho: float) -> float:
-        return float(np.sum(ca / (rho + sa)) - 1.0)
-
-    hi = float(n)  # excess(n) <= 0 because colsums total n and shifts are nonnegative
-    if excess(hi) == 0.0:
-        rho = hi
+    gap = shift[active] - np.min(shift[active])
+    r = float(np.max(ca - gap))
+    for _ in range(PI_NEWTON_MAX_STEPS):
+        # pi_k as ca / (r + gap): colsum / (rho + shift) cancels to 0 at huge levels
+        denom = r + gap
+        share = ca / denom
+        rise = (float(share.sum()) - 1.0) / float(np.sum(share / denom))
+        if not r + rise > r:
+            break
+        r += rise
     else:
-        lo = -float(np.min(sa))
-        span = hi - lo
-        bracket = None
-        for j in range(1, 1100):
-            cand = lo + span * 0.5**j
-            if excess(cand) > 0.0:
-                bracket = cand
-                break
-        if bracket is None:
-            raise NumericalError(
-                f"mixing-proportion update is infeasible at penalty level {lam!r}"
-            )
-        rho = _brentq(excess, bracket, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=256)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pi = np.where(active, colsum / (rho + shift), 0.0)
-    if np.any(pi[active] <= 0.0) or not np.all(np.isfinite(pi)):
-        raise NumericalError(
-            f"mixing-proportion update produced a nonpositive denominator at penalty level {lam!r}"
-        )
+        raise NumericalError(f"mixing-proportion root not found in {PI_NEWTON_MAX_STEPS} Newton steps")
+    pi = np.zeros(K)
+    pi[active] = share
+    if np.any(share <= 0.0) or not np.all(np.isfinite(share)):
+        raise NumericalError(f"mixing-proportion update gave a zero or non-finite proportion at penalty level {lam!r}")
     total = float(pi.sum())
     if abs(total - 1.0) > 1e-12:
         pi = pi / total

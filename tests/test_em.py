@@ -281,37 +281,55 @@ class TestPiUpdate:
         with pytest.raises(ValueError, match="length"):
             update_mixing_proportions(np.ones((4, 2)) / 2, np.array([1.0]), spec)
 
-    def test_root_is_scipy_brentq_bit_for_bit(self, monkeypatch):
-        # every root equation the update poses, from its own bracket search,
-        # is solved again by scipy.optimize.brentq with the same tolerances
-        port = em._brentq
-        equations = []
-
-        def recording(f, xa, xb, **tolerances):
-            root = port(f, xa, xb, **tolerances)
-            equations.append((f, xa, xb, tolerances, root))
-            return root
-
-        monkeypatch.setattr(em, "_brentq", recording)
+    def test_root_matches_scipy_brentq(self):
+        # 10,000 posed roots, each checked against a tight
+        # scipy.optimize.brentq solve of the same equation
         gen = np.random.default_rng(2026)
-        trials = 0
-        posed = set()
-        while len(equations) < 10_000:
+        trials = posed = 0
+        sizes = set()
+        worst = 0.0
+        while posed < 10_000:
             K = trials % 10 + 1
             n = int(gen.integers(10, 400))
             S = gen.dirichlet(np.full(K, gen.uniform(0.2, 3.0)), size=n)
             spec = PenaltySpec(kind=KINDS[trials % len(KINDS)], level=float(10.0 ** gen.uniform(-4.0, 0.0)))
-            before = len(equations)
-            try:
-                update_mixing_proportions(S, gen.dirichlet(np.ones(K)), spec)
-            except NumericalError:
-                pass
-            if len(equations) > before:
-                posed.add(K)
+            pi_prev = gen.dirichlet(np.ones(K))
             trials += 1
-        assert posed == set(range(1, 11))
-        differ = [(xa, xb) for f, xa, xb, tol, root in equations if brentq(f, xa, xb, **tol).hex() != root.hex()]
-        assert differ == []
+            shift = n * spec.level * np.array([lla_coefficient(spec, float(p)) for p in pi_prev])
+            if not np.any(shift > 0.0):
+                continue  # no root: the update returns the column means
+            posed += 1
+            sizes.add(K)
+            pi = update_mixing_proportions(S, pi_prev, spec)
+            colsum = S.sum(axis=0)
+            gap = shift - shift.min()
+            r = brentq(
+                lambda r: float(np.sum(colsum / (r + gap)) - 1.0),
+                float(np.max(colsum - gap)), n + 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500,
+            )
+            worst = max(worst, float(np.max(np.abs(pi - colsum / (r + gap)))))
+        assert sizes == set(range(1, 11))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("K", [2, 5, 10])
+    def test_pole_free_at_huge_level(self, K):
+        # shifts near 1e100 once made the root search evaluate at a pole
+        gen = np.random.default_rng(K)
+        spec = PenaltySpec(kind="ls", level=1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(30):
+                S = gen.dirichlet(np.full(K, 0.05), size=50)
+                pi = update_mixing_proportions(S, gen.dirichlet(np.ones(K)), spec)
+                assert np.all(pi >= 0.0)
+                assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_rejects_nonfinite_or_negative_responsibilities(self, bad):
+        S = np.full((4, 2), 0.5)
+        S[1] = (1.0 - bad, bad)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            update_mixing_proportions(S, np.array([0.5, 0.5]), PenaltySpec(kind="ls", level=0.1))
 
     def test_huge_level_stays_on_simplex(self):
         S = np.tile(np.array([0.2, 0.8]), (10, 1))
@@ -487,6 +505,11 @@ class TestEMConfig:
             EMConfig(seed=-1)
         with pytest.raises(ValueError):
             EMConfig(seed=2**64)
+        for name in ("k_init", "max_iterations", "restarts", "seed"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                EMConfig(**{name: 2.5})
+        config = EMConfig(k_init=np.int64(3), max_iterations=np.int32(7), restarts=np.uint8(2), seed=np.uint64(5))
+        assert (config.k_init, config.max_iterations, config.restarts, config.seed) == (3, 7, 2, 5)
 
 
 def initial_split(data, k_init, seed):
