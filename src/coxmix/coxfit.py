@@ -14,9 +14,7 @@ __all__ = [
     "KERNELS",
     "kernel_values",
     "default_time_bandwidth",
-    "weighted_partial_loglik",
-    "partial_loglik_gradient",
-    "partial_loglik_hessian",
+    "partial_loglik",
     "smooth_baseline_hazard",
     "cumulative_hazard",
     "component_log_density",
@@ -243,6 +241,8 @@ class _EventWeights:
         self.wv, self.position, self.row, self.x_ev = wv, position, row, x_ev
 
 
+# no library code calls this; the benchmark's tracer and the traced CI step
+# hook it as coxfit.pl_value (ROADMAP item 2 deletes it)
 def _pl_value(ew: _EventWeights, beta) -> float:
     return _pl_derivs(ew, beta)[0]
 
@@ -262,7 +262,8 @@ def _pl_derivs(ew: _EventWeights, beta):
     a pass does only the work that changes with beta. Degenerate risk sums
     make g and H non-finite and the callers reject them; a pass raises no
     floating-point warning only inside np.errstate(divide="ignore",
-    invalid="ignore"), which `_newton` holds over a whole solve.
+    invalid="ignore"), which `_newton` holds over a whole solve and
+    `partial_loglik` over its one pass.
     """
     rs = ew.rs
     eta, shift, e = _risk_weights(rs, ew.w_r, beta)
@@ -285,37 +286,19 @@ def _pl_derivs(ew: _EventWeights, beta):
     return ll, grad, -second.take(rs.sym)
 
 
-def _event_weights(data: Dataset, weights: np.ndarray) -> _EventWeights:
-    """Checked public weights prepared on a fresh index of `data`."""
+def partial_loglik(data: Dataset, weights: np.ndarray, beta: np.ndarray):
+    """Weighted Cox partial log-likelihood with Breslow-style risk sets,
+
+        l = sum_i delta_i w_i [beta.x_i - log sum_{j: y_j >= y_i} w_j exp(beta.x_j)],
+
+    with its gradient and its (negative semidefinite) Hessian in beta:
+    (l, g, H) from one derivative pass.
+    """
     w = _check_weights(data, weights)
     rs = _RiskSets(data.x, data.y, data.delta)
-    return _EventWeights(rs, w.take(rs.rev))
-
-
-def weighted_partial_loglik(data: Dataset, weights: np.ndarray, beta: np.ndarray) -> float:
-    """Weighted Cox partial log-likelihood with Breslow-style risk sets.
-
-    sum_i delta_i w_i [beta.x_i - log sum_{j: y_j >= y_i} w_j exp(beta.x_j)]
-    """
-    ew = _event_weights(data, weights)
+    ew = _EventWeights(rs, w.take(rs.rev))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _pl_value(ew, np.asarray(beta, dtype=float))
-
-
-def partial_loglik_gradient(data: Dataset, weights: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Analytic gradient of `weighted_partial_loglik` in beta."""
-    ew = _event_weights(data, weights)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, grad, _ = _pl_derivs(ew, np.asarray(beta, dtype=float))
-    return grad
-
-
-def partial_loglik_hessian(data: Dataset, weights: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Analytic Hessian of `weighted_partial_loglik` in beta (negative semidefinite)."""
-    ew = _event_weights(data, weights)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, _, hess = _pl_derivs(ew, np.asarray(beta, dtype=float))
-    return hess
+        return _pl_derivs(ew, np.asarray(beta, dtype=float))
 
 
 def _solve(a: np.ndarray, b: np.ndarray):
@@ -386,7 +369,7 @@ def _newton(rs: _RiskSets, w_r, beta0):
                     break
                 cand = beta + scale * step
                 # one pass per trial point: an accepted trial's g and H are the
-                # next step's, and l is the one `_pl_value` would give
+                # next step's, and l is the one `partial_loglik` would give
                 trial = _pl_derivs(ew, cand)
                 if math.isfinite(trial[0]) and trial[0] > ll:
                     accepted = trial

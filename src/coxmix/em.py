@@ -283,7 +283,8 @@ def update_mixing_proportions(S: np.ndarray, pi_prev: np.ndarray, spec: PenaltyS
     one root. Newton starts at r = max_k(ca_k - gap_k), where f(r) >= 1 and
     every denominator is at least ca_k. f lies above each of its tangents, so
     no step passes the root and the iterates rise; the first one that does
-    not rise ends the search, a point floating point always reaches.
+    not rise ends the search, a point floating point always reaches. A level
+    so large that a shift overflows raises NumericalError.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2:
@@ -299,10 +300,13 @@ def update_mixing_proportions(S: np.ndarray, pi_prev: np.ndarray, spec: PenaltyS
     if lam == 0.0:
         return colsum / n
     g = np.array([lla_coefficient(spec, float(p)) for p in pi_prev])
-    shift = n * lam * g
+    with np.errstate(over="ignore"):
+        shift = n * lam * g
     active = colsum > 0.0
     if not np.any(active):
         raise NumericalError("responsibility matrix carries no mass")
+    if not np.all(np.isfinite(shift[active])):
+        raise NumericalError(f"penalty level {lam!r} overflows the mixing-proportion shifts n * level * g")
     if np.all(shift[active] == 0.0):
         return colsum / n
 

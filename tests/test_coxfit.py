@@ -12,10 +12,8 @@ from coxmix.coxfit import (
     cumulative_hazard,
     default_time_bandwidth,
     kernel_values,
-    partial_loglik_gradient,
-    partial_loglik_hessian,
+    partial_loglik,
     smooth_baseline_hazard,
-    weighted_partial_loglik,
     _EventWeights,
     _fit_coefficients,
     _increments,
@@ -51,14 +49,14 @@ def brute_force_pl(data, w, beta):
 class TestPartialLoglik:
     def test_two_record_hand_value(self):
         data = Dataset(y=np.array([1.0, 2.0]), delta=np.array([1, 1]), x=np.array([[0.0], [0.0]]))
-        val = weighted_partial_loglik(data, np.ones(2), np.array([0.0]))
+        val = partial_loglik(data, np.ones(2), np.array([0.0]))[0]
         assert val == pytest.approx(-math.log(2.0), abs=1e-14)
 
     def test_matches_brute_force(self, small_data, rng):
         w = rng.uniform(0.1, 1.0, size=small_data.n)
         for _ in range(5):
             beta = rng.normal(size=2)
-            got = weighted_partial_loglik(small_data, w, beta)
+            got = partial_loglik(small_data, w, beta)[0]
             assert got == pytest.approx(brute_force_pl(small_data, w, beta), abs=1e-10)
 
     def test_beta_zero_closed_form(self, small_data, rng):
@@ -68,20 +66,20 @@ class TestPartialLoglik:
             if small_data.delta[i] == 1:
                 rs = w[small_data.y >= small_data.y[i]].sum()
                 expected += w[i] * (0.0 - math.log(rs))
-        got = weighted_partial_loglik(small_data, w, np.zeros(2))
+        got = partial_loglik(small_data, w, np.zeros(2))[0]
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_zero_weight_rows_drop_out(self, small_data):
         w = np.array([1.0, 0.0, 1.0, 1.0, 0.5])
         beta = np.array([0.3, -0.2])
-        got = weighted_partial_loglik(small_data, w, beta)
+        got = partial_loglik(small_data, w, beta)[0]
         assert got == pytest.approx(brute_force_pl(small_data, w, beta), abs=1e-12)
 
     def test_weight_validation(self, small_data):
         with pytest.raises(ValueError):
-            weighted_partial_loglik(small_data, np.ones(3), np.zeros(2))
+            partial_loglik(small_data, np.ones(3), np.zeros(2))
         with pytest.raises(ValueError):
-            weighted_partial_loglik(small_data, -np.ones(small_data.n), np.zeros(2))
+            partial_loglik(small_data, -np.ones(small_data.n), np.zeros(2))
 
 
 class TestDerivatives:
@@ -89,36 +87,30 @@ class TestDerivatives:
         data = simulate_single(40, 3, [0.5, -0.3, 0.8], seed=7, censor_frac=0.2)
         w = rng.uniform(0.05, 1.0, size=data.n)
         beta = np.array([0.2, 0.1, -0.4])
-        grad = partial_loglik_gradient(data, w, beta)
+        _, grad, _ = partial_loglik(data, w, beta)
         h = 1e-5
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
-            fd = (
-                weighted_partial_loglik(data, w, beta + e)
-                - weighted_partial_loglik(data, w, beta - e)
-            ) / (2 * h)
+            fd = (partial_loglik(data, w, beta + e)[0] - partial_loglik(data, w, beta - e)[0]) / (2 * h)
             assert grad[j] == pytest.approx(fd, abs=1e-6)
 
     def test_hessian_matches_gradient_differences(self, rng):
         data = simulate_single(40, 2, [0.5, -0.3], seed=11)
         w = rng.uniform(0.05, 1.0, size=data.n)
         beta = np.array([0.3, -0.1])
-        hess = partial_loglik_hessian(data, w, beta)
+        _, _, hess = partial_loglik(data, w, beta)
         h = 1e-5
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd = (
-                partial_loglik_gradient(data, w, beta + e)
-                - partial_loglik_gradient(data, w, beta - e)
-            ) / (2 * h)
+            fd = (partial_loglik(data, w, beta + e)[1] - partial_loglik(data, w, beta - e)[1]) / (2 * h)
             assert np.allclose(hess[:, j], fd, atol=1e-6)
 
     def test_hessian_negative_semidefinite(self, rng):
         data = simulate_single(60, 2, [1.0, -1.0], seed=3)
         w = rng.uniform(0.1, 1.0, size=data.n)
-        hess = partial_loglik_hessian(data, w, np.array([0.4, 0.2]))
+        _, _, hess = partial_loglik(data, w, np.array([0.4, 0.2]))
         eigvals = np.linalg.eigvalsh(hess)
         assert np.all(eigvals <= 1e-10)
 
@@ -269,14 +261,12 @@ class TestEventWeights:
         assert (dropped > 0) == (weights == "zero_at_events")
         for beta in [beta0] + [rng.normal(size=3) for _ in range(4)]:
             ll, grad, hess = per_call_derivs(ew.rs, w, beta)
-            # a pass leaves the prepared weights as it found them
-            for got in (_pl_derivs(ew, beta), _pl_derivs(ew, beta)):
+            # a pass leaves the prepared weights as it found them, and the
+            # public entry point prepares the same weights
+            for got in (_pl_derivs(ew, beta), _pl_derivs(ew, beta), partial_loglik(data, w, beta)):
                 assert got[0] == ll
                 assert np.array_equal(got[1], grad)
                 assert np.array_equal(got[2], hess)
-            assert weighted_partial_loglik(data, w, beta) == ll
-            assert np.array_equal(partial_loglik_gradient(data, w, beta), grad)
-            assert np.array_equal(partial_loglik_hessian(data, w, beta), hess)
 
     def test_no_event_weight_gives_the_per_call_zeros(self):
         data, w, beta = oracle_case(2, False, "uniform")

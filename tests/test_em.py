@@ -324,6 +324,19 @@ class TestPiUpdate:
                 assert np.all(pi >= 0.0)
                 assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_overflowing_shift_raises_numerical_error(self):
+        # n * level * g overflows to inf at level 1e306 (n = 100, K = 3); that
+        # must raise the documented error, not a floating-point warning
+        S = np.random.default_rng(0).dirichlet(np.ones(3), size=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for level in (1e100, 1e300):
+                pi = update_mixing_proportions(S, S.mean(axis=0), PenaltySpec(kind="ls", level=level))
+                assert np.all(pi > 0.0)
+                assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+            with pytest.raises(NumericalError, match="1e\\+306"):
+                update_mixing_proportions(S, S.mean(axis=0), PenaltySpec(kind="ls", level=1e306))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
     def test_rejects_nonfinite_or_negative_responsibilities(self, bad):
         S = np.full((4, 2), 0.5)

@@ -8,6 +8,7 @@ import pytest
 
 from coxmix.coxfit import NumericalError
 from coxmix import simgen, tuning
+from coxmix.data import Dataset
 from coxmix.em import EMConfig, observed_loglik
 from coxmix.tuning import (
     TuningReport,
@@ -269,3 +270,29 @@ def test_subnormal_responsibility_does_not_abort_grid_point():
     config = EMConfig(k_init=10, max_iterations=400, restarts=2, seed=em_seed)
     report = select_tuning(data, "scad", c_grid=[0.6], config=config, cn_constant=2.0)
     assert math.isfinite(report.rows[0].bic)
+
+
+def test_tuning_at_the_real_data_shape():
+    # the shape of the GBSG analysis (n = 686, p = 7, about 55% censoring,
+    # heavily tied times): two components, with every time moved up to the
+    # next of 60 quantiles of the times
+    cell = simgen.SimConfig(
+        686, pi_true=(0.4, 0.6),
+        beta_true=((-1, -0.5, 0, 0.5, 0, 0, 0.3), (1, 0.5, 0, -0.5, 0, 0.2, 0)),
+        censor_target=0.55, seed=7,
+    )
+    raw, _ = simgen.generate_dataset(cell, np.random.default_rng(3))
+    knots = np.quantile(raw.y, np.arange(1, 61) / 60)
+    data = Dataset(y=knots[np.searchsorted(knots, raw.y)], delta=raw.delta, x=raw.x)
+    assert data.x.shape == (686, 7)
+    assert np.unique(data.y[data.delta == 1]).size == 59
+    assert 0.5 < 1.0 - data.delta.mean() < 0.53
+    config = EMConfig(k_init=10, max_iterations=400, restarts=2, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = select_tuning(data, "scad", c_grid=[0.6, 0.8, 1.0], config=config, cn_constant=2.0)
+    # K-hat and the winning grid point are not pinned: c = 0.8 and c = 1.0
+    # reach one fixed point and their BICs differ only by EM convergence noise
+    for row in report.rows:
+        assert math.isfinite(row.bic)
+        assert row.converged
