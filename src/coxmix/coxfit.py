@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ KERNELS = ("gaussian", "epanechnikov")
 # floor applied before taking log of the smoothed hazard
 RATE_FLOOR = 1e-300
 
+# accepted steps of a full Newton solve
 DEFAULT_MAX_ITER = 25
 DEFAULT_MAX_HALVINGS = 20
 RIDGE_FACTOR = 1e-8
@@ -39,6 +41,15 @@ class NumericalError(Exception):
 
 class DegenerateComponentError(NumericalError):
     """A component carries no usable event weight."""
+
+
+class NewtonOutcome(enum.IntEnum):
+    """How a Newton solve ended (see `_newton`). FAILED is 0, so an outcome
+    is true exactly when the solve did not fail."""
+
+    FAILED = 0
+    CONVERGED = 1
+    CAPPED = 2
 
 
 def kernel_values(kernel: str, u: np.ndarray) -> np.ndarray:
@@ -247,6 +258,24 @@ def _pl_value(ew: _EventWeights, beta) -> float:
     return _pl_derivs(ew, beta)[0]
 
 
+def _loglik(ew: _EventWeights, eta, shift: float, s0) -> float:
+    """l = sum w (eta - shift - log s0) over the events with positive weight,
+    s0 their risk sums of w exp(eta - shift); -inf when a risk sum or l is
+    not finite. 0 when no event carries weight."""
+    if not (s0.min(initial=np.inf) > 0 and s0.max(initial=0.0) < np.inf):
+        return -np.inf
+    ll = float((ew.wv * (eta.take(ew.position) - shift - np.log(s0))).sum())
+    return ll if math.isfinite(ll) else -np.inf
+
+
+def _pl_loglik(ew: _EventWeights, beta) -> float:
+    """l alone, from the risk sums s0, one cumulative sum of e = w exp(eta -
+    shift). The design's first row is all ones and both cumulative sums run
+    in order, so s0 and l have the bits of `_pl_derivs`'s."""
+    eta, shift, e = _risk_weights(ew.rs, ew.w_r, beta)
+    return _loglik(ew, eta, shift, e.cumsum().take(ew.row))
+
+
 def _pl_derivs(ew: _EventWeights, beta):
     """(l, gradient, Hessian) from one cumulative sum along the rows of e * design.
 
@@ -255,8 +284,8 @@ def _pl_derivs(ew: _EventWeights, beta):
     risk-set sums of the design at the events (1, p and p(p + 1)/2 rows),
     a = w / s0 and xbar = S1 / s0:
         g = x_ev w - S1 a,    H = -[S2 a - (xbar xbar^T) w],
-    the second moments packed as the design's upper triangle, and
-    l = sum w (eta - log s0), or -inf when a risk sum or l is not finite.
+    the second moments packed as the design's upper triangle, and l as
+    `_loglik` gives it.
 
     Everything that depends on the weights alone comes prepared in `ew`, so
     a pass does only the work that changes with beta. Degenerate risk sums
@@ -272,11 +301,7 @@ def _pl_derivs(ew: _EventWeights, beta):
     s = sums.take(ew.row, axis=1)
     s0 = s[0]
     wv = ew.wv
-    ll = -np.inf
-    # every risk sum positive and finite; true when no event carries weight
-    if s0.min(initial=np.inf) > 0 and s0.max(initial=0.0) < np.inf:
-        ll = float((wv * (eta.take(ew.position) - shift - np.log(s0))).sum())
-        ll = ll if math.isfinite(ll) else -np.inf
+    ll = _loglik(ew, eta, shift, s0)
     p = rs.p
     s1 = s[1 : p + 1]
     a = wv / s0
@@ -328,22 +353,27 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     raise NumericalError("Newton system remained singular despite ridge damping")
 
 
-def _newton(rs: _RiskSets, w_r, beta0):
+def _newton(rs: _RiskSets, w_r, beta0, max_steps: int = DEFAULT_MAX_ITER):
     """Damped Newton ascent of the weighted partial likelihood from beta0:
-    (beta, l, accepted steps, converged), with `w_r` the weights in risk order.
+    (beta, l, accepted steps, outcome), with `w_r` the weights in risk order
+    and at most `max_steps` accepted steps.
 
-    The weights are prepared once (`_EventWeights`) and every point, the
-    start and each trial of the line search, costs one `_pl_derivs` pass.
-    One np.errstate covers the solve: degenerate risk sums give a -inf l or
-    non-finite g and H, which the search rejects without a warning.
+    The weights are prepared once (`_EventWeights`). The start and each
+    trial point of the line search cost one `_pl_derivs` pass, and an
+    accepted trial's g and H are the next step's. No step follows the last
+    one the budget allows, so its trial points compute l alone
+    (`_pl_loglik`). One np.errstate covers the solve: degenerate risk sums
+    give a -inf l or non-finite g and H, which the search rejects without a
+    warning.
 
-    `converged` means no representable gain is left along the Newton
-    direction: l is concave, so once s g'step falls within
-    4 eps max(1, |l|) no step length s can raise it. A zero slope, at an
-    exact optimum, counts. A search that runs out of halvings with a larger
-    predicted gain, a slope below -4 eps max(1, |l|) or a NaN slope, or
-    DEFAULT_MAX_ITER (25) accepted steps without that test passing, reports
-    False.
+    The outcome is one of:
+    - CONVERGED: no representable gain is left along the Newton direction.
+      l is concave, so once s g'step falls within 4 eps max(1, |l|) no step
+      length s can raise it. A zero slope, at an exact optimum, counts;
+    - CAPPED: `max_steps` steps were accepted before that test passed. Each
+      accepted step raised l;
+    - FAILED: the search ran out of halvings with a larger predicted gain,
+      or the slope was below -4 eps max(1, |l|) or NaN.
     """
     ew = _EventWeights(rs, w_r)
     beta = np.array(beta0, dtype=float, copy=True)
@@ -351,52 +381,47 @@ def _newton(rs: _RiskSets, w_r, beta0):
         ll, grad, hess = _pl_derivs(ew, beta)
         if not math.isfinite(ll):
             raise NumericalError("partial likelihood not finite at the starting point")
-        iterations = 0
-        converged = False
-        while iterations < DEFAULT_MAX_ITER:
+        for iterations in range(max_steps):
             step = _newton_step(hess, grad)
             # l is concave, so l(beta + s step) <= l + s g'step; once that bound is
             # within rounding of l, no shorter step can raise l representably
             slope = float(grad @ step)
             floor = GAIN_TOL * max(1.0, abs(ll))
             if not slope >= -floor:
-                break
+                return beta, ll, iterations, NewtonOutcome.FAILED
+            last = iterations + 1 == max_steps
             scale = 1.0
-            accepted = None
             for _ in range(DEFAULT_MAX_HALVINGS + 1):
                 if scale * slope <= floor:
-                    converged = True
-                    break
+                    return beta, ll, iterations, NewtonOutcome.CONVERGED
                 cand = beta + scale * step
-                # one pass per trial point: an accepted trial's g and H are the
-                # next step's, and l is the one `partial_loglik` would give
-                trial = _pl_derivs(ew, cand)
+                trial = (_pl_loglik(ew, cand),) if last else _pl_derivs(ew, cand)
                 if math.isfinite(trial[0]) and trial[0] > ll:
-                    accepted = trial
                     break
                 scale *= 0.5
-            if accepted is None:
-                break
-            beta = cand
-            ll, grad, hess = accepted
-            iterations += 1
-    return beta, ll, iterations, converged
+            else:
+                return beta, ll, iterations, NewtonOutcome.FAILED
+            beta, ll = cand, trial[0]
+            if not last:
+                grad, hess = trial[1:]
+    return beta, ll, max_steps, NewtonOutcome.CAPPED
 
 
-def _fit_coefficients(rs: _RiskSets, w_r, beta0):
-    """Newton fit of one weighted Cox component: (beta, iterations, converged),
-    `w_r` the weights in risk order."""
-    # the maximizer is invariant to rescaling the weights, and unit-scale
-    # weights keep the risk sums well conditioned; dividing the gathered
-    # weights gives the bits that gathering w / max(w) would
+def _fit_coefficients(rs: _RiskSets, w_r, beta0, max_steps: int = DEFAULT_MAX_ITER):
+    """Newton fit of one weighted Cox component: (beta, iterations, outcome),
+    `w_r` the weights in risk order and at most `max_steps` accepted steps."""
+    # the maximizer and the Newton step are invariant to rescaling the
+    # weights, and unit-scale weights keep the risk sums well conditioned;
+    # dividing the gathered weights gives the bits that gathering w / max(w)
+    # would
     w_fit = w_r / float(w_r.max())
     try:
-        beta, _, iterations, converged = _newton(rs, w_fit, beta0)
+        beta, _, iterations, outcome = _newton(rs, w_fit, beta0, max_steps)
     except NumericalError:
         # a warm start can be infeasible after the weights shift; zero is
         # always a finite starting point for the partial likelihood
-        beta, _, iterations, converged = _newton(rs, w_fit, np.zeros(rs.p))
-    return beta, iterations, converged
+        beta, _, iterations, outcome = _newton(rs, w_fit, np.zeros(rs.p), max_steps)
+    return beta, iterations, outcome
 
 
 def _increments(rs: _RiskSets, w_r, beta) -> np.ndarray:

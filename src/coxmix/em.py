@@ -11,6 +11,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .coxfit import (
+    DEFAULT_MAX_ITER,
+    NewtonOutcome,
     NumericalError,
     _baseline_arrays,
     _check_smoothing,
@@ -57,6 +59,10 @@ DISTINCT_TOL = 1e-6
 
 # Newton steps allowed for the root of the penalized mixing-proportion update
 PI_NEWTON_MAX_STEPS = 100
+
+# accepted Newton steps of each EM refit of a component's coefficients: one
+# step that raises the weighted partial likelihood makes a generalized EM
+REFIT_NEWTON_STEPS = 1
 
 
 @dataclass(frozen=True)
@@ -146,19 +152,20 @@ class _FitContext:
         self.bandwidth = float(bandwidth)
         self.rs = _RiskSets(data.x, data.y, data.delta)
         self.density = _record_density(data, self.rs.grid, kernel, self.bandwidth)
-        # M-step Newton solves on this context, their accepted steps, and the
-        # solves that ended unconverged
+        # Newton solves on this context, their accepted steps, and the solves
+        # that failed
         self.newton_fits = 0
         self.newton_iterations = 0
         self.newton_unconverged = 0
 
-    def fit_coefficients(self, w_r: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        """Newton fit of one component's coefficients from beta, `w_r` its
-        weights in risk order; the solve is added to the counts."""
-        beta, iterations, converged = _fit_coefficients(self.rs, w_r, beta)
+    def fit_coefficients(self, w_r: np.ndarray, beta: np.ndarray, max_steps: int = DEFAULT_MAX_ITER) -> np.ndarray:
+        """Newton fit of one component's coefficients from beta in at most
+        `max_steps` accepted steps, `w_r` its weights in risk order; the
+        solve is added to the counts."""
+        beta, iterations, outcome = _fit_coefficients(self.rs, w_r, beta, max_steps)
         self.newton_fits += 1
         self.newton_iterations += iterations
-        self.newton_unconverged += not converged
+        self.newton_unconverged += outcome is NewtonOutcome.FAILED
         return beta
 
     def increments(self, w_r: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -177,13 +184,15 @@ class _FitContext:
         )
 
     def refit_component(self, w: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(beta, increments) of one weighted Cox fit warm-started from beta."""
+        """(beta, increments) of one EM refit of a component: at most
+        REFIT_NEWTON_STEPS line-searched Newton steps on its weighted partial
+        likelihood from beta."""
         # a component starved of event weight keeps its coefficients and gets a
         # zero baseline; the next E-step then removes it naturally
         if float(w[self.rs.ev_mask].sum()) <= 0.0:
             return beta, np.zeros(self.rs.grid.size)
         w_r = w.take(self.rs.rev)
-        beta = self.fit_coefficients(w_r, beta)
+        beta = self.fit_coefficients(w_r, beta, REFIT_NEWTON_STEPS)
         return beta, self.increments(w_r, beta)
 
 
@@ -382,7 +391,7 @@ def monotonicity_failures(history) -> list[tuple[int, float]]:
 
     The per-iteration objective plugs the kernel-smoothed baseline into the
     observed log-likelihood, which is not the exact quantity the profile
-    M-step maximizes, so small decreases can occur. They are recorded as
+    M-step raises, so small decreases can occur. They are recorded as
     (iteration index, drop) pairs rather than raised.
     """
     out: list[tuple[int, float]] = []
@@ -508,9 +517,11 @@ def fit_mixture(
       deviation from 1 of a responsibility row sum and of the proportions'
       sum;
     - `restart_failures`: the messages of restarts that failed;
-    - `newton_fits`, `newton_iterations` and `newton_unconverged`: M-step
-      Newton solves, their accepted steps, and the solves that did not
-      report convergence.
+    - `newton_fits`, `newton_iterations` and `newton_unconverged`: Newton
+      solves, their accepted steps, and the solves that failed: a line
+      search that ran out of halvings, or a slope that was too negative or
+      NaN. An initial fit solves in full, up to 25 steps; each EM refit
+      takes at most one step and stops there, which is not a failure.
 
     The model JSON stores no diagnostics.
 

@@ -46,7 +46,13 @@ def stack_fits(data, pi, weights):
     from beta = 0, on the data's event-time grid with the Gaussian kernel and
     the rule-of-thumb bandwidth."""
     ctx = _FitContext(data, "gaussian", default_time_bandwidth(data.y))
-    betas, incs = zip(*(ctx.refit_component(np.asarray(w, dtype=float), np.zeros(data.p)) for w in weights))
+
+    def fit(w):
+        w_r = np.asarray(w, dtype=float).take(ctx.rs.rev)
+        beta = ctx.fit_coefficients(w_r, np.zeros(data.p))
+        return beta, ctx.increments(w_r, beta)
+
+    betas, incs = zip(*(fit(w) for w in weights))
     return ctx.mixture(np.asarray(pi, dtype=float), np.array(betas), np.array(incs))
 
 

@@ -14,10 +14,12 @@ from coxmix.coxfit import (
     kernel_values,
     partial_loglik,
     smooth_baseline_hazard,
+    NewtonOutcome,
     _EventWeights,
     _fit_coefficients,
     _increments,
     _pl_derivs,
+    _pl_loglik,
     _pl_value,
     _risk_weights,
     _RiskSets,
@@ -213,7 +215,33 @@ class TestFusedDerivatives:
             eta, shift, e = _risk_weights(ew.rs, ew.w_r, beta)
             s0 = np.take(np.cumsum(e), ew.row)
             plain = float(np.sum(ew.wv * (np.take(eta, ew.position) - shift - np.log(s0))))
-            assert _pl_derivs(ew, beta)[0] == _pl_value(ew, beta) == plain
+            assert _pl_derivs(ew, beta)[0] == _pl_value(ew, beta) == _pl_loglik(ew, beta) == plain
+
+    @pytest.mark.parametrize("p", [2, 7])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("weights", ["uniform", "zero_at_events", "tiny"])
+    def test_loglik_pass_equals_derivative_pass_bitwise(self, p, tied, weights):
+        # the trial points of a capped Newton solve compute l alone; it must
+        # be the l that the full pass gives
+        data, w, beta0 = oracle_case(p, tied, weights)
+        ew = prepared(data, w)
+        gen = np.random.default_rng(p)
+        betas = [gen.normal(scale=scale, size=p) for scale in (0.1, 0.5, 1.0, 3.0) for _ in range(5)]
+        for beta in [beta0] + betas:
+            ll = _pl_loglik(ew, beta)
+            assert math.isfinite(ll)
+            assert ll == _pl_derivs(ew, beta)[0]
+
+    def test_loglik_pass_of_a_degenerate_risk_sum_is_minus_inf(self):
+        # the later a record, the smaller its covariate: at beta = 1 every
+        # record after the first few underflows exp(eta - max eta) to 0, so
+        # the late risk sums are 0
+        y = np.arange(1.0, 21.0)
+        data = Dataset(y=y, delta=np.ones(20, dtype=int), x=np.column_stack([-1000.0 * y, np.zeros(20)]))
+        ew = prepared(data, np.ones(20))
+        beta = np.array([1.0, 0.0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert _pl_loglik(ew, beta) == _pl_derivs(ew, beta)[0] == -np.inf
 
 
 def per_call_derivs(rs, w, beta):
@@ -301,7 +329,7 @@ class TestEventWeights:
         monkeypatch.setattr(coxfit, "_EventWeights", Counting)
         monkeypatch.setattr(coxfit, "_pl_derivs", recording)
         w_r = np.take(w / w.max(), rs.rev)
-        beta, ll, iterations, converged = coxfit._newton(rs, w_r, np.zeros(3))
+        beta, ll, iterations, outcome = coxfit._newton(rs, w_r, np.zeros(3))
         assert len(built) == 1
         assert all(ew is built[0] for ew, _, _ in passes)
         # the start, then each trial point once; a trial is a step exactly
@@ -311,17 +339,17 @@ class TestEventWeights:
         for _, _, value in passes[1:]:
             if value > best:
                 best, accepted = value, accepted + 1
-        assert converged
+        assert outcome is NewtonOutcome.CONVERGED
         assert iterations == accepted < len(passes) - 1
         assert ll == best
 
 
-def fit_cox(data, w, beta0=None):
-    """(beta, accepted Newton steps, converged) of one weighted Cox fit from
-    beta0, zero by default."""
+def fit_cox(data, w, beta0=None, max_steps=coxfit.DEFAULT_MAX_ITER):
+    """(beta, accepted Newton steps, outcome) of one weighted Cox fit from
+    beta0, zero by default, in at most `max_steps` accepted steps."""
     rs = _RiskSets(data.x, data.y, data.delta)
     beta0 = np.zeros(data.p) if beta0 is None else beta0
-    return _fit_coefficients(rs, np.take(np.asarray(w, dtype=float), rs.rev), beta0)
+    return _fit_coefficients(rs, np.take(np.asarray(w, dtype=float), rs.rev), beta0, max_steps)
 
 
 class TestNewtonStop:
@@ -329,7 +357,7 @@ class TestNewtonStop:
     def test_restart_at_optimum_converges_without_search(self, seed, monkeypatch):
         data = simulate_single(600, 2, [0.8, -0.5], seed=seed, censor_frac=0.2)
         w = np.random.default_rng(seed).uniform(0.05, 1.0, size=data.n)
-        beta, _, converged = fit_cox(data, w)
+        beta, _, outcome = fit_cox(data, w)
         calls = []
 
         def counting(*args, **kwargs):
@@ -337,11 +365,11 @@ class TestNewtonStop:
             return _pl_derivs(*args, **kwargs)
 
         monkeypatch.setattr(coxfit, "_pl_derivs", counting)
-        _, _, again_converged = fit_cox(data, w, beta)
-        assert again_converged
+        _, _, again = fit_cox(data, w, beta)
+        assert again is NewtonOutcome.CONVERGED
         # the start point and at most one trial point
         assert len(calls) <= 2
-        assert converged
+        assert outcome is NewtonOutcome.CONVERGED
 
     def test_rejected_trials_are_not_steps(self, monkeypatch):
         data = simulate_single(600, 2, [0.8, -0.5], seed=3, censor_frac=0.2)
@@ -359,13 +387,13 @@ class TestNewtonStop:
             return out
 
         monkeypatch.setattr(coxfit, "_pl_derivs", recording)
-        beta, iterations, converged = fit_cox(data, w)
+        beta, iterations, outcome = fit_cox(data, w)
         # a trial is accepted exactly when it beats the last accepted l
         best, accepted = values[0], 0
         for ll in values[1:]:
             if ll > best:
                 best, accepted = ll, accepted + 1
-        assert converged
+        assert outcome is NewtonOutcome.CONVERGED
         assert iterations == accepted
         assert len(values) - 1 > iterations
         # one derivative pass per point, accepted or not
@@ -376,16 +404,58 @@ class TestNewtonStop:
         data = simulate_single(50, 2, [0.8, -0.5], seed=21)
         # a step pointing downhill makes g'step negative with |g| above tolerance
         monkeypatch.setattr(coxfit, "_newton_step", lambda hess, grad: -grad)
-        _, iterations, converged = fit_cox(data, np.ones(data.n))
-        assert not converged
+        _, iterations, outcome = fit_cox(data, np.ones(data.n))
+        assert outcome is NewtonOutcome.FAILED
         assert iterations == 0
+
+    def test_search_out_of_halvings_fails(self, monkeypatch):
+        data = simulate_single(50, 2, [0.8, -0.5], seed=21)
+        # an ascent direction so long that every halving still overshoots
+        newton_step = coxfit._newton_step
+        monkeypatch.setattr(coxfit, "_newton_step", lambda hess, grad: 1e30 * newton_step(hess, grad))
+        _, iterations, outcome = fit_cox(data, np.ones(data.n), max_steps=1)
+        assert outcome is NewtonOutcome.FAILED
+        assert not outcome
+        assert iterations == 0
+
+    @pytest.mark.parametrize("stretch", [1.0, 64.0])
+    def test_last_step_trials_compute_loglik_alone(self, stretch, monkeypatch):
+        data = simulate_single(600, 2, [0.8, -0.5], seed=3, censor_frac=0.2)
+        w = np.random.default_rng(3).uniform(0.05, 1.0, size=data.n)
+        newton_step = coxfit._newton_step
+        # a 64-fold step overshoots, so the last step's search rejects trials too
+        monkeypatch.setattr(coxfit, "_newton_step", lambda hess, grad: stretch * newton_step(hess, grad))
+        derivs, values = [], []
+
+        def counting(ew, beta):
+            derivs.append(beta.tobytes())
+            return _pl_derivs(ew, beta)
+
+        def recording(ew, beta):
+            values.append(_pl_loglik(ew, beta))
+            return values[-1]
+
+        monkeypatch.setattr(coxfit, "_pl_derivs", counting)
+        monkeypatch.setattr(coxfit, "_pl_loglik", recording)
+        one, iterations, outcome = fit_cox(data, w, max_steps=1)
+        assert (iterations, outcome) == (1, NewtonOutcome.CAPPED)
+        # the start alone takes the derivative pass; the step's trials, l alone
+        assert derivs == [np.zeros(2).tobytes()]
+        assert (len(values) == 1) == (stretch == 1.0)
+        # one accepted step: the first trial that beats the start
+        start = _pl_derivs(prepared(data, w / w.max()), np.zeros(2))[0]
+        assert values[:-1] == [v for v in values if not v > start] and values[-1] > start
+        # steps depend on beta alone, so two capped steps are one step twice
+        two, iterations, _ = fit_cox(data, w, max_steps=2)
+        assert iterations == 2
+        assert np.array_equal(two, fit_cox(data, w, one, max_steps=1)[0])
 
 
 class TestFit:
     def test_matches_generic_optimizer(self):
         data = simulate_single(50, 2, [0.8, -0.5], seed=21)
         w = np.ones(data.n)
-        beta, _, converged = fit_cox(data, w)
+        beta, _, outcome = fit_cox(data, w)
         res = minimize(
             lambda b: -brute_force_pl(data, w, b),
             np.zeros(2),
@@ -393,7 +463,7 @@ class TestFit:
             options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 5000},
         )
         assert np.allclose(beta, res.x, atol=1e-6)
-        assert converged
+        assert outcome is NewtonOutcome.CONVERGED
 
     def test_weighted_matches_generic_optimizer(self, rng):
         data = simulate_single(50, 2, [0.8, -0.5], seed=22, censor_frac=0.15)
@@ -409,10 +479,10 @@ class TestFit:
 
     def test_zero_covariates_give_zero_beta(self):
         data = Dataset(y=np.array([1.0, 2.0, 3.0]), delta=np.array([1, 1, 1]), x=np.zeros((3, 1)))
-        beta, iterations, converged = fit_cox(data, np.ones(3))
+        beta, iterations, outcome = fit_cox(data, np.ones(3))
         assert beta[0] == 0.0
         # g = 0 exactly: a zero slope is an optimum, not a failed search
-        assert converged
+        assert outcome is NewtonOutcome.CONVERGED
         assert iterations == 0
 
     def test_duplicated_rows_equal_double_weights(self):

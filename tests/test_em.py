@@ -38,7 +38,7 @@ from coxmix.em import (
     update_mixing_proportions,
 )
 from coxmix import coxfit, em, tdroc, tuning
-from coxmix.coxfit import NumericalError
+from coxmix.coxfit import DEFAULT_MAX_ITER, NewtonOutcome, NumericalError
 from coxmix.penalties import KINDS, PenaltySpec, lla_coefficient, log_scale_term
 from coxmix.simgen import SimConfig, generate_dataset, run_study
 
@@ -601,6 +601,35 @@ class TestFitContext:
         arrays = [v for obj in (ctx, ctx.rs) for v in vars(obj).values() if isinstance(v, np.ndarray)]
         assert arrays and all(a.size < n * m for a in arrays)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_refit_from_a_converged_beta_stays_put(self, seed):
+        # a refit is one Newton step, and the step is 0 where g = 0: at a fully
+        # converged beta the refit moves it by rounding only
+        data = simulate_single(600, 2, [0.8, -0.5], seed=seed, censor_frac=0.2)
+        ctx = _FitContext(data, "gaussian", default_time_bandwidth(data.y))
+        w = np.random.default_rng(seed).uniform(0.05, 1.0, size=data.n)
+        w_r = w.take(ctx.rs.rev)
+        beta = ctx.fit_coefficients(w_r, np.zeros(data.p))
+        steps = ctx.newton_iterations
+        again, inc = ctx.refit_component(w, beta)
+        assert np.max(np.abs(again - beta)) <= 1e-12
+        assert np.array_equal(inc, ctx.increments(w_r, again))
+        assert ctx.newton_fits == 2 and ctx.newton_unconverged == 0
+        assert ctx.newton_iterations - steps <= em.REFIT_NEWTON_STEPS == 1
+
+    def test_refit_takes_one_step_toward_the_full_fit(self):
+        data = simulate_single(600, 2, [0.8, -0.5], seed=5, censor_frac=0.2)
+        ctx = _FitContext(data, "gaussian", default_time_bandwidth(data.y))
+        w = np.random.default_rng(5).uniform(0.05, 1.0, size=data.n)
+        full = ctx.fit_coefficients(w.take(ctx.rs.rev), np.zeros(data.p))
+        steps = ctx.newton_iterations
+        assert steps > 1
+        one, _ = ctx.refit_component(w, np.zeros(data.p))
+        assert ctx.newton_iterations - steps == 1
+        # the step raised l on the way from 0 to the optimum
+        l0, l1, lf = (coxfit.partial_loglik(data, w, b)[0] for b in (np.zeros(data.p), one, full))
+        assert l0 < l1 < lf
+
 
 class TestInitialize:
     def test_single_component(self, small_data):
@@ -705,15 +734,16 @@ class TestEMState:
 @pytest.fixture(scope="class")
 def criterion_5_m_steps():
     """Replication 0 of the criterion-5 cell (data from SeedSequence([2026, 0, 0]))
-    tuned as run_study does: every `_fit_coefficients` result, and each fitted
-    model with the results made while fitting it."""
+    tuned as run_study does: every `_fit_coefficients` result as (beta,
+    iterations, outcome, step budget), and each fitted model with the
+    results made while fitting it."""
     made, models = [], []
     fit_coefficients = em._fit_coefficients
     fit_mixture_ = tuning.fit_mixture
 
-    def recording(*args):
-        fit = fit_coefficients(*args)
-        made.append(fit)
+    def recording(rs, w_r, beta0, max_steps=DEFAULT_MAX_ITER):
+        fit = fit_coefficients(rs, w_r, beta0, max_steps)
+        made.append((*fit, max_steps))
         return fit
 
     def fitting(*args, **kwargs):
@@ -750,7 +780,13 @@ class TestFitMixture:
         # converged=False on about a quarter of these fits
         made, _ = criterion_5_m_steps
         assert len(made) > 1000
-        assert [f for f in made if not f[2]] == []
+        assert [f for f in made if f[2] is NewtonOutcome.FAILED] == []
+        # the initial fits solve in full; each refit takes at most one step
+        initial = [f for f in made if f[3] == DEFAULT_MAX_ITER]
+        refits = [f for f in made if f[3] == em.REFIT_NEWTON_STEPS]
+        assert len(initial) + len(refits) == len(made)
+        assert initial and all(f[2] is NewtonOutcome.CONVERGED for f in initial)
+        assert len(refits) > 1000 and all(f[1] <= 1 for f in refits)
 
     def test_newton_counts_in_diagnostics(self, criterion_5_m_steps):
         _, models = criterion_5_m_steps
@@ -759,9 +795,23 @@ class TestFitMixture:
             d = model.diagnostics
             assert d["newton_fits"] == len(made) > 0
             assert d["newton_iterations"] == sum(f[1] for f in made)
-            assert d["newton_unconverged"] == sum(not f[2] for f in made)
+            assert d["newton_unconverged"] == sum(f[2] is NewtonOutcome.FAILED for f in made)
             # in memory only: criterion 8 compares the model JSON byte for byte
             assert "newton" not in model_to_json(model)
+
+    def test_newton_steps_are_the_initial_fits_plus_one_per_refit(self):
+        data, _ = generate_dataset(SimConfig(300, censor_target=0.05, seed=2026), np.random.default_rng(1))
+        spec = PenaltySpec(kind="scad", level=tuning.level_from_c(0.6, data.n))
+        config = EMConfig(k_init=10, max_iterations=400, restarts=1, seed=3)
+        model = fit_mixture(data, spec, config)
+        # the initial fits of the one restart, on the standardized data fit_mixture fits
+        std, _ = standardize_covariates(data)
+        ctx = _FitContext(std, "gaussian", default_time_bandwidth(std.y))
+        _initialize(ctx, config.k_init, np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0]))
+        d = model.diagnostics
+        refits = d["newton_fits"] - ctx.newton_fits
+        assert refits >= d["iterations"] * model.params.K
+        assert ctx.newton_iterations < d["newton_iterations"] <= ctx.newton_iterations + refits
 
     def test_bit_reproducible(self):
         data = simulate_single(60, 2, [0.6, -0.6], seed=29, censor_frac=0.15)

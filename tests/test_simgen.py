@@ -272,12 +272,12 @@ class TestRunStudy:
         assert study_to_csv(result) == (
             "penalty,n,censor_target,component,parameter,bias,sd,"
             "replications_used,K_hat_mode,K_correct_fraction\n"
-            "scad,120,0,1,pi,-0.23561761483544091,nan,1,1,0.5\n"
-            "scad,120,0,1,beta1,0.052082075980306453,nan,1,1,0.5\n"
-            "scad,120,0,1,beta2,0.060110009849278168,nan,1,1,0.5\n"
-            "scad,120,0,2,pi,0.23561761483544086,nan,1,1,0.5\n"
-            "scad,120,0,2,beta1,-0.38766481326302149,nan,1,1,0.5\n"
-            "scad,120,0,2,beta2,-0.23064157583493816,nan,1,1,0.5\n"
+            "scad,120,0,1,pi,-0.23565771332117097,nan,1,1,0.5\n"
+            "scad,120,0,1,beta1,0.052034661215639488,nan,1,1,0.5\n"
+            "scad,120,0,1,beta2,0.06005051637943426,nan,1,1,0.5\n"
+            "scad,120,0,2,pi,0.2356577133211708,nan,1,1,0.5\n"
+            "scad,120,0,2,beta1,-0.38770776790302364,nan,1,1,0.5\n"
+            "scad,120,0,2,beta2,-0.23068224728254605,nan,1,1,0.5\n"
         )
         assert result.k_hat_counts == {"scad": {1: 1, 2: 1}}
         assert result.failures == {"scad": 0}
@@ -309,12 +309,12 @@ class TestRunStudy:
         assert study_to_csv(result) == (
             "penalty,n,censor_target,component,parameter,bias,sd,"
             "replications_used,K_hat_mode,K_correct_fraction\n"
-            "scad,80,0.050000000000000003,1,pi,-0.076240318884548075,0.10191332514057656,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,1,beta1,0.23236350125313843,1.3789069141808459,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,1,beta2,-0.29121315250169522,0.74412971522428983,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,2,pi,0.076240318884548186,0.10191332514057654,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,2,beta1,0.012576602826904315,0.16297111371741424,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,2,beta2,-0.078904082305509049,0.27533222598726903,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,1,pi,-0.076794910579467912,0.10250567968634161,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,1,beta1,0.2289434071907972,1.3827238668353223,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,1,beta2,-0.2935305275538731,0.74651731794531839,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,pi,0.076794910579467968,0.10250567968634161,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,beta1,0.012315451415845224,0.16285712327101293,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,beta2,-0.079156013590878427,0.27498197310239669,9,2,0.90000000000000002\n"
         )
         assert result.k_hat_counts == {"scad": {1: 1, 2: 9}}
         assert result.failures == {"scad": 0}
