@@ -40,7 +40,7 @@ class NumericalError(Exception):
 
 
 class DegenerateComponentError(NumericalError):
-    """A component carries no usable event weight."""
+    """A component's baseline hazard overflows at x = 0 of the covariates."""
 
 
 class NewtonOutcome(enum.IntEnum):
@@ -188,13 +188,16 @@ class _RiskSets(_TimeIndex):
       p(p + 1)/2, where x_c are the column-centred covariates. Each row is
       one cumulative sum over contiguous memory. The partial likelihood and
       its derivatives do not change when x is shifted, and centring keeps
-      the second-moment sums free of cancellation;
+      the second-moment sums free of cancellation. This is the one place
+      the fit moves the covariates' origin, to `center`: the column means,
+      except that a column whose values are all equal is centred on that
+      value, so it centres to exactly 0 (its mean can be an ulp off);
     - `x_ev`, the centred covariates of each event in risk order (p x events).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, delta: np.ndarray):
         super().__init__(y, delta)
-        self.center = x.mean(axis=0)
+        self.center = np.where(np.all(x == x[0], axis=0), x[0], x.mean(axis=0))
         self.p = x.shape[1]
         xc = (x[self.rev] - self.center).T
         self.triu = np.triu_indices(self.p)
@@ -427,14 +430,25 @@ def _fit_coefficients(rs: _RiskSets, w_r, beta0, max_steps: int = DEFAULT_MAX_IT
 def _increments(rs: _RiskSets, w_r, beta) -> np.ndarray:
     """Breslow increments on the event-time grid, `w_r` the weights in risk
     order: at each time, the weight of its tied events over its risk-set sum
-    of w exp(eta)."""
+    of w exp(eta).
+
+    The sums run on the index's centred covariates, eta_c = beta.(x -
+    center), shifted by their largest value; the baseline is stored at
+    x = 0 of the caller's covariates, which multiplies each ratio by
+    exp(-shift - beta.center). Each tie sum is divided by its risk-set sum
+    before the ratio is multiplied by that factor: the product of a tie sum
+    and the factor can underflow or overflow where the increment itself
+    is representable. The increment must be representable at x = 0, and
+    so must the factor: an increment that is not finite raises
+    DegenerateComponentError.
+    """
     eta, shift, e = _risk_weights(rs, w_r, beta)
     num = _tie_sums(rs, w_r, 0, rs.grid.size)
     den = e.cumsum().take(rs.grid_row)
     # eta on the caller's covariates is the index's eta plus this offset
     offset = float(rs.center @ beta)
-    with np.errstate(invalid="ignore"):
-        inc = np.where(num > 0, num * math.exp(-shift - offset) / np.where(den > 0, den, 1.0), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inc = np.where(num > 0, num / np.where(den > 0, den, 1.0) * np.exp(-shift - offset), 0.0)
     lost = (num > 0) & (den <= 0)
     if lost.any():
         # tiny weights times exp(eta - shift) underflowed the risk-set sum to
@@ -444,8 +458,8 @@ def _increments(rs: _RiskSets, w_r, beta) -> np.ndarray:
         log_s0 = np.logaddexp.accumulate(log_e).take(rs.grid_row)
         with np.errstate(over="ignore"):
             inc[lost] = np.exp(np.log(num[lost]) - log_s0[lost] - offset)
-        if not np.all(np.isfinite(inc[lost])):
-            raise DegenerateComponentError("risk-set weight sum at an event time is out of range")
+    if not np.all(np.isfinite(inc)):
+        raise DegenerateComponentError("the baseline hazard at x = 0 overflows")
     return inc
 
 
@@ -521,6 +535,13 @@ class _GaussianBoxes:
     m = len(t) = 4598 the build peaked at 2 MB and a call with K = 3 at
     0.4 MB more; at 10^-4 of the rule-of-thumb bandwidth, where nearly every
     time has a box of its own, at 10.5 and 4.7 MB.
+
+    Box coordinates are measured from the first grid point in bandwidths,
+    so a position d bandwidths out carries a rounding error of about
+    1e-16 d, and the kernel values' relative error grows with it. Up to a
+    few thousand bandwidths the error stays within the 1e-12 relative
+    bound that `smooth_baseline_hazard` states; at 10^4 bandwidths it
+    reached 2.5e-12 and at 10^5 1.8e-11.
     """
 
     def __init__(self, grid: np.ndarray, bandwidth: float, t: np.ndarray):
@@ -659,7 +680,13 @@ def smooth_baseline_hazard(params, t):
     Epanechnikov scan masks), without the len(t) x m kernel matrix. Against
     that dense sum, the relative error is at most 1e-12 wherever the rate
     is at least 1e-8 sum(increments)/h, and the absolute error at most
-    1e-14 sum(increments)/h everywhere. More than 40h from every event time
+    1e-14 sum(increments)/h everywhere. For the Gaussian kernel this holds
+    while the event times and targets lie within a few thousand bandwidths
+    of the first event time; a rule-of-thumb bandwidth spans a few dozen.
+    Positions are measured from there in bandwidths (see `_GaussianBoxes`),
+    so the error grows with the span: with 1,000 event times uniform over
+    10^4 bandwidths the relative error reached 2.5e-12, and over 10^5
+    bandwidths 1.8e-11 (8 draws). More than 40h from every event time
     the Gaussian rate is exactly 0, as the dense sum's terms underflow
     there; the Epanechnikov rate is 0 beyond h.
 

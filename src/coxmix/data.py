@@ -1,9 +1,13 @@
-"""Right-censored survival data: validation, CSV input and output, standardization."""
+"""Right-censored survival data: validation, CSV input and output.
+
+Covariates are fitted as given: no transformed copy of a Dataset is made,
+so fitted coefficients are on the columns' own scale and each baseline
+hazard is the one at x = 0.
+"""
 
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,10 +15,8 @@ import numpy as np
 __all__ = [
     "DataError",
     "Dataset",
-    "Standardization",
     "load_dataset",
     "save_dataset",
-    "standardize_covariates",
 ]
 
 
@@ -193,42 +195,3 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     """Write the header and rows to a new CSV file at `path`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         _write_rows(fh, header, rows)
-
-
-@dataclass(frozen=True)
-class Standardization:
-    """Per-column centering and scaling applied before fitting.
-
-    `scale` holds the sample standard deviation (ddof=1), replaced by 1 for
-    constant columns.
-    """
-
-    mean: np.ndarray
-    scale: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.scale
-
-    def original_beta(self, beta_std: np.ndarray) -> np.ndarray:
-        return np.asarray(beta_std, dtype=float) / self.scale
-
-    def linear_offset(self, beta_std: np.ndarray) -> float:
-        """Constant subtracted from the original-scale linear predictor, i.e.
-        beta_std . (mean / scale)."""
-        return float(np.dot(np.asarray(beta_std, dtype=float), self.mean / self.scale))
-
-
-def standardize_covariates(data: Dataset) -> tuple[Dataset, Standardization]:
-    """Center and scale covariate columns; constant columns pass through with a warning."""
-    mean = data.x.mean(axis=0)
-    if data.n > 1:
-        scale = data.x.std(axis=0, ddof=1)
-    else:
-        scale = np.zeros(data.p)
-    constant = scale == 0.0
-    if np.any(constant):
-        warnings.warn("constant covariate columns left unscaled", stacklevel=2)
-        scale = np.where(constant, 1.0, scale)
-    record = Standardization(mean=mean, scale=scale)
-    std = Dataset(y=data.y, delta=data.delta, x=record.apply(data.x))
-    return std, record

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import json
-import math
 import operator
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .coxfit import (
     component_log_density,
     default_time_bandwidth,
 )
-from .data import Dataset, _format_real, standardize_covariates
+from .data import Dataset, _format_real
 from .penalties import PenaltySpec, lla_coefficient, log_scale_term
 
 __all__ = [
@@ -468,19 +467,6 @@ def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.rando
     return state
 
 
-def _destandardize(params: MixtureParams, record, order) -> MixtureParams:
-    """params on the original covariate scale, with the components in `order`."""
-    rows = [(params.beta[k], params.increments[k]) for k in order]
-    beta = np.array([record.original_beta(b) for b, _ in rows])
-    # one scalar factor per row, as the per-component mapping always did
-    inc = np.array([row * math.exp(-record.linear_offset(b)) for b, row in rows])
-    if not np.all(np.isfinite(inc)):
-        raise NumericalError(
-            "baseline increments overflowed while mapping back to the original covariate scale"
-        )
-    return replace(params, pi=params.pi[order], beta=beta, increments=inc)
-
-
 def _distinct_components(params: MixtureParams, tol: float = DISTINCT_TOL) -> bool:
     # sup-norm distance between every pair of coefficient rows
     gap = np.max(np.abs(params.beta[:, None, :] - params.beta[None, :, :]), axis=2)
@@ -496,10 +482,15 @@ def fit_mixture(
 ) -> FittedModel:
     """Fit a penalized Cox mixture by EM with random restarts.
 
-    Covariates are standardized internally and every reported quantity is
-    mapped back to the original scale. The best restart by final penalized
-    observed log-likelihood wins; components are ordered by decreasing
-    proportion.
+    The fit runs on the covariates of `data` as given, with no centred or
+    scaled copy: the partial likelihood, its Newton steps and the EM
+    objective do not change when a covariate is shifted or rescaled, so
+    beta is on the columns' own scale and each baseline is the one at
+    x = 0. That baseline must be representable: one that overflows there
+    fails its restart (see `coxfit._increments`). A covariate column whose
+    values are all equal gives a warning; its coefficients stay 0. The
+    best restart by final penalized observed log-likelihood wins;
+    components are ordered by decreasing proportion.
 
     `diagnostics` holds, for the winning restart:
 
@@ -546,8 +537,10 @@ def fit_mixture(
         raise ValueError("k_init cannot exceed the number of records")
     h = default_time_bandwidth(data.y) if bandwidth is None else float(bandwidth)
     _check_smoothing(kernel, h)
-    std_data, record = standardize_covariates(data)
-    ctx = _FitContext(std_data, kernel, h)
+    ctx = _FitContext(data, kernel, h)
+    # the index centres a column to exactly 0 when, and only when, all its values are equal
+    if not np.all(ctx.rs.design[1 : ctx.p + 1].any(axis=1)):
+        warnings.warn("constant covariate columns", stacklevel=2)
     children = np.random.SeedSequence(config.seed).spawn(config.restarts)
     best: _EMState | None = None
     failures: list[str] = []
@@ -569,7 +562,7 @@ def fit_mixture(
             "every EM restart failed: " + "; ".join(failures[:3]) + ("..." if len(failures) > 3 else "")
         )
     order = np.argsort(-best.params.pi, kind="stable")
-    params = _destandardize(best.params, record, order)
+    params = ctx.mixture(best.params.pi[order], best.params.beta[order], best.params.increments[order])
     if not _distinct_components(params):
         warnings.warn("fitted components are not pairwise distinct", stacklevel=2)
     drops = monotonicity_failures(best.history)

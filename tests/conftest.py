@@ -6,6 +6,7 @@ import pytest
 from coxmix.coxfit import default_time_bandwidth
 from coxmix.data import Dataset
 from coxmix.em import _FitContext
+from coxmix.simgen import SimConfig, generate_dataset
 
 # verdict lines queued by the acceptance tests; printed after capture ends
 ACCEPTANCE_LINES = []
@@ -54,6 +55,20 @@ def stack_fits(data, pi, weights):
 
     betas, incs = zip(*(fit(w) for w in weights))
     return ctx.mixture(np.asarray(pi, dtype=float), np.array(betas), np.array(incs))
+
+
+def real_data_shape_set():
+    """The shape of the GBSG analysis (n = 686, p = 7, about 55% censoring,
+    heavily tied times): two components, with every time moved up to the
+    next of 60 quantiles of the times."""
+    cell = SimConfig(
+        686, pi_true=(0.4, 0.6),
+        beta_true=((-1, -0.5, 0, 0.5, 0, 0, 0.3), (1, 0.5, 0, -0.5, 0, 0.2, 0)),
+        censor_target=0.55, seed=7,
+    )
+    raw, _ = generate_dataset(cell, np.random.default_rng(3))
+    knots = np.quantile(raw.y, np.arange(1, 61) / 60)
+    return Dataset(y=knots[np.searchsorted(knots, raw.y)], delta=raw.delta, x=raw.x)
 
 
 def _drop(name):

@@ -14,9 +14,10 @@ import pytest
 import coxmix
 from coxmix import cli
 from coxmix.cli import COMMANDS, build_parser, main
-from coxmix.data import load_dataset, save_dataset
+from coxmix.data import Dataset, load_dataset, save_dataset
 from coxmix.em import FittedModel, load_model, model_to_json
 from coxmix.penalties import PenaltySpec
+from coxmix.simgen import SimConfig, generate_dataset
 
 from conftest import MALFORMED_MODELS, malformed_model_text, simulate_single, stack_fits
 
@@ -255,6 +256,18 @@ class TestFit:
         code = run_cli(["fit", str(bad), "--penalty", "scad", "--level", "0"])
         assert code == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_overflowing_baseline_is_numerical_failure(self, tmp_path, capsys):
+        # with x1 + 300 every restart reaches a baseline at x = 0 past the
+        # float range; that is a numerical failure, not a usage error
+        data, _ = generate_dataset(SimConfig(600, censor_target=0.05, seed=2026), np.random.default_rng(1))
+        path = str(tmp_path / "shifted.csv")
+        save_dataset(Dataset(y=data.y, delta=data.delta, x=data.x + [300.0, 0.0]), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["fit", path, "--penalty", "scad", "--level", "0.1", "--out", str(tmp_path / "m.json")])
+        assert code == 4
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_missing_level_is_usage_error(self, data_csv, capsys):
         assert run_cli(["fit", data_csv, "--penalty", "scad"]) == 2

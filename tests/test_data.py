@@ -6,7 +6,6 @@ from coxmix.data import (
     Dataset,
     load_dataset,
     save_dataset,
-    standardize_covariates,
 )
 
 
@@ -144,39 +143,3 @@ class TestCsvRoundTrip:
     def test_save_name_length_mismatch(self, small_data, tmp_path):
         with pytest.raises(ValueError):
             save_dataset(small_data, str(tmp_path / "d.csv"), covariate_names=["only_one"])
-
-
-class TestStandardization:
-    def test_centers_and_scales(self, small_data):
-        std, record = standardize_covariates(small_data)
-        assert np.allclose(std.x.mean(axis=0), 0.0, atol=1e-12)
-        assert np.allclose(std.x.std(axis=0, ddof=1), 1.0, atol=1e-12)
-        assert np.allclose(std.x * record.scale + record.mean, small_data.x, atol=1e-12)
-
-    def test_constant_column_passthrough(self):
-        data = Dataset(
-            y=np.array([1.0, 2.0, 3.0]),
-            delta=np.array([1, 1, 1]),
-            x=np.array([[2.0, 1.0], [2.0, 2.0], [2.0, 3.0]]),
-        )
-        with pytest.warns(UserWarning, match="constant"):
-            std, record = standardize_covariates(data)
-        assert record.scale[0] == 1.0
-        assert record.mean[0] == 2.0
-        assert np.allclose(std.x[:, 0], 0.0)
-        assert np.allclose(std.x[:, 1], [-1.0, 0.0, 1.0])
-
-    def test_original_beta_maps_linear_predictor(self, small_data):
-        std, record = standardize_covariates(small_data)
-        beta_std = np.array([0.7, -1.3])
-        beta_orig = record.original_beta(beta_std)
-        lp_std = std.x @ beta_std
-        lp_orig = small_data.x @ beta_orig - record.linear_offset(beta_std)
-        assert np.allclose(lp_std, lp_orig, atol=1e-12)
-
-    def test_single_row(self):
-        data = Dataset(y=np.array([1.0]), delta=np.array([1]), x=np.array([[5.0]]))
-        with pytest.warns(UserWarning):
-            std, record = standardize_covariates(data)
-        assert record.scale[0] == 1.0
-        assert std.x[0, 0] == 0.0

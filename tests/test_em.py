@@ -16,7 +16,7 @@ from coxmix.coxfit import (
     kernel_values,
     smooth_baseline_hazard,
 )
-from coxmix.data import Dataset, standardize_covariates
+from coxmix.data import Dataset
 from coxmix.em import (
     EMConfig,
     FittedModel,
@@ -42,7 +42,7 @@ from coxmix.coxfit import DEFAULT_MAX_ITER, NewtonOutcome, NumericalError
 from coxmix.penalties import KINDS, PenaltySpec, lla_coefficient, log_scale_term
 from coxmix.simgen import SimConfig, generate_dataset, run_study
 
-from conftest import MALFORMED_MODELS, malformed_model_text, simulate_single, stack_fits
+from conftest import MALFORMED_MODELS, malformed_model_text, real_data_shape_set, simulate_single, stack_fits
 
 
 def two_component_params(data, seed=0):
@@ -569,15 +569,15 @@ class TestFitContext:
         data = simulate_single(150, 2, [0.8, -0.5], seed=71, censor_frac=censor_frac)
         if tied:
             data = Dataset(y=np.ceil(data.y * 20.0) / 20.0, delta=data.delta, x=data.x)
-        std, _ = standardize_covariates(data)
-        ctx = _FitContext(std, kernel, default_time_bandwidth(std.y))
-        assert tied == (ctx.rs.grid.size < int(np.sum(std.delta)))
-        params = random_params(ctx.rs.grid, std.p, K, kernel, ctx.bandwidth, seed=K)
+        ctx = _FitContext(data, kernel, default_time_bandwidth(data.y))
+        assert tied == (ctx.rs.grid.size < int(np.sum(data.delta)))
+        params = random_params(ctx.rs.grid, data.p, K, kernel, ctx.bandwidth, seed=K)
         got = ctx.log_density(params)
-        assert got.shape == (std.n, K)
-        np.testing.assert_allclose(got, dense_log_densities(std, params, ctx), rtol=1e-12, atol=0)
+        assert got.shape == (data.n, K)
+        # atol covers a value that cancels to near 0 from terms of order 1
+        np.testing.assert_allclose(got, dense_log_densities(data, params, ctx), rtol=1e-12, atol=1e-15)
         # the EM's cached path and the public one-call path agree exactly
-        assert np.array_equal(got, component_log_density(std, params))
+        assert np.array_equal(got, component_log_density(data, params))
 
     @pytest.mark.parametrize("n", [3000, 20000])
     def test_build_memory_is_linear_in_events(self, n):
@@ -678,8 +678,7 @@ class TestInitialize:
 class TestEMState:
     def test_paused_run_resumes_bit_for_bit(self, monkeypatch):
         data, _ = generate_dataset(SimConfig(200, censor_target=0.2, seed=2026), np.random.default_rng(1))
-        std, _ = standardize_covariates(data)
-        ctx = _FitContext(std, "gaussian", default_time_bandwidth(std.y))
+        ctx = _FitContext(data, "gaussian", default_time_bandwidth(data.y))
         spec = PenaltySpec(kind="scad", level=tuning.level_from_c(0.6, data.n))
         config = EMConfig(k_init=4, max_iterations=400, restarts=1)
         devs = []
@@ -716,8 +715,7 @@ class TestEMState:
         # "converged" tests the objective only; one more EM step from a
         # converged state must also leave the parameters where they are
         data, _ = generate_dataset(SimConfig(300, censor_target=0.05, seed=2026), np.random.default_rng(1))
-        std, _ = standardize_covariates(data)
-        ctx = _FitContext(std, "gaussian", default_time_bandwidth(std.y))
+        ctx = _FitContext(data, "gaussian", default_time_bandwidth(data.y))
         spec = PenaltySpec(kind="scad", level=tuning.level_from_c(0.6, data.n))
         config = EMConfig(k_init=10, max_iterations=400, restarts=1, seed=seed)
         # the restart stream fit_mixture gives this config's one restart
@@ -769,11 +767,11 @@ class TestFitMixture:
         data = simulate_single(50, 2, [0.8, -0.5], seed=23, censor_frac=0.1)
         spec = PenaltySpec(kind="scad", level=0.0)
         model = fit_mixture(data, spec, EMConfig(k_init=1, restarts=1, seed=4))
-        # one weighted Cox fit on the unstandardized covariates
+        # one weighted Cox fit on the caller's covariates, bit for bit
         direct = stack_fits(data, [1.0], [np.ones(data.n)])
         assert model.params.K == 1
-        assert np.allclose(model.params.beta, direct.beta, atol=1e-6)
-        assert np.allclose(model.params.increments, direct.increments, atol=1e-8)
+        assert np.array_equal(model.params.beta, direct.beta)
+        assert np.array_equal(model.params.increments, direct.increments)
 
     def test_every_m_step_converges_on_criterion_5_data(self, criterion_5_m_steps):
         # a Newton search that ran out of halvings used to report
@@ -804,9 +802,8 @@ class TestFitMixture:
         spec = PenaltySpec(kind="scad", level=tuning.level_from_c(0.6, data.n))
         config = EMConfig(k_init=10, max_iterations=400, restarts=1, seed=3)
         model = fit_mixture(data, spec, config)
-        # the initial fits of the one restart, on the standardized data fit_mixture fits
-        std, _ = standardize_covariates(data)
-        ctx = _FitContext(std, "gaussian", default_time_bandwidth(std.y))
+        # the initial fits of the one restart, on the data fit_mixture fits
+        ctx = _FitContext(data, "gaussian", default_time_bandwidth(data.y))
         _initialize(ctx, config.k_init, np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0]))
         d = model.diagnostics
         refits = d["newton_fits"] - ctx.newton_fits
@@ -918,7 +915,7 @@ class TestFitMixture:
         assert model.params.bandwidth == default_time_bandwidth(data.y)
 
     def test_indistinct_components_warn(self):
-        # a constant covariate standardizes to zero, so every component keeps beta = 0
+        # a constant covariate centres to zero, so every component keeps beta = 0
         base = simulate_single(40, 1, [0.5], seed=53)
         data = Dataset(y=base.y, delta=base.delta, x=np.full((40, 1), 3.0))
         with warnings.catch_warnings(record=True) as caught:
@@ -929,10 +926,109 @@ class TestFitMixture:
                 EMConfig(k_init=2, max_iterations=20, restarts=1, seed=1),
             )
         messages = [str(w.message) for w in caught]
-        assert "constant covariate columns left unscaled" in messages
+        assert "constant covariate columns" in messages
         assert "fitted components are not pairwise distinct" in messages
         assert model.params.K == 2
         assert np.array_equal(model.params.beta[0], model.params.beta[1])
+
+
+@pytest.fixture(scope="module")
+def large_n_600():
+    """SimConfig(600, censor_target=0.05, seed=2026) drawn with default_rng(1)."""
+    data, _ = generate_dataset(SimConfig(600, censor_target=0.05, seed=2026), np.random.default_rng(1))
+    return data
+
+
+def with_columns(data, x):
+    return Dataset(y=data.y, delta=data.delta, x=x)
+
+
+class TestCovariateScale:
+    """fit_mixture fits the caller's covariates; a shift or rescale of a
+    column moves its coefficient and the baselines, nothing else."""
+
+    SCAD_06 = EMConfig(k_init=10, max_iterations=400, restarts=2)
+
+    @staticmethod
+    def scad_06(n):
+        return PenaltySpec(kind="scad", level=tuning.level_from_c(0.6, n))
+
+    def fit_both(self, data):
+        """The K = 1 level-0 fit and the SCAD c = 0.6 fit of `data`, and the
+        messages of the warnings they gave."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+            single = fit_mixture(data, PenaltySpec(kind="scad", level=0.0), EMConfig(k_init=1, restarts=1))
+            mixture = fit_mixture(data, self.scad_06(data.n), self.SCAD_06)
+        return (single, mixture), {str(w.message) for w in caught}
+
+    def test_constant_column_centres_to_zero(self, large_n_600):
+        # 0.3 does not sum exactly over 600 records, so the column mean is an
+        # ulp off 0.3; centred on it, the column would be +-5.6e-17 noise,
+        # which stalls the K = 1 fit at beta = 0 and overflows the SCAD fit
+        x = np.column_stack([large_n_600.x, np.full(large_n_600.n, 0.3)])
+        assert x[:, 2].mean() != 0.3
+        data = with_columns(large_n_600, x)
+        ctx = _FitContext(data, "gaussian", default_time_bandwidth(data.y))
+        assert not np.any(ctx.rs.design[3]) and not np.any(ctx.rs.x_ev[2])
+        fits, messages = self.fit_both(data)
+        assert "constant covariate columns" in messages
+        assert np.all(np.abs(fits[0].params.beta[0, :2]) > 0.005)
+        # each fit is the fit without the column, with beta = 0 on it
+        for got, want in zip(fits, self.fit_both(large_n_600)[0]):
+            assert got.params.K == want.params.K
+            assert got.diagnostics["converged"] and got.diagnostics["newton_unconverged"] == 0
+            assert not np.any(got.params.beta[:, 2])
+            np.testing.assert_allclose(got.params.beta[:, :2], want.params.beta, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(got.params.increments, want.params.increments, rtol=1e-9, atol=0)
+
+    def test_overflowing_baseline_is_a_numerical_error(self, large_n_600):
+        # with x1 + 300, a component with beta1 near -3 has its baseline at
+        # x = 0 near exp(900): past the float range
+        x = large_n_600.x + [300.0, 0.0]
+        spec = self.scad_06(large_n_600.n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="baseline hazard at x = 0 overflows"):
+                fit_mixture(with_columns(large_n_600, x), spec, self.SCAD_06)
+
+    def test_shifted_column_gives_the_same_fit(self, large_n_600):
+        # the baselines at x1 + 100 = 0 hold increments near 1e-44; scaling a
+        # tie sum to x = 0 before dividing by its risk-set sum flushes them
+        # to 0 and moves the objective by 7.8e-3
+        x = large_n_600.x + [100.0, 0.0]
+        shifted = with_columns(large_n_600, x)
+        spec = self.scad_06(large_n_600.n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            plain = fit_mixture(large_n_600, spec, self.SCAD_06)
+            moved = fit_mixture(shifted, spec, self.SCAD_06)
+        assert moved.params.K == plain.params.K == 2
+        np.testing.assert_allclose(moved.params.beta, plain.params.beta, rtol=0, atol=1e-10)
+        assert moved.history[-1] == pytest.approx(plain.history[-1], rel=1e-9, abs=0)
+        t = float(np.median(large_n_600.y))
+        np.testing.assert_allclose(
+            tdroc.compute_marker(moved, shifted, "mixture_event_prob", t),
+            tdroc.compute_marker(plain, large_n_600, "mixture_event_prob", t),
+            rtol=0, atol=1e-10,
+        )
+
+    def test_rescaled_real_data_shape_gives_the_same_fit(self):
+        # GBSG-like column scales and offsets on the p = 7 set
+        data = real_data_shape_set()
+        scale = np.array([1.0, 10.0, 100.0, 1000.0, 0.01, 1.0, 50.0])
+        offset = np.array([0.0, 2000.0, 0.0, -50.0, 0.0, 1.0, 40.0])
+        spec = self.scad_06(data.n)
+        config = EMConfig(k_init=10, max_iterations=400, restarts=1, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            plain = fit_mixture(data, spec, config)
+            moved = fit_mixture(with_columns(data, data.x * scale + offset), spec, config)
+        assert moved.params.K == plain.params.K == 2
+        assert moved.diagnostics["iterations"] == plain.diagnostics["iterations"]
+        np.testing.assert_allclose(moved.params.beta * scale, plain.params.beta, rtol=1e-9, atol=0)
+        assert moved.history[-1] == pytest.approx(plain.history[-1], rel=1e-9, abs=0)
 
 
 class TestSerialization:

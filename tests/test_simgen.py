@@ -272,12 +272,12 @@ class TestRunStudy:
         assert study_to_csv(result) == (
             "penalty,n,censor_target,component,parameter,bias,sd,"
             "replications_used,K_hat_mode,K_correct_fraction\n"
-            "scad,120,0,1,pi,-0.23565771332117097,nan,1,1,0.5\n"
-            "scad,120,0,1,beta1,0.052034661215639488,nan,1,1,0.5\n"
-            "scad,120,0,1,beta2,0.06005051637943426,nan,1,1,0.5\n"
+            "scad,120,0,1,pi,-0.23565771332117091,nan,1,1,0.5\n"
+            "scad,120,0,1,beta1,0.052034661215640376,nan,1,1,0.5\n"
+            "scad,120,0,1,beta2,0.060050516379435592,nan,1,1,0.5\n"
             "scad,120,0,2,pi,0.2356577133211708,nan,1,1,0.5\n"
-            "scad,120,0,2,beta1,-0.38770776790302364,nan,1,1,0.5\n"
-            "scad,120,0,2,beta2,-0.23068224728254605,nan,1,1,0.5\n"
+            "scad,120,0,2,beta1,-0.38770776790302408,nan,1,1,0.5\n"
+            "scad,120,0,2,beta2,-0.23068224728254638,nan,1,1,0.5\n"
         )
         assert result.k_hat_counts == {"scad": {1: 1, 2: 1}}
         assert result.failures == {"scad": 0}
@@ -309,12 +309,12 @@ class TestRunStudy:
         assert study_to_csv(result) == (
             "penalty,n,censor_target,component,parameter,bias,sd,"
             "replications_used,K_hat_mode,K_correct_fraction\n"
-            "scad,80,0.050000000000000003,1,pi,-0.076794910579467912,0.10250567968634161,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,1,beta1,0.2289434071907972,1.3827238668353223,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,1,beta2,-0.2935305275538731,0.74651731794531839,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,2,pi,0.076794910579467968,0.10250567968634161,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,2,beta1,0.012315451415845224,0.16285712327101293,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,2,beta2,-0.079156013590878427,0.27498197310239669,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,1,pi,-0.076794910579467912,0.10250567968634165,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,1,beta1,0.22894340719079942,1.3827238668353206,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,1,beta2,-0.29353052755387132,0.74651731794531562,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,pi,0.076794910579467968,0.10250567968634164,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,beta1,0.012315451415845224,0.16285712327101287,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,beta2,-0.079156013590878427,0.27498197310239647,9,2,0.90000000000000002\n"
         )
         assert result.k_hat_counts == {"scad": {1: 1, 2: 9}}
         assert result.failures == {"scad": 0}

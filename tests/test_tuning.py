@@ -8,7 +8,6 @@ import pytest
 
 from coxmix.coxfit import NumericalError
 from coxmix import simgen, tuning
-from coxmix.data import Dataset
 from coxmix.em import EMConfig, observed_loglik
 from coxmix.tuning import (
     TuningReport,
@@ -21,7 +20,7 @@ from coxmix.tuning import (
 )
 from coxmix.tuning import _pick_best
 
-from conftest import simulate_single
+from conftest import real_data_shape_set, simulate_single
 
 
 QUICK = EMConfig(k_init=2, max_iterations=80, restarts=1, seed=3)
@@ -273,17 +272,7 @@ def test_subnormal_responsibility_does_not_abort_grid_point():
 
 
 def test_tuning_at_the_real_data_shape():
-    # the shape of the GBSG analysis (n = 686, p = 7, about 55% censoring,
-    # heavily tied times): two components, with every time moved up to the
-    # next of 60 quantiles of the times
-    cell = simgen.SimConfig(
-        686, pi_true=(0.4, 0.6),
-        beta_true=((-1, -0.5, 0, 0.5, 0, 0, 0.3), (1, 0.5, 0, -0.5, 0, 0.2, 0)),
-        censor_target=0.55, seed=7,
-    )
-    raw, _ = simgen.generate_dataset(cell, np.random.default_rng(3))
-    knots = np.quantile(raw.y, np.arange(1, 61) / 60)
-    data = Dataset(y=knots[np.searchsorted(knots, raw.y)], delta=raw.delta, x=raw.x)
+    data = real_data_shape_set()
     assert data.x.shape == (686, 7)
     assert np.unique(data.y[data.delta == 1]).size == 59
     assert 0.5 < 1.0 - data.delta.mean() < 0.53
