@@ -8,10 +8,13 @@ check and names the entry in the meta sidecar.
 An option can come from a flag or from a `--config` file of key=value lines;
 flags win. Config keys are the flag names, with dashes or underscores. A key
 that only other commands declare is ignored, so one file can serve several
-commands; a key that no command declares is a usage error. Each command
-writes a `<output>.meta.json` sidecar holding every resolved option, the seed
-(null for predict and roc, which draw no random numbers) and library
-versions, so a run can be reproduced byte-identically.
+commands; a key that no command declares is a usage error. A key means the
+same thing in every command that declares it: `bandwidth` is the hazard
+smoother's in fit and tune, and roc's marker kernel takes
+`marker_bandwidth`. Each command writes a `<output>.meta.json` sidecar
+holding every resolved option, the seed (null for predict and roc, which
+draw no random numbers) and library versions, so a run can be reproduced
+byte-identically.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
@@ -220,7 +223,7 @@ def cmd_roc(o) -> dict:
     fixed = None if o.marker_mode == "mixture_event_prob" else compute_marker(model, data, o.marker_mode)
     for t in o.times:
         markers = compute_marker(model, data, o.marker_mode, t) if fixed is None else fixed
-        weights = censoring_weights(markers, data, t, bandwidth=o.bandwidth)
+        weights = censoring_weights(markers, data, t, bandwidth=o.marker_bandwidth)
         curve = roc_curve(markers, weights)
         auc_rows.append((t, auc(curve)))
         for c, sens, oms in zip(curve.thresholds, curve.sensitivity, curve.one_minus_specificity):
@@ -290,7 +293,7 @@ COMMANDS = {
     "roc": ("time-dependent ROC and AUC", cmd_roc, (
         *SCORING,
         Opt("--times", _float_list, required=True, help="comma-separated evaluation horizons"),
-        Opt("--bandwidth", float, help="marker kernel bandwidth"),
+        Opt("--marker-bandwidth", float, help="marker kernel bandwidth"),
         Opt("--out", default="auc.csv", help="output AUC CSV"),
         Opt("--out-roc", default="roc.csv", help="output ROC curve CSV"),
     )),

@@ -64,6 +64,14 @@ PI_NEWTON_MAX_STEPS = 100
 REFIT_NEWTON_STEPS = 1
 
 
+def _check_integer(name: str, value) -> None:
+    """ValueError unless `value` is an integer; numpy integers pass."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+
+
 @dataclass(frozen=True)
 class EMConfig:
     """Knobs of the EM search."""
@@ -77,10 +85,7 @@ class EMConfig:
 
     def __post_init__(self) -> None:
         for name in ("k_init", "max_iterations", "restarts", "seed"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
+            _check_integer(name, getattr(self, name))
         if self.k_init < 1:
             raise ValueError("k_init must be at least 1")
         if self.max_iterations < 1:
@@ -468,8 +473,8 @@ def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.rando
 
 
 def _distinct_components(params: MixtureParams, tol: float = DISTINCT_TOL) -> bool:
-    # sup-norm distance between every pair of coefficient rows
-    gap = np.max(np.abs(params.beta[:, None, :] - params.beta[None, :, :]), axis=2)
+    # sup-norm distance between every pair of coefficient rows; 0 with no covariates
+    gap = np.max(np.abs(params.beta[:, None, :] - params.beta[None, :, :]), axis=2, initial=0.0)
     return not np.any(gap[np.triu_indices(params.K, 1)] < tol)
 
 

@@ -5,6 +5,9 @@ log(2(exp(4T) - 1)) = -beta_k.x + log E with E unit exponential, which is the
 Cox proportional-hazards model with baseline cumulative hazard
 Lambda0(t) = 2(exp(4t) - 1) and relative risk exp(beta_k.x). Censoring times
 are uniform on [0, C] with C calibrated to hit a target censoring fraction.
+The calibration draws its pilot sample from the caller's generator and then
+solves for C in closed form: it consumes the stream exactly as the pilot
+draw does, so the draws after it do not depend on how C is solved.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .coxfit import NumericalError
 from .data import Dataset, _write_rows
-from .em import EMConfig
+from .em import EMConfig, _check_integer
 from .penalties import DEFAULT_EPSILON, DEFAULT_PRUNE_THRESHOLD, KINDS
 from .tuning import DEFAULT_CN_CONSTANT, _map_in_pool, select_tuning
 
@@ -49,6 +52,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.n < 1:
             raise ValueError("sample size must be at least 1")
         pi = tuple(float(v) for v in self.pi_true)
@@ -106,35 +111,30 @@ def calibrate_censoring(
 ) -> float:
     """Upper bound C of the Uniform[0, C] censoring law hitting censor_target.
 
-    The expected censoring fraction E[min(T, C)] / C is continuous and
-    strictly decreasing in C, so bisection on a pilot sample of event times
-    converges; the result lands within 0.005 of the target in expectation.
+    The expected censoring fraction is E[min(T, C)] / C, estimated on a pilot
+    sample of n event times drawn from `rng`. With the pilot sorted,
+    t(1) <= ... <= t(n), and S_j the sum of its j smallest times, the line
+    (S_j + (n - j) C) / (n C) equals the fraction on [t(j), t(j+1)] and is
+    no smaller elsewhere, since each term replaces min(t, C) by t or by C.
+    So the fraction equals the target p at the smallest of
+    C_j = S_j / (n p - (n - j)) over the j whose denominator is positive:
+    the bound is exact on the pilot up to rounding, with no search. As
+    min(T, C) / C lies in [0, 1], the pilot's fraction at any C has standard
+    error at most 0.5 / sqrt(n), 0.0016 at the default 100,000 draws.
     """
     target = config.censor_target
     if not 0.0 < target < 1.0:
         raise ValueError("censoring calibration needs a target strictly inside (0, 1)")
     t, _, _ = _draw_event_times(config, rng, pilot_size)
-
-    def frac(upper: float) -> float:
-        return float(np.minimum(t, upper).mean()) / upper
-
-    lo, hi = 1e-12, 1.0
-    while frac(hi) > target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NumericalError("censoring calibration bracket did not close")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if frac(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    upper = 0.5 * (lo + hi)
-    if abs(frac(upper) - target) > 0.005:
-        raise NumericalError("censoring calibration did not reach the target fraction")
-    return upper
+    t = np.sort(t)
+    n = t.size
+    den = n * target - (n - np.arange(1, n + 1))
+    pos = np.flatnonzero(den > 0)
+    j = pos[np.argmin(np.cumsum(t)[pos] / den[pos])]
+    # the running sums pick the interval; its sum is then taken pairwise,
+    # which stays within a few ulps where a running sum over many tied
+    # times drifts
+    return float(t[: j + 1].sum() / den[j])
 
 
 def generate_dataset(
@@ -227,6 +227,7 @@ def run_study(
     numerically are excluded and counted in `failures`. Empty, repeated or
     unknown kinds are rejected before any draw.
     """
+    _check_integer("replications", replications)
     if replications < 1:
         raise ValueError("need at least one replication")
     kinds = tuple(kinds)

@@ -259,6 +259,10 @@ def roc_curve(markers: np.ndarray, weights: np.ndarray) -> RocCurve:
     threshold -inf; both coordinates are nondecreasing along the curve.
     Markers must be finite and weights finite in [0, 1]; anything else, or
     weights that leave no case or no control mass, raises ValueError.
+
+    One sort of the distinct markers gives the whole curve: the mass above
+    the k-th largest distinct marker is the cumulative sum of the case (or
+    control) mass at the k - 1 larger ones.
     """
     m = np.asarray(markers, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -275,15 +279,13 @@ def roc_curve(markers: np.ndarray, weights: np.ndarray) -> RocCurve:
         raise ValueError("no case mass at this horizon: every weight is zero")
     if total_ctrl <= 0:
         raise ValueError("no control mass at this horizon: every weight is one")
-    uniq = np.unique(m)
-    thresholds = np.concatenate(([np.inf], uniq[::-1], [-np.inf]))
-    desc = np.argsort(-m, kind="stable")
-    case_cum = np.concatenate(([0.0], np.cumsum(w[desc])))
-    ctrl_cum = np.concatenate(([0.0], np.cumsum((1.0 - w)[desc])))
-    m_asc = m[desc][::-1]
-    greater = m.size - np.searchsorted(m_asc, thresholds, side="right")
-    sens = case_cum[greater] / total_case
-    one_minus_spec = ctrl_cum[greater] / total_ctrl
+    values, inverse = np.unique(m, return_inverse=True)
+    # case and control mass at each distinct marker, largest marker first
+    case = np.bincount(inverse, weights=w)[::-1]
+    ctrl = np.bincount(inverse, weights=1.0 - w)[::-1]
+    thresholds = np.concatenate(([np.inf], values[::-1], [-np.inf]))
+    sens = np.concatenate(([0.0, 0.0], np.cumsum(case))) / total_case
+    one_minus_spec = np.concatenate(([0.0, 0.0], np.cumsum(ctrl))) / total_ctrl
     return RocCurve(thresholds=thresholds, sensitivity=sens, one_minus_specificity=one_minus_spec)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .coxfit import NumericalError
 from .data import Dataset, _write_csv
-from .em import EMConfig, FittedModel, _penalty_total, fit_mixture
+from .em import EMConfig, FittedModel, _check_integer, _penalty_total, fit_mixture
 from .penalties import (
     DEFAULT_EPSILON,
     DEFAULT_PRUNE_THRESHOLD,
@@ -132,6 +132,7 @@ def _fit_grid_point(
 
 def _map_in_pool(fn, items: list, workers: int) -> list:
     """[fn(item) for item in items], spread over up to `workers` processes."""
+    _check_integer("workers", workers)
     if workers < 1:
         raise ValueError("workers must be at least 1")
     # a fork-started pool launches all its processes at once, so never more than tasks

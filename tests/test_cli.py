@@ -18,6 +18,7 @@ from coxmix.data import Dataset, load_dataset, save_dataset
 from coxmix.em import FittedModel, load_model, model_to_json
 from coxmix.penalties import PenaltySpec
 from coxmix.simgen import SimConfig, generate_dataset
+from coxmix.tdroc import auc, censoring_weights, compute_marker, roc_curve
 
 from conftest import MALFORMED_MODELS, malformed_model_text, simulate_single, stack_fits
 
@@ -208,6 +209,50 @@ class TestConfigFile:
         assert meta["options"]["times"] == [0.1]
         assert meta["seed"] is None
 
+    def test_bandwidth_key_is_the_hazard_smoothers(self, tmp_path, data_csv, fitted_model):
+        # roc's marker kernel takes --marker-bandwidth, so a shared file's
+        # hazard bandwidth leaves its weights alone
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("bandwidth = 0.001\n")
+        t = format(float(np.median(load_dataset(data_csv).y)), ".17g")
+
+        def roc(name, extra):
+            out = tmp_path / f"auc_{name}.csv"
+            code = run_cli(
+                ["roc", "--model", fitted_model, "--data", data_csv, "--times", t,
+                 "--out", str(out), "--out-roc", str(tmp_path / f"roc_{name}.csv"), *extra]
+            )
+            assert code == 0
+            options = json.load(open(str(out) + ".meta.json"))["options"]
+            del options["out"], options["out_roc"]
+            return out.read_text(), options
+
+        plain = roc("plain", [])
+        assert roc("shared", ["--config", str(cfg)]) == plain
+        assert plain[1]["marker_bandwidth"] is None
+        out = str(tmp_path / "m.json")
+        code = run_cli(
+            ["fit", data_csv, "--config", str(cfg), "--penalty", "scad", "--level", "0",
+             "--k-init", "1", "--restarts", "1", "--out", out]
+        )
+        assert code == 0
+        assert json.load(open(out + ".meta.json"))["options"]["bandwidth"] == 0.001
+
+    def test_marker_bandwidth_sets_the_roc_weights(self, tmp_path, data_csv, fitted_model):
+        data = load_dataset(data_csv)
+        t = float(np.median(data.y))
+        out = tmp_path / "auc.csv"
+        code = run_cli(
+            ["roc", "--model", fitted_model, "--data", data_csv, "--times", format(t, ".17g"),
+             "--marker-bandwidth", "0.001", "--out", str(out), "--out-roc", str(tmp_path / "roc.csv")]
+        )
+        assert code == 0
+        markers = compute_marker(load_model(fitted_model), data, "mixture_event_prob", t)
+        narrow = auc(roc_curve(markers, censoring_weights(markers, data, t, bandwidth=0.001)))
+        default = auc(roc_curve(markers, censoring_weights(markers, data, t)))
+        assert narrow != default
+        assert float(out.read_text().splitlines()[1].split(",")[1]) == narrow
+
 
 class TestFit:
     def test_fit_writes_model_and_meta(self, tmp_path, data_csv, capsys):
@@ -268,6 +313,18 @@ class TestFit:
             code = main(["fit", path, "--penalty", "scad", "--level", "0.1", "--out", str(tmp_path / "m.json")])
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_dataset_without_covariates_fits_and_scores(self, tmp_path, data_csv):
+        data = load_dataset(data_csv)
+        bare = str(tmp_path / "bare.csv")
+        save_dataset(Dataset(y=data.y, delta=data.delta, x=np.empty((data.n, 0))), bare)
+        model = str(tmp_path / "m.json")
+        assert run_cli(["fit", bare, "--penalty", "scad", "--level", "0", "--k-init", "1",
+                        "--restarts", "1", "--out", model]) == 0
+        assert load_model(model).params.beta.shape == (1, 0)
+        t = format(float(np.median(data.y)), ".17g")
+        assert run_cli(["roc", "--model", model, "--data", bare, "--times", t,
+                        "--out", str(tmp_path / "auc.csv"), "--out-roc", str(tmp_path / "roc.csv")]) == 0
 
     def test_missing_level_is_usage_error(self, data_csv, capsys):
         assert run_cli(["fit", data_csv, "--penalty", "scad"]) == 2

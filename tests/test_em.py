@@ -931,6 +931,31 @@ class TestFitMixture:
         assert model.params.K == 2
         assert np.array_equal(model.params.beta[0], model.params.beta[1])
 
+    def test_dataset_without_covariates(self):
+        base = simulate_single(40, 1, [0.5], seed=53, censor_frac=0.2)
+        data = Dataset(y=base.y, delta=base.delta, x=np.empty((40, 0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = fit_mixture(data, PenaltySpec(kind="scad", level=0.0), EMConfig(k_init=1, restarts=1))
+        # the K = 1 level-0 fit is the Nelson-Aalen estimator: events over the
+        # number at risk at each distinct event time
+        times = np.unique(data.y[data.delta == 1])
+        events = np.array([np.sum((data.y == s) & (data.delta == 1)) for s in times])
+        at_risk = np.array([np.sum(data.y >= s) for s in times])
+        assert single.params.beta.shape == (1, 0)
+        assert np.array_equal(single.params.increments[0], events / at_risk)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mixture = fit_mixture(
+                data, PenaltySpec(kind="scad", level=0.0), EMConfig(k_init=3, max_iterations=20, restarts=1)
+            )
+        assert "fitted components are not pairwise distinct" in [str(w.message) for w in caught]
+        assert mixture.params.beta.shape == (mixture.params.K, 0)
+        marker = tdroc.compute_marker(mixture, data, "mixture_event_prob", float(np.median(data.y)))
+        assert np.all((marker >= 0) & (marker <= 1))
+        again = model_from_json(model_to_json(mixture))
+        assert np.array_equal(again.params.increments, mixture.params.increments)
+
 
 @pytest.fixture(scope="module")
 def large_n_600():

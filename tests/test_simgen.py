@@ -16,7 +16,8 @@ from coxmix.simgen import (
     run_study,
     study_to_csv,
 )
-from coxmix.simgen import _align_to_truth
+from coxmix import simgen
+from coxmix.simgen import DEFAULT_PILOT_SIZE, _align_to_truth, _draw_event_times
 
 
 SINGLE_NULL = dict(pi_true=(1.0,), beta_true=((0.0,),))
@@ -45,6 +46,11 @@ class TestSimConfig:
             SimConfig(n=10, censor_target=1.0)
         with pytest.raises(ValueError):
             SimConfig(n=10, seed=-1)
+        for name in ("n", "seed"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SimConfig(**{"n": 10, name: 2.5})
+        cfg = SimConfig(n=np.int64(10), seed=np.uint64(3))
+        assert (cfg.n, cfg.seed) == (10, 3)
 
 
 class TestAr1Covariates:
@@ -151,6 +157,37 @@ class TestCensoringCalibration:
         assert np.all(data.y <= upper + 1e-12)
         assert np.any(data.delta == 0)
 
+    @pytest.mark.parametrize("target, seed", [(0.01, 1), (0.25, 2026), (0.55, 7), (0.9, 3)])
+    def test_bound_solves_the_pilot_equation(self, target, seed):
+        cfg = SimConfig(n=100, censor_target=target, seed=seed)
+        upper = calibrate_censoring(cfg, np.random.default_rng(seed))
+        t, _, _ = _draw_event_times(cfg, np.random.default_rng(seed), DEFAULT_PILOT_SIZE)
+        assert abs(np.minimum(t, upper).mean() / upper - target) <= 2e-15
+
+    def test_tied_pilot_times(self, monkeypatch):
+        # on a lattice of 0.05 most pilot times tie, so many intervals
+        # between consecutive sorted times are empty
+        draw = simgen._draw_event_times
+
+        def lattice(config, rng, size):
+            t, labels, x = draw(config, rng, size)
+            return np.ceil(t / 0.05) * 0.05, labels, x
+
+        monkeypatch.setattr(simgen, "_draw_event_times", lattice)
+        for target in (0.05, 0.3, 0.7):
+            cfg = SimConfig(n=100, censor_target=target, seed=11)
+            upper = calibrate_censoring(cfg, np.random.default_rng(11), pilot_size=20_000)
+            t, _, _ = lattice(cfg, np.random.default_rng(11), 20_000)
+            assert np.unique(t).size < 100
+            assert abs(np.minimum(t, upper).mean() / upper - target) <= 2e-15
+
+    def test_calibration_consumes_the_stream_as_the_pilot_draw(self):
+        cfg = SimConfig(n=100, censor_target=0.25, seed=5)
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        calibrate_censoring(cfg, rng, pilot_size=5_000)
+        _draw_event_times(cfg, twin, 5_000)
+        assert np.array_equal(rng.random(4), twin.random(4))
+
     def test_zero_target_rejected(self):
         cfg = SimConfig(n=100, censor_target=0.0)
         with pytest.raises(ValueError, match="strictly inside"):
@@ -227,10 +264,14 @@ class TestRunStudy:
     def test_workers_validated(self):
         with pytest.raises(ValueError, match="workers"):
             run_study(SimConfig(n=50), replications=1, workers=0)
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            run_study(SimConfig(n=50), replications=1, workers=1.5)
 
     def test_replication_count_validated(self):
         with pytest.raises(ValueError):
             run_study(SimConfig(n=50), replications=0)
+        with pytest.raises(ValueError, match="replications must be an integer"):
+            run_study(SimConfig(n=50), replications=1.5)
 
     @pytest.fixture
     def no_draw(self, monkeypatch):
@@ -309,12 +350,12 @@ class TestRunStudy:
         assert study_to_csv(result) == (
             "penalty,n,censor_target,component,parameter,bias,sd,"
             "replications_used,K_hat_mode,K_correct_fraction\n"
-            "scad,80,0.050000000000000003,1,pi,-0.076794910579467912,0.10250567968634165,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,1,beta1,0.22894340719079942,1.3827238668353206,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,1,beta2,-0.29353052755387132,0.74651731794531562,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,2,pi,0.076794910579467968,0.10250567968634164,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,2,beta1,0.012315451415845224,0.16285712327101287,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,2,beta2,-0.079156013590878427,0.27498197310239647,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,1,pi,-0.076794910579471465,0.10250567968633624,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,1,beta1,0.22894340719078876,1.3827238668353208,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,1,beta2,-0.29353052755383047,0.74651731794521436,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,pi,0.07679491057947152,0.10250567968633628,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,beta1,0.012315451415845002,0.1628571232710159,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,beta2,-0.079156013590881646,0.27498197310239197,9,2,0.90000000000000002\n"
         )
         assert result.k_hat_counts == {"scad": {1: 1, 2: 9}}
         assert result.failures == {"scad": 0}

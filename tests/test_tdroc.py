@@ -243,6 +243,23 @@ class TestRocCurve:
         assert np.all(np.diff(curve.one_minus_specificity) >= -1e-15)
         assert curve.thresholds.size == np.unique(m).size + 2
 
+    def test_coordinates_match_brute_force_masses(self, rng):
+        for trial in range(60):
+            n = int(rng.integers(2, 300))
+            # every other trial on a coarse lattice, so many markers tie
+            m = rng.normal(size=n) if trial % 2 else rng.integers(0, max(2, n // 5), size=n) * 0.1
+            w = rng.uniform(size=n)
+            w[rng.uniform(size=n) < 0.2] = 0.0
+            w[rng.uniform(size=n) < 0.2] = 1.0
+            w[0], w[1] = 1.0, 0.0  # both classes present
+            curve = roc_curve(m, w)
+            assert np.array_equal(curve.thresholds[1:-1], np.unique(m)[::-1])
+            above = m[None, :] > curve.thresholds[:, None]
+            np.testing.assert_allclose(curve.sensitivity, above @ w / w.sum(), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(
+                curve.one_minus_specificity, above @ (1.0 - w) / (1.0 - w).sum(), rtol=0, atol=1e-14
+            )
+
     def test_monotone_marker_transform_preserves_auc(self, rng):
         m = rng.normal(size=15)
         w = rng.uniform(size=15)

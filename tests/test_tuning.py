@@ -189,6 +189,8 @@ class TestSelectTuning:
     def test_workers_validated(self, tuning_data):
         with pytest.raises(ValueError, match="workers"):
             select_tuning(tuning_data, "scad", c_grid=[0.5], config=QUICK, workers=0)
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            select_tuning(tuning_data, "scad", c_grid=[0.5], config=QUICK, workers=1.5)
 
     @pytest.mark.parametrize(
         "kernel, bandwidth", [("gaussian", 0.0), ("gaussian", float("nan")), ("foo", None)]
