@@ -13,8 +13,8 @@ same thing in every command that declares it: `bandwidth` is the hazard
 smoother's in fit and tune, and roc's marker kernel takes
 `marker_bandwidth`. Each command writes a `<output>.meta.json` sidecar
 holding every resolved option, the seed (null for predict and roc, which
-draw no random numbers) and library versions, so a run can be reproduced
-byte-identically.
+draw no random numbers) and the coxmix, numpy and Python versions, so a
+run can be reproduced byte-identically.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
@@ -25,7 +25,6 @@ import argparse
 import json
 import platform
 import sys
-from importlib import metadata
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -114,14 +113,6 @@ SCORING = (
 )
 
 
-def _installed_version(package: str) -> str | None:
-    """The installed distribution's version, read without importing it, or None."""
-    try:
-        return metadata.version(package)
-    except metadata.PackageNotFoundError:
-        return None
-
-
 def _write_meta(out_path: str, command: str, options: dict, seed: int | None) -> None:
     meta = {
         "command": command,
@@ -130,7 +121,6 @@ def _write_meta(out_path: str, command: str, options: dict, seed: int | None) ->
         "versions": {
             "coxmix": __version__,
             "numpy": np.__version__,
-            "scipy": _installed_version("scipy"),
             "python": platform.python_version(),
         },
     }

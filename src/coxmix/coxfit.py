@@ -114,28 +114,6 @@ def _check_smoothing(kernel: str, bandwidth: float) -> None:
         raise ValueError("bandwidth must be positive and finite")
 
 
-def _baseline_arrays(event_times, increments, kernel: str, bandwidth: float, rows: int):
-    """Checked read-only copies of the event times (m) and the `rows` x m
-    increments of components sharing one grid."""
-    t = _float_array(event_times, "event_times")
-    inc = _float_array(increments, "increments")
-    if t.ndim != 1:
-        raise ValueError("event_times must be a 1-d array")
-    shape = (rows, t.size)
-    if inc.shape != shape:
-        raise ValueError(f"increments must have shape {shape}, one column per event time; got {inc.shape}")
-    if t.size and np.any(np.diff(t) <= 0):
-        raise ValueError("event_times must be strictly increasing")
-    if not np.all(np.isfinite(t)) or not np.all(np.isfinite(inc)):
-        raise ValueError("baseline hazard entries must be finite")
-    if np.any(inc < 0):
-        raise ValueError("hazard increments must be nonnegative")
-    _check_smoothing(kernel, bandwidth)
-    t.setflags(write=False)
-    inc.setflags(write=False)
-    return t, inc
-
-
 class _TimeIndex:
     """A sample's event-time axis, built from (y, delta) alone.
 
@@ -261,50 +239,42 @@ def _pl_value(ew: _EventWeights, beta) -> float:
     return _pl_derivs(ew, beta)[0]
 
 
-def _loglik(ew: _EventWeights, eta, shift: float, s0) -> float:
-    """l = sum w (eta - shift - log s0) over the events with positive weight,
-    s0 their risk sums of w exp(eta - shift); -inf when a risk sum or l is
-    not finite. 0 when no event carries weight."""
-    if not (s0.min(initial=np.inf) > 0 and s0.max(initial=0.0) < np.inf):
-        return -np.inf
-    ll = float((ew.wv * (eta.take(ew.position) - shift - np.log(s0))).sum())
-    return ll if math.isfinite(ll) else -np.inf
-
-
-def _pl_loglik(ew: _EventWeights, beta) -> float:
-    """l alone, from the risk sums s0, one cumulative sum of e = w exp(eta -
-    shift). The design's first row is all ones and both cumulative sums run
-    in order, so s0 and l have the bits of `_pl_derivs`'s."""
-    eta, shift, e = _risk_weights(ew.rs, ew.w_r, beta)
-    return _loglik(ew, eta, shift, e.cumsum().take(ew.row))
-
-
-def _pl_derivs(ew: _EventWeights, beta):
+def _pl_derivs(ew: _EventWeights, beta, derivs: bool = True):
     """(l, gradient, Hessian) from one cumulative sum along the rows of e * design.
 
     The q x n product e * design is summed in place along each contiguous
     row, and only the event columns are gathered. With s = (s0, S1, S2) the
     risk-set sums of the design at the events (1, p and p(p + 1)/2 rows),
     a = w / s0 and xbar = S1 / s0:
+        l = sum w (eta - shift - log s0),
         g = x_ev w - S1 a,    H = -[S2 a - (xbar xbar^T) w],
-    the second moments packed as the design's upper triangle, and l as
-    `_loglik` gives it.
+    the sums over the events with positive weight, e = w exp(eta - shift)
+    and the second moments packed as the design's upper triangle. l is -inf
+    when a risk sum is 0 or not finite or l is not finite, and 0 when no
+    event carries weight.
+    With `derivs` false the pass runs over the design's first row alone,
+    the row of ones, and gives (l, None, None): the same s0, so the same l.
 
     Everything that depends on the weights alone comes prepared in `ew`, so
     a pass does only the work that changes with beta. Degenerate risk sums
     make g and H non-finite and the callers reject them; a pass raises no
     floating-point warning only inside np.errstate(divide="ignore",
-    invalid="ignore"), which `_newton` holds over a whole solve and
-    `partial_loglik` over its one pass.
+    over="ignore", invalid="ignore"), which `_newton` holds over a whole
+    solve and `partial_loglik` over its one pass.
     """
     rs = ew.rs
     eta, shift, e = _risk_weights(rs, ew.w_r, beta)
-    sums = np.multiply(rs.design, e)
+    sums = np.multiply(rs.design if derivs else rs.design[:1], e)
     sums.cumsum(axis=1, out=sums)
     s = sums.take(ew.row, axis=1)
     s0 = s[0]
     wv = ew.wv
-    ll = _loglik(ew, eta, shift, s0)
+    ll = -np.inf
+    if s0.min(initial=np.inf) > 0 and s0.max(initial=0.0) < np.inf:
+        ll = float((wv * (eta.take(ew.position) - shift - np.log(s0))).sum())
+        ll = ll if math.isfinite(ll) else -np.inf
+    if not derivs:
+        return ll, None, None
     p = rs.p
     s1 = s[1 : p + 1]
     a = wv / s0
@@ -325,7 +295,7 @@ def partial_loglik(data: Dataset, weights: np.ndarray, beta: np.ndarray):
     w = _check_weights(data, weights)
     rs = _RiskSets(data.x, data.y, data.delta)
     ew = _EventWeights(rs, w.take(rs.rev))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return _pl_derivs(ew, np.asarray(beta, dtype=float))
 
 
@@ -364,10 +334,9 @@ def _newton(rs: _RiskSets, w_r, beta0, max_steps: int = DEFAULT_MAX_ITER):
     The weights are prepared once (`_EventWeights`). The start and each
     trial point of the line search cost one `_pl_derivs` pass, and an
     accepted trial's g and H are the next step's. No step follows the last
-    one the budget allows, so its trial points compute l alone
-    (`_pl_loglik`). One np.errstate covers the solve: degenerate risk sums
-    give a -inf l or non-finite g and H, which the search rejects without a
-    warning.
+    one the budget allows, so its trial points take the l-only pass. One
+    np.errstate covers the solve: degenerate risk sums give a -inf l or
+    non-finite g and H, which the search rejects without a warning.
 
     The outcome is one of:
     - CONVERGED: no representable gain is left along the Newton direction.
@@ -380,7 +349,7 @@ def _newton(rs: _RiskSets, w_r, beta0, max_steps: int = DEFAULT_MAX_ITER):
     """
     ew = _EventWeights(rs, w_r)
     beta = np.array(beta0, dtype=float, copy=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ll, grad, hess = _pl_derivs(ew, beta)
         if not math.isfinite(ll):
             raise NumericalError("partial likelihood not finite at the starting point")
@@ -398,7 +367,7 @@ def _newton(rs: _RiskSets, w_r, beta0, max_steps: int = DEFAULT_MAX_ITER):
                 if scale * slope <= floor:
                     return beta, ll, iterations, NewtonOutcome.CONVERGED
                 cand = beta + scale * step
-                trial = (_pl_loglik(ew, cand),) if last else _pl_derivs(ew, cand)
+                trial = _pl_derivs(ew, cand, not last)
                 if math.isfinite(trial[0]) and trial[0] > ll:
                     break
                 scale *= 0.5

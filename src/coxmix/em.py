@@ -13,7 +13,6 @@ from .coxfit import (
     DEFAULT_MAX_ITER,
     NewtonOutcome,
     NumericalError,
-    _baseline_arrays,
     _check_smoothing,
     _fit_coefficients,
     _float_array,
@@ -64,12 +63,18 @@ PI_NEWTON_MAX_STEPS = 100
 REFIT_NEWTON_STEPS = 1
 
 
-def _check_integer(name: str, value) -> None:
-    """ValueError unless `value` is an integer; numpy integers pass."""
+def _check_integer(name: str, value, lo: int = 1, hi: int | None = None) -> None:
+    """The one check of a count or a seed: ValueError unless `value` is an
+    integer (numpy integers pass) of at least `lo` and, when `hi` is given,
+    below `hi`."""
     try:
-        operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None
+    if hi is not None and not lo <= value < hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi})")
+    if value < lo:
+        raise ValueError(f"{name} must be at least {lo}")
 
 
 @dataclass(frozen=True)
@@ -84,18 +89,11 @@ class EMConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("k_init", "max_iterations", "restarts", "seed"):
+        for name in ("k_init", "max_iterations", "restarts"):
             _check_integer(name, getattr(self, name))
-        if self.k_init < 1:
-            raise ValueError("k_init must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        _check_integer("seed", self.seed, 0, 2**64)
         if not (0 < self.eps_abs < 1) or not (0 < self.eps_rel < 1):
             raise ValueError("convergence tolerances must lie in (0, 1)")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must be a 64-bit nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,13 @@ class MixtureParams:
     """Mixing proportions `pi` (K), coefficients `beta` (K x p) and the K
     baseline hazards as `increments` (K x m) on one shared grid of
     `event_times` (m), smoothed with one `kernel` and `bandwidth`: the
-    fields and shapes of the model JSON."""
+    fields and shapes of the model JSON.
+
+    Construction checks every field and stores read-only float copies of
+    the four arrays: pi on the simplex, finite beta with one row per
+    component, strictly increasing finite event times, finite nonnegative
+    increments of shape K x m, a known kernel and a positive finite
+    bandwidth."""
 
     pi: np.ndarray
     beta: np.ndarray
@@ -123,7 +127,20 @@ class MixtureParams:
         beta = _float_array(self.beta, "beta")
         if beta.ndim != 2 or beta.shape[0] != pi.size or not np.all(np.isfinite(beta)):
             raise ValueError(f"beta must be a finite K x p array, one row per entry of pi (K = {pi.size})")
-        times, inc = _baseline_arrays(self.event_times, self.increments, self.kernel, self.bandwidth, pi.size)
+        times = _float_array(self.event_times, "event_times")
+        inc = _float_array(self.increments, "increments")
+        if times.ndim != 1:
+            raise ValueError("event_times must be a 1-d array")
+        shape = (pi.size, times.size)
+        if inc.shape != shape:
+            raise ValueError(f"increments must have shape {shape}, one column per event time; got {inc.shape}")
+        if times.size and np.any(np.diff(times) <= 0):
+            raise ValueError("event_times must be strictly increasing")
+        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(inc)):
+            raise ValueError("baseline hazard entries must be finite")
+        if np.any(inc < 0):
+            raise ValueError("hazard increments must be nonnegative")
+        _check_smoothing(self.kernel, self.bandwidth)
         for name, value in (("pi", pi), ("beta", beta), ("event_times", times), ("increments", inc)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -297,7 +314,10 @@ def update_mixing_proportions(S: np.ndarray, pi_prev: np.ndarray, spec: PenaltyS
     every denominator is at least ca_k. f lies above each of its tangents, so
     no step passes the root and the iterates rise; the first one that does
     not rise ends the search, a point floating point always reaches. A level
-    so large that a shift overflows raises NumericalError.
+    so large that a shift overflows raises NumericalError, and so does a
+    matrix with no mass.
+
+    Level 0 takes the same path: every shift is 0, so the update is colsum / n.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2:
@@ -310,8 +330,6 @@ def update_mixing_proportions(S: np.ndarray, pi_prev: np.ndarray, spec: PenaltyS
         raise ValueError("pi_prev length must match the responsibility columns")
     colsum = S.sum(axis=0)
     lam = spec.level
-    if lam == 0.0:
-        return colsum / n
     g = np.array([lla_coefficient(spec, float(p)) for p in pi_prev])
     with np.errstate(over="ignore"):
         shift = n * lam * g
@@ -367,8 +385,6 @@ def observed_loglik(data: Dataset, params: MixtureParams) -> float:
 
 
 def _penalty_total(pi: np.ndarray, spec: PenaltySpec, n: int) -> float:
-    if spec.level == 0.0:
-        return 0.0
     return n * spec.level * sum(log_scale_term(spec, float(p)) for p in pi)
 
 
@@ -571,7 +587,7 @@ def fit_mixture(
     if not _distinct_components(params):
         warnings.warn("fitted components are not pairwise distinct", stacklevel=2)
     drops = monotonicity_failures(best.history)
-    if drops and spec.level == 0.0 and best.prune_events == 0:
+    if drops and not spec.level and best.prune_events == 0:
         # classical EM promises ascent here; the smoothed plug-in broke it
         warnings.warn(
             f"objective decreased beyond tolerance at {len(drops)} iteration(s); "

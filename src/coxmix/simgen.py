@@ -52,10 +52,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n", "seed"):
-            _check_integer(name, getattr(self, name))
-        if self.n < 1:
-            raise ValueError("sample size must be at least 1")
+        _check_integer("n", self.n)
+        _check_integer("seed", self.seed, 0, 2**64)
         pi = tuple(float(v) for v in self.pi_true)
         beta = tuple(tuple(float(b) for b in row) for row in self.beta_true)
         object.__setattr__(self, "pi_true", pi)
@@ -71,8 +69,6 @@ class SimConfig:
             raise ValueError("ar1_rho must satisfy |rho| < 1")
         if not 0.0 <= self.censor_target < 1.0:
             raise ValueError("censor_target must lie in [0, 1)")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
 
     @property
     def K(self) -> int:
@@ -225,11 +221,11 @@ def run_study(
     (config.seed, replication index), so results do not depend on worker
     count or scheduling. Replications where every tuning attempt fails
     numerically are excluded and counted in `failures`. Empty, repeated or
-    unknown kinds are rejected before any draw.
+    unknown kinds, and a bad replication or worker count, are rejected
+    before any draw.
     """
     _check_integer("replications", replications)
-    if replications < 1:
-        raise ValueError("need at least one replication")
+    _check_integer("workers", workers)
     kinds = tuple(kinds)
     if not kinds or len(set(kinds)) < len(kinds):
         raise ValueError(f"need at least one penalty kind, each named once; got {kinds}")

@@ -41,8 +41,7 @@ def level_from_c(c: float, n: int) -> float:
     """Penalty level c * sqrt(log(n) / n)."""
     if c < 0:
         raise ValueError("grid multiplier must be nonnegative")
-    if n < 1:
-        raise ValueError("need at least one record to scale a penalty level")
+    _check_integer("n", n)
     return float(c) * math.sqrt(math.log(n) / n)
 
 
@@ -133,8 +132,6 @@ def _fit_grid_point(
 def _map_in_pool(fn, items: list, workers: int) -> list:
     """[fn(item) for item in items], spread over up to `workers` processes."""
     _check_integer("workers", workers)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     # a fork-started pool launches all its processes at once, so never more than tasks
     pool_size = min(workers, len(items))
     if pool_size <= 1:

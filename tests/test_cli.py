@@ -105,19 +105,11 @@ class TestSimulate:
         assert "coxmix" in meta["versions"]
         assert "wrote" in capsys.readouterr().out
 
-    def test_meta_reads_scipy_version_from_package_metadata(self, tmp_path, monkeypatch):
-        # the version comes from the installed distribution's metadata, and
-        # is null where scipy is not installed
+    def test_meta_records_the_versions_that_shape_outputs(self, tmp_path):
+        # coxmix, numpy and python; no library module imports scipy
         out = str(tmp_path / "sim.csv")
         assert run_cli(["simulate", "--n", "30", "--out", out]) == 0
-        assert json.load(open(out + ".meta.json"))["versions"]["scipy"] == cli.metadata.version("scipy")
-
-        def not_installed(name):
-            raise cli.metadata.PackageNotFoundError(name)
-
-        monkeypatch.setattr(cli.metadata, "version", not_installed)
-        assert run_cli(["simulate", "--n", "30", "--out", out]) == 0
-        assert json.load(open(out + ".meta.json"))["versions"]["scipy"] is None
+        assert set(json.load(open(out + ".meta.json"))["versions"]) == {"coxmix", "numpy", "python"}
 
     def test_deterministic_per_seed(self, tmp_path):
         a = str(tmp_path / "a.csv")

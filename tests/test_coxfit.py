@@ -19,7 +19,6 @@ from coxmix.coxfit import (
     _fit_coefficients,
     _increments,
     _pl_derivs,
-    _pl_loglik,
     _pl_value,
     _risk_weights,
     _RiskSets,
@@ -215,7 +214,7 @@ class TestFusedDerivatives:
             eta, shift, e = _risk_weights(ew.rs, ew.w_r, beta)
             s0 = np.take(np.cumsum(e), ew.row)
             plain = float(np.sum(ew.wv * (np.take(eta, ew.position) - shift - np.log(s0))))
-            assert _pl_derivs(ew, beta)[0] == _pl_value(ew, beta) == _pl_loglik(ew, beta) == plain
+            assert _pl_derivs(ew, beta)[0] == _pl_value(ew, beta) == _pl_derivs(ew, beta, False)[0] == plain
 
     @pytest.mark.parametrize("p", [2, 7])
     @pytest.mark.parametrize("tied", [False, True])
@@ -228,7 +227,7 @@ class TestFusedDerivatives:
         gen = np.random.default_rng(p)
         betas = [gen.normal(scale=scale, size=p) for scale in (0.1, 0.5, 1.0, 3.0) for _ in range(5)]
         for beta in [beta0] + betas:
-            ll = _pl_loglik(ew, beta)
+            ll = _pl_derivs(ew, beta, False)[0]
             assert math.isfinite(ll)
             assert ll == _pl_derivs(ew, beta)[0]
 
@@ -241,7 +240,7 @@ class TestFusedDerivatives:
         ew = prepared(data, np.ones(20))
         beta = np.array([1.0, 0.0])
         with np.errstate(divide="ignore", invalid="ignore"):
-            assert _pl_loglik(ew, beta) == _pl_derivs(ew, beta)[0] == -np.inf
+            assert _pl_derivs(ew, beta, False)[0] == _pl_derivs(ew, beta)[0] == -np.inf
 
 
 def per_call_derivs(rs, w, beta):
@@ -321,8 +320,8 @@ class TestEventWeights:
                 super().__init__(*args)
                 built.append(self)
 
-        def recording(ew, beta):
-            out = _pl_derivs(ew, beta)
+        def recording(ew, beta, derivs=True):
+            out = _pl_derivs(ew, beta, derivs)
             passes.append((ew, beta.tobytes(), out[0]))
             return out
 
@@ -380,8 +379,8 @@ class TestNewtonStop:
         monkeypatch.setattr(coxfit, "_newton_step", lambda hess, grad: 64.0 * newton_step(hess, grad))
         values, points = [], []
 
-        def recording(ew, beta):
-            out = _pl_derivs(ew, beta)
+        def recording(ew, beta, derivs=True):
+            out = _pl_derivs(ew, beta, derivs)
             values.append(out[0])
             points.append(beta.tobytes())
             return out
@@ -427,16 +426,15 @@ class TestNewtonStop:
         monkeypatch.setattr(coxfit, "_newton_step", lambda hess, grad: stretch * newton_step(hess, grad))
         derivs, values = [], []
 
-        def counting(ew, beta):
-            derivs.append(beta.tobytes())
-            return _pl_derivs(ew, beta)
+        def recording(ew, beta, full=True):
+            out = _pl_derivs(ew, beta, full)
+            if full:
+                derivs.append(beta.tobytes())
+            else:
+                values.append(out[0])
+            return out
 
-        def recording(ew, beta):
-            values.append(_pl_loglik(ew, beta))
-            return values[-1]
-
-        monkeypatch.setattr(coxfit, "_pl_derivs", counting)
-        monkeypatch.setattr(coxfit, "_pl_loglik", recording)
+        monkeypatch.setattr(coxfit, "_pl_derivs", recording)
         one, iterations, outcome = fit_cox(data, w, max_steps=1)
         assert (iterations, outcome) == (1, NewtonOutcome.CAPPED)
         # the start alone takes the derivative pass; the step's trials, l alone
@@ -744,6 +742,24 @@ class TestBaselineEvaluation:
         vec = cumulative_hazard(bl, np.array([math.nan, 1.5, math.inf]))
         assert np.isnan(vec[:, 0]).all()
         assert np.array_equal(vec[:, 1:], [[0.5, 1.5], [0.25, 0.25]])
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    def test_no_event_times(self, kernel):
+        # an empty grid smooths to 0 (NaN at a NaN time) and accumulates to 0,
+        # so an event's log density is the floored log rate plus eta
+        params = MixtureParams(
+            pi=[0.5, 0.5], beta=[[0.4], [-0.3]], event_times=[], increments=np.zeros((2, 0)),
+            kernel=kernel, bandwidth=1.0,
+        )
+        t = np.array([0.5, math.nan, 3.0])
+        rates = smooth_baseline_hazard(params, t)
+        assert np.array_equal(rates[:, [0, 2]], np.zeros((2, 2))) and np.isnan(rates[:, 1]).all()
+        assert np.array_equal(smooth_baseline_hazard(params, 1.0), [0.0, 0.0])
+        assert np.array_equal(cumulative_hazard(params, t[[0, 2]]), np.zeros((2, 2)))
+        data = Dataset(y=np.array([1.0, 2.0]), delta=np.array([1, 0]), x=np.array([[0.5], [-1.0]]))
+        logd = component_log_density(data, params)
+        assert np.array_equal(logd[0], math.log(1e-300) + np.array([0.4, -0.3]) * 0.5)
+        assert np.array_equal(logd[1], [0.0, 0.0])
 
     @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
     def test_rows_are_components(self, kernel, rng):

@@ -219,6 +219,12 @@ class TestPiUpdate:
         out = update_mixing_proportions(S, np.array([0.3, 0.3, 0.4]), spec)
         assert np.allclose(out, S.sum(axis=0) / 20.0, atol=1e-14)
 
+    @pytest.mark.parametrize("level", [0.0, 0.1])
+    def test_no_mass_raises_at_every_level(self, level):
+        # column means of a zero matrix would leave the simplex
+        with pytest.raises(NumericalError, match="carries no mass"):
+            update_mixing_proportions(np.zeros((4, 2)), [0.5, 0.5], PenaltySpec(kind="scad", level=level))
+
     def test_flat_tail_reduces_to_unpenalized(self, rng):
         S = rng.dirichlet(np.ones(2), size=30)
         spec = PenaltySpec(kind="scad", level=0.1, shape=3.7)
@@ -616,6 +622,19 @@ class TestFitContext:
         assert np.array_equal(inc, ctx.increments(w_r, again))
         assert ctx.newton_fits == 2 and ctx.newton_unconverged == 0
         assert ctx.newton_iterations - steps <= em.REFIT_NEWTON_STEPS == 1
+
+    def test_starved_component_keeps_beta_and_gets_a_zero_baseline(self):
+        # no weight at any event: the refit returns the same beta and a zero
+        # baseline without a Newton solve
+        data = simulate_single(40, 2, [0.8, -0.5], seed=7, censor_frac=0.3)
+        ctx = _FitContext(data, "gaussian", default_time_bandwidth(data.y))
+        w = np.where(data.delta == 1, 0.0, 0.7)
+        beta = np.array([0.3, -0.2])
+        again, inc = ctx.refit_component(w, beta)
+        assert again is beta
+        assert 0 < ctx.rs.grid.size < data.n
+        assert np.array_equal(inc, np.zeros(ctx.rs.grid.size))
+        assert ctx.newton_fits == ctx.newton_iterations == 0
 
     def test_refit_takes_one_step_toward_the_full_fit(self):
         data = simulate_single(600, 2, [0.8, -0.5], seed=5, censor_frac=0.2)

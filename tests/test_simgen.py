@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from coxmix.em import EMConfig
+from coxmix.em import EMConfig, fit_mixture
+from coxmix.penalties import PenaltySpec
 from coxmix.simgen import (
     SimConfig,
     StudyResult,
@@ -18,6 +19,7 @@ from coxmix.simgen import (
 )
 from coxmix import simgen
 from coxmix.simgen import DEFAULT_PILOT_SIZE, _align_to_truth, _draw_event_times
+from coxmix.tuning import level_from_c
 
 
 SINGLE_NULL = dict(pi_true=(1.0,), beta_true=((0.0,),))
@@ -290,6 +292,31 @@ class TestRunStudy:
     def test_unknown_kind_rejected_before_any_draw(self, no_draw):
         with pytest.raises(ValueError, match="unknown penalty kind 'lasso'"):
             run_study(SimConfig(n=50), replications=1, kinds=("scad", "lasso"))
+
+    def test_bad_worker_count_rejected_before_any_draw(self, no_draw):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_study(SimConfig(n=50), replications=1, workers=0)
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            run_study(SimConfig(n=50), replications=1, workers=1.5)
+
+    def test_first_replication_at_n50_fits_without_floating_point_warnings(self):
+        # replication 0 at n = 50 as the study draws it: a restart reaches a
+        # subnormal risk-set sum, where the derivative pass's w / s0
+        # overflows. The Newton search rejects that point, so the fit must
+        # neither warn nor fail.
+        cfg = SimConfig(n=50)
+        censor_upper = calibrate_censoring(cfg, np.random.default_rng(np.random.SeedSequence([0])))
+        data, _ = generate_dataset(
+            cfg, np.random.default_rng(np.random.SeedSequence([0, 0, 0])), censor_upper=censor_upper
+        )
+        seed = int(np.random.SeedSequence([0, 0, 1]).generate_state(1, dtype=np.uint64)[0])
+        spec = PenaltySpec(kind="scad", level=level_from_c(0.1, cfg.n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = fit_mixture(data, spec, EMConfig(seed=seed))
+        assert model.params.K == 6
+        assert model.diagnostics["converged"]
+        assert len(model.diagnostics["restart_failures"]) == 3
 
     def test_csv_layout(self, tiny_study):
         _, _, result = tiny_study
