@@ -169,8 +169,7 @@ class _RiskSets(_TimeIndex):
       the second-moment sums free of cancellation. This is the one place
       the fit moves the covariates' origin, to `center`: the column means,
       except that a column whose values are all equal is centred on that
-      value, so it centres to exactly 0 (its mean can be an ulp off);
-    - `x_ev`, the centred covariates of each event in risk order (p x events).
+      value, so it centres to exactly 0 (its mean can be an ulp off).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, delta: np.ndarray):
@@ -184,7 +183,6 @@ class _RiskSets(_TimeIndex):
         self.sym[self.triu] = np.arange(self.triu[0].size)
         self.sym[self.triu[1], self.triu[0]] = self.sym[self.triu]
         self.design = np.concatenate([np.ones((1, y.size)), xc, xc[self.triu[0]] * xc[self.triu[1]]])
-        self.x_ev = np.take(xc, self.ev_at[0], axis=1)
 
 
 def _check_weights(data: Dataset, weights: np.ndarray) -> np.ndarray:
@@ -210,27 +208,27 @@ class _EventWeights:
     """One weight vector prepared for repeated derivative passes on `rs`.
 
     Holds the weights in risk order (`w_r`) and, for the events with
-    positive weight, their weights (`wv`), positions (`position`), the
-    cumulative-sum rows that close their risk sets (`row`) and their centred
-    covariates (`x_ev`). A zero-weight event adds nothing to l, g or H. All
-    of this depends on the weights only, which stay fixed during a Newton
-    solve, so each solve builds it once.
+    positive weight, their weights (`wv`), positions (`position`) and the
+    cumulative-sum rows that close their risk sets (`row`), and `xw`, the
+    sum of those events' centred covariates weighted by `wv` (p): the
+    gradient's event term. A zero-weight event adds nothing to l, g or H.
+    All of this depends on the weights only, which stay fixed during a
+    Newton solve, so each solve builds it once.
     """
 
-    __slots__ = ("rs", "w_r", "wv", "position", "row", "x_ev")
+    __slots__ = ("rs", "w_r", "wv", "position", "row", "xw")
 
     def __init__(self, rs: _RiskSets, w_r: np.ndarray):
         self.rs = rs
         self.w_r = w_r
         position, row = rs.ev_at
         wv = w_r.take(position)
-        x_ev = rs.x_ev
         if wv.min(initial=1.0) <= 0:
             keep = np.flatnonzero(wv > 0)
             position, row = rs.ev_at.take(keep, axis=1)
             wv = wv.take(keep)
-            x_ev = x_ev.take(keep, axis=1)
-        self.wv, self.position, self.row, self.x_ev = wv, position, row, x_ev
+        self.wv, self.position, self.row = wv, position, row
+        self.xw = np.take(rs.design[1 : rs.p + 1], position, axis=1) @ wv
 
 
 # no library code calls this; the benchmark's tracer and the traced CI step
@@ -247,8 +245,9 @@ def _pl_derivs(ew: _EventWeights, beta, derivs: bool = True):
     risk-set sums of the design at the events (1, p and p(p + 1)/2 rows),
     a = w / s0 and xbar = S1 / s0:
         l = sum w (eta - shift - log s0),
-        g = x_ev w - S1 a,    H = -[S2 a - (xbar xbar^T) w],
-    the sums over the events with positive weight, e = w exp(eta - shift)
+        g = xw - S1 a,    H = -[S2 a - (xbar xbar^T) w],
+    the sums over the events with positive weight, xw their weighted
+    centred covariates (prepared in `ew`), e = w exp(eta - shift)
     and the second moments packed as the design's upper triangle. l is -inf
     when a risk sum is 0 or not finite or l is not finite, and 0 when no
     event carries weight.
@@ -279,7 +278,7 @@ def _pl_derivs(ew: _EventWeights, beta, derivs: bool = True):
     s1 = s[1 : p + 1]
     a = wv / s0
     xbar = s1 / s0
-    grad = ew.x_ev @ wv - s1 @ a
+    grad = ew.xw - s1 @ a
     second = s[p + 1 :] @ a - (xbar.take(rs.triu[0], axis=0) * xbar.take(rs.triu[1], axis=0)) @ wv
     return ll, grad, -second.take(rs.sym)
 
@@ -299,29 +298,24 @@ def partial_loglik(data: Dataset, weights: np.ndarray, beta: np.ndarray):
         return _pl_derivs(ew, np.asarray(beta, dtype=float))
 
 
-def _solve(a: np.ndarray, b: np.ndarray):
-    """a^-1 b, or None when a is singular or the solution is not finite."""
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return None
-    return x if np.isfinite(x).all() else None
-
-
 def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The Newton step (-H)^-1 g. A singular system, or one whose solution is
+    not finite, is retried with -H + ridge I for up to five ridges, the
+    first 1e-8 max(tr(-H), 1) and each 100 times the last; NumericalError
+    when every system fails or H is not finite."""
     neg = -hess
     if not np.isfinite(neg).all():
         raise NumericalError("Hessian is not finite")
-    step = _solve(neg, grad)
-    if step is not None:
-        return step
-    # singular or overflowing system: escalate ridge damping
+    system = neg
     ridge = RIDGE_FACTOR * max(float(np.trace(neg)), 1.0)
-    eye = np.eye(neg.shape[0])
-    for _ in range(5):
-        step = _solve(neg + ridge * eye, grad)
-        if step is not None:
-            return step
+    for _ in range(6):
+        try:
+            step = np.linalg.solve(system, grad)
+            if np.isfinite(step).all():
+                return step
+        except np.linalg.LinAlgError:
+            pass
+        system = neg + ridge * np.eye(neg.shape[0])
         ridge *= 100.0
     raise NumericalError("Newton system remained singular despite ridge damping")
 

@@ -255,24 +255,19 @@ def _softmax_rows(pi: np.ndarray, logd: np.ndarray) -> tuple[np.ndarray, float, 
 
 
 def _initialize(ctx: _FitContext, k_init: int, rng: np.random.Generator):
-    """Random hard assignment into k_init groups, equal initial proportions,
-    and per-group Cox fits."""
-    n = ctx.n
-    k = int(k_init)
+    """Random hard assignment into k groups, equal initial proportions, and
+    per-group Cox fits.
+
+    k runs down from k_init: each k draws up to 100 uniform splits and keeps
+    the first whose groups all hold an event row. At k = 1 the first draw
+    succeeds, as a Dataset holds at least one event, so the loop always ends
+    with a split."""
     events = ctx.rs.ev_mask
-    assign = None
-    while assign is None:
-        for _ in range(100):
-            cand = rng.integers(0, k, size=n)
-            counts = np.bincount(cand[events], minlength=k)
-            if counts.min() > 0:
-                assign = cand
-                break
-        else:
-            # some group never received an event row; try a smaller split
-            k -= 1
-            if k < 1:
-                raise NumericalError("could not seed initial components with event rows")
+    for k in range(int(k_init), 0, -1):
+        draws = (rng.integers(0, k, size=ctx.n) for _ in range(100))
+        assign = next((a for a in draws if np.bincount(a[events], minlength=k).min() > 0), None)
+        if assign is not None:
+            break
     beta = np.empty((k, ctx.p))
     inc = np.empty((k, ctx.rs.grid.size))
     for j in range(k):
@@ -281,8 +276,9 @@ def _initialize(ctx: _FitContext, k_init: int, rng: np.random.Generator):
         # the initial baselines must place positive mass at every event time:
         # a hard partition gives each component exactly zero mass at the other
         # groups' events, and the first E-step would then return the starting
-        # assignment unchanged, freezing the split
-        w = member if k == 1 else (1.0 - INIT_MASS_FLOOR) * member + INIT_MASS_FLOOR / k
+        # assignment unchanged, freezing the split. At k = 1 member is all
+        # ones and the floor adds back to exactly 1
+        w = (1.0 - INIT_MASS_FLOOR) * member + INIT_MASS_FLOOR / k
         inc[j] = ctx.increments(w.take(ctx.rs.rev), beta[j])
     return ctx.mixture(np.full(k, 1.0 / k), beta, inc)
 
@@ -313,9 +309,11 @@ def update_mixing_proportions(S: np.ndarray, pi_prev: np.ndarray, spec: PenaltyS
     one root. Newton starts at r = max_k(ca_k - gap_k), where f(r) >= 1 and
     every denominator is at least ca_k. f lies above each of its tangents, so
     no step passes the root and the iterates rise; the first one that does
-    not rise ends the search, a point floating point always reaches. A level
-    so large that a shift overflows raises NumericalError, and so does a
-    matrix with no mass.
+    not rise ends the search, a point floating point always reaches. There
+    the last step moved r by less than an ulp and each share is rounded
+    once, so the proportions are returned as they are, summing to 1 within
+    (K + 1) eps; no renormalization follows. A level so large that a shift
+    overflows raises NumericalError, and so does a matrix with no mass.
 
     Level 0 takes the same path: every shift is 0, so the update is colsum / n.
     """
@@ -358,9 +356,6 @@ def update_mixing_proportions(S: np.ndarray, pi_prev: np.ndarray, spec: PenaltyS
     pi[active] = share
     if np.any(share <= 0.0) or not np.all(np.isfinite(share)):
         raise NumericalError(f"mixing-proportion update gave a zero or non-finite proportion at penalty level {lam!r}")
-    total = float(pi.sum())
-    if abs(total - 1.0) > 1e-12:
-        pi = pi / total
     return pi
 
 
@@ -620,12 +615,10 @@ def _fmt_float(v: float) -> str:
     return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
 
 
-def _fmt_vector(vals) -> str:
-    return "[" + ", ".join(_fmt_float(v) for v in vals) + "]"
-
-
-def _fmt_matrix(rows) -> str:
-    return "[" + ", ".join(_fmt_vector(r) for r in rows) + "]"
+def _fmt_array(vals) -> str:
+    """A vector or a matrix as nested JSON arrays of `_fmt_float` numbers."""
+    fmt = _fmt_array if np.ndim(vals) > 1 else _fmt_float
+    return "[" + ", ".join(fmt(v) for v in vals) + "]"
 
 
 def model_to_json(model: FittedModel) -> str:
@@ -640,15 +633,15 @@ def model_to_json(model: FittedModel) -> str:
         f'  "shape": {shape},',
         f'  "epsilon": {_fmt_float(spec.epsilon)},',
         f'  "K": {params.K},',
-        f'  "pi": {_fmt_vector(params.pi)},',
-        f'  "beta": {_fmt_matrix(params.beta)},',
+        f'  "pi": {_fmt_array(params.pi)},',
+        f'  "beta": {_fmt_array(params.beta)},',
         '  "baseline": {',
-        f'    "event_times": {_fmt_vector(params.event_times)},',
-        f'    "increments": {_fmt_matrix(params.increments)},',
+        f'    "event_times": {_fmt_array(params.event_times)},',
+        f'    "increments": {_fmt_array(params.increments)},',
         f'    "kernel": {json.dumps(params.kernel)},',
         f'    "bandwidth": {_fmt_float(params.bandwidth)}',
         "  },",
-        f'  "history": {_fmt_vector(model.history)},',
+        f'  "history": {_fmt_array(model.history)},',
         f'  "seed": {int(model.seed)}',
         "}",
     ]

@@ -16,8 +16,10 @@ from coxmix.coxfit import (
     smooth_baseline_hazard,
     NewtonOutcome,
     _EventWeights,
+    NumericalError,
     _fit_coefficients,
     _increments,
+    _newton_step,
     _pl_derivs,
     _pl_value,
     _risk_weights,
@@ -254,7 +256,7 @@ def per_call_derivs(rs, w, beta):
     e *= w_r
     position, row = rs.ev_at
     wv = np.take(w_r, position)
-    x_ev = rs.x_ev
+    x_ev = np.take(rs.design[1 : rs.p + 1], rs.ev_at[0], axis=1)
     if not wv.min(initial=1.0) > 0:
         keep = np.flatnonzero(wv > 0)
         position, row = np.take(rs.ev_at, keep, axis=1)
@@ -447,6 +449,17 @@ class TestNewtonStop:
         two, iterations, _ = fit_cox(data, w, max_steps=2)
         assert iterations == 2
         assert np.array_equal(two, fit_cox(data, w, one, max_steps=1)[0])
+
+    def test_ridge_escalates_until_the_step_is_finite(self):
+        # 1e305 / 1e-300 overflows undamped and at the ridges 1e-8, 1e-6 and
+        # 1e-4; the fifth system, at ridge ((1e-8 * 100) * 100) * 100, solves
+        neg = 1e-300 * np.eye(2)
+        grad = np.full(2, 1e305)
+        with np.errstate(over="ignore"):
+            step = _newton_step(-neg, grad)
+            assert np.array_equal(step, np.linalg.solve(neg + ((1e-8 * 100.0) * 100.0) * 100.0 * np.eye(2), grad))
+            with pytest.raises(NumericalError, match="remained singular despite ridge damping"):
+                _newton_step(-neg, np.full(2, np.inf))
 
 
 class TestFit:
