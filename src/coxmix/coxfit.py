@@ -483,7 +483,8 @@ def _box_runs(box: np.ndarray):
 
 
 class _GaussianBoxes:
-    """sum_e K((t - T_e)/h)/h inc_e by one-level Chebyshev box interpolation.
+    """sum_e K((t - T_e)/h) inc_e by one-level Chebyshev box interpolation;
+    `_smoother` applies the 1/h.
 
     The axis is cut into boxes of width h from the first grid point. Each
     occupied box gets 16 Chebyshev nodes: sources are anterpolated onto them,
@@ -508,7 +509,6 @@ class _GaussianBoxes:
     """
 
     def __init__(self, grid: np.ndarray, bandwidth: float, t: np.ndarray):
-        self.bandwidth = bandwidth
         box, x = _box_coordinates((grid - grid[0]) / bandwidth)
         src_boxes, self.src_runs = _box_runs(box)
         self.src_rows = _lagrange_rows(x)
@@ -545,11 +545,12 @@ class _GaussianBoxes:
         rates = np.empty((K, self.dst_rows.shape[0]))
         for box, run in zip(potential, self.dst_runs):
             np.matmul(box, self.dst_rows[run].T, out=rates[:, run])
-        return rates.take(self.restore, axis=1) / self.bandwidth
+        return rates.take(self.restore, axis=1)
 
 
 class _EpanechnikovWindows:
-    """sum_e K((t - T_e)/h)/h inc_e as exact sums over the window [t - h, t + h].
+    """sum_e K((t - T_e)/h) inc_e as exact sums over the window [t - h, t + h];
+    `_smoother` applies the 1/h.
 
     With d_e the distance of T_e from the centre c of its width-h box and
     tau = (t - c)/h, each term is 0.75 (1 - tau^2 + 2 tau d_e - d_e^2) inc_e,
@@ -560,7 +561,6 @@ class _EpanechnikovWindows:
     """
 
     def __init__(self, grid: np.ndarray, bandwidth: float, t: np.ndarray):
-        self.bandwidth = bandwidth
         m = grid.size
         boxes, slot = np.unique(np.floor((grid - grid[0]) / bandwidth), return_inverse=True)
         centre = grid[0] + (boxes + 0.5) * bandwidth
@@ -605,7 +605,7 @@ class _EpanechnikovWindows:
             fwd[k:] += fwd[:-k] * same
             bwd[:-k] += bwd[k:] * same
         sums = np.concatenate([fwd, bwd])[self.index].reshape(self.coef.shape[0], self.coef.shape[2], K)
-        return 0.75 * (self.coef @ sums)[:, 0, :].T / self.bandwidth
+        return 0.75 * (self.coef @ sums)[:, 0, :].T
 
 
 def _smoother(grid: np.ndarray, kernel: str, bandwidth: float, t: np.ndarray):
@@ -620,12 +620,13 @@ def _smoother(grid: np.ndarray, kernel: str, bandwidth: float, t: np.ndarray):
     nan = np.isnan(t)
     if grid.size == 0:
         return lambda inc: np.where(nan, np.nan, np.zeros((inc.shape[0], t.size)))
+    bandwidth = float(bandwidth)
     smooth = (_GaussianBoxes if kernel == "gaussian" else _EpanechnikovWindows)(
-        grid, float(bandwidth), np.where(nan, grid[0], t)
+        grid, bandwidth, np.where(nan, grid[0], t)
     )
 
     def apply(inc: np.ndarray) -> np.ndarray:
-        rate = np.maximum(smooth(inc), 0.0)
+        rate = np.maximum(smooth(inc) / bandwidth, 0.0)
         rate[:, nan] = np.nan
         return rate
 

@@ -63,10 +63,10 @@ PI_NEWTON_MAX_STEPS = 100
 REFIT_NEWTON_STEPS = 1
 
 
-def _check_integer(name: str, value, lo: int = 1, hi: int | None = None) -> None:
-    """The one check of a count or a seed: ValueError unless `value` is an
-    integer (numpy integers pass) of at least `lo` and, when `hi` is given,
-    below `hi`."""
+def _check_integer(name: str, value, lo: int = 1, hi: int | None = None) -> int:
+    """The one check of a count or a seed: `value` as an int; ValueError
+    unless it is an integer (numpy integers pass) of at least `lo` and, when
+    `hi` is given, below `hi`."""
     try:
         value = operator.index(value)
     except TypeError:
@@ -75,6 +75,7 @@ def _check_integer(name: str, value, lo: int = 1, hi: int | None = None) -> None
         raise ValueError(f"{name} must lie in [{lo}, {hi})")
     if value < lo:
         raise ValueError(f"{name} must be at least {lo}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -676,11 +677,12 @@ def model_from_json(text: str) -> FittedModel:
         increments=_field(base, "increments"), kernel=_field(base, "kernel"),
         bandwidth=_field(base, "bandwidth", float),
     )
-    K = _field(raw, "K", int)
+    K = _field(raw, "K", lambda value: _check_integer("K", value))
     if K != params.K:
         raise ValueError(f"K = {K} disagrees with the {params.K} components stored")
     history = _field(raw, "history", lambda h: [float(v) for v in h])
-    return FittedModel(params=params, spec=spec, seed=_field(raw, "seed", int), history=history)
+    seed = _field(raw, "seed", lambda value: _check_integer("seed", value, 0, 2**64))
+    return FittedModel(params=params, spec=spec, seed=seed, history=history)
 
 
 def save_model(model: FittedModel, path: str) -> None:

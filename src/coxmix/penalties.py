@@ -56,18 +56,15 @@ class PenaltySpec:
             raise ValueError(f"unknown penalty kind {self.kind!r}; expected one of {KINDS}")
         if not (self.level >= 0.0 and math.isfinite(self.level)):
             raise ValueError("penalty level must be finite and nonnegative")
-        if self.kind == "scad":
-            shape = DEFAULT_SCAD_SHAPE if self.shape is None else float(self.shape)
-            if not shape > 2.0:
-                raise ValueError("SCAD shape parameter must exceed 2")
-            object.__setattr__(self, "shape", shape)
-        elif self.kind == "mcp":
-            shape = DEFAULT_MCP_SHAPE if self.shape is None else float(self.shape)
-            if not shape > 1.0:
-                raise ValueError("MCP shape parameter must exceed 1")
-            object.__setattr__(self, "shape", shape)
-        else:
-            object.__setattr__(self, "shape", None)
+        # each concave kind's default shape and the bound its shape must exceed
+        shapes = {"scad": (DEFAULT_SCAD_SHAPE, 2.0), "mcp": (DEFAULT_MCP_SHAPE, 1.0)}
+        shape = None
+        if self.kind in shapes:
+            default, bound = shapes[self.kind]
+            shape = default if self.shape is None else float(self.shape)
+            if not shape > bound:
+                raise ValueError(f"{self.kind.upper()} shape parameter must exceed {bound:g}")
+        object.__setattr__(self, "shape", shape)
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError("epsilon must be finite and positive")
         if not (0.0 < self.prune_threshold < 1.0):
@@ -88,8 +85,6 @@ def penalty_value(spec: PenaltySpec, pi: float) -> float:
     if spec.kind == "ls":
         return pi
     level = spec.level
-    if level == 0.0:
-        return 0.0
     shape = spec.shape
     if spec.kind == "scad":
         knee = shape * level

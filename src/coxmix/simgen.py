@@ -23,8 +23,8 @@ import numpy as np
 from .coxfit import NumericalError
 from .data import Dataset, _write_rows
 from .em import EMConfig, _check_integer
-from .penalties import DEFAULT_EPSILON, DEFAULT_PRUNE_THRESHOLD, KINDS
-from .tuning import DEFAULT_CN_CONSTANT, _map_in_pool, select_tuning
+from .penalties import DEFAULT_EPSILON, DEFAULT_PRUNE_THRESHOLD
+from .tuning import DEFAULT_CN_CONSTANT, _map_in_pool, _tuning_inputs, select_tuning
 
 __all__ = [
     "SimConfig",
@@ -221,8 +221,9 @@ def run_study(
     (config.seed, replication index), so results do not depend on worker
     count or scheduling. Replications where every tuning attempt fails
     numerically are excluded and counted in `failures`. Empty, repeated or
-    unknown kinds, and a bad replication or worker count, are rejected
-    before any draw.
+    unknown kinds, a bad replication or worker count, and every other
+    tuning option (shape, epsilon, prune threshold, grid, C_n constant) are
+    rejected before any draw.
     """
     _check_integer("replications", replications)
     _check_integer("workers", workers)
@@ -230,8 +231,8 @@ def run_study(
     if not kinds or len(set(kinds)) < len(kinds):
         raise ValueError(f"need at least one penalty kind, each named once; got {kinds}")
     for kind in kinds:
-        if kind not in KINDS:
-            raise ValueError(f"unknown penalty kind {kind!r}; expected one of {KINDS}")
+        # the checked grid, so that a one-pass iterable serves every replication
+        c_grid, _ = _tuning_inputs(kind, c_grid, cn_constant, shape, epsilon, prune_threshold)
     if em_config is None:
         em_config = EMConfig()
     censor_upper = None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -102,13 +102,24 @@ def _pick_best(rows: list[TuningRow]) -> int:
     return max(scored, key=lambda i: (rows[i].bic, -rows[i].k_hat, -rows[i].level))
 
 
+def _tuning_inputs(kind, c_grid, cn_constant, shape, epsilon, prune_threshold):
+    """(grid of multipliers, the penalty at level 0): the one check of every
+    tuning option, made before any draw, fit or worker."""
+    grid = default_c_grid() if c_grid is None else np.asarray(list(c_grid), dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("c_grid must be a nonempty 1-d collection")
+    if np.any(grid < 0) or not np.all(np.isfinite(grid)):
+        raise ValueError("grid multipliers must be finite and nonnegative")
+    _check_cn_constant(cn_constant)
+    return grid, PenaltySpec(kind, 0.0, shape, epsilon, prune_threshold)
+
+
 def _fit_grid_point(
-    c, *, data, kind, config, cn_constant, shape, epsilon, prune_threshold, kernel, bandwidth
+    c, *, data, spec, config, cn_constant, kernel, bandwidth
 ) -> tuple[TuningRow, FittedModel | None]:
     level = level_from_c(c, data.n)
-    spec = PenaltySpec(
-        kind=kind, level=level, shape=shape, epsilon=epsilon, prune_threshold=prune_threshold
-    )
+    # replace re-runs the spec's checks; a resolved shape resolves to itself
+    spec = replace(spec, level=level)
     try:
         model = fit_mixture(data, spec, config, kernel=kernel, bandwidth=bandwidth)
     except NumericalError:
@@ -161,18 +172,15 @@ def select_tuning(
     The same EM configuration (and therefore the same restart seeds) is reused
     at every grid point. Ties in BIC break toward fewer components, then the
     smaller level. Grid points whose fit fails are kept in the report with a
-    NaN score; only a fully failed grid raises.
+    NaN score; only a fully failed grid raises. The kind, shape, epsilon,
+    prune threshold, grid and C_n constant are checked before any fit or
+    worker starts.
     """
     config = EMConfig() if config is None else config
-    grid = default_c_grid() if c_grid is None else np.asarray(list(c_grid), dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("c_grid must be a nonempty 1-d collection")
-    if np.any(grid < 0) or not np.all(np.isfinite(grid)):
-        raise ValueError("grid multipliers must be finite and nonnegative")
-    _check_cn_constant(cn_constant)
+    grid, spec = _tuning_inputs(kind, c_grid, cn_constant, shape, epsilon, prune_threshold)
     fit_point = partial(
-        _fit_grid_point, data=data, kind=kind, config=config, cn_constant=cn_constant, shape=shape,
-        epsilon=epsilon, prune_threshold=prune_threshold, kernel=kernel, bandwidth=bandwidth,
+        _fit_grid_point, data=data, spec=spec, config=config, cn_constant=cn_constant,
+        kernel=kernel, bandwidth=bandwidth,
     )
     results = _map_in_pool(fit_point, [float(c) for c in grid], workers)
     rows = [r for r, _ in results]

@@ -94,6 +94,14 @@ MALFORMED_MODELS = {
     "ragged_beta": (lambda doc: {**doc, "beta": [doc["beta"][0], doc["beta"][1][:-1]]}, "beta"),
     "increment_width": (_edit_increments(lambda inc: [row[:-1] for row in inc]), "increments"),
     "K_mismatch": (_put("K", 3), "K = 3"),
+    # K and seed pass the one count-and-seed check, with no truncation
+    "K_fractional": (_put("K", 1.5), "'K' is malformed: K must be an integer"),
+    "K_whole_float": (_put("K", 2.0), "'K' is malformed: K must be an integer"),
+    "K_zero": (_put("K", 0), "'K' is malformed: K must be at least 1"),
+    "seed_fractional": (_put("seed", 7.9), "'seed' is malformed: seed must be an integer"),
+    "seed_string": (_put("seed", "7"), "'seed' is malformed: seed must be an integer"),
+    "seed_negative": (_put("seed", -3), r"'seed' is malformed: seed must lie in \[0, 18446744073709551616\)"),
+    "seed_too_large": (_put("seed", 2**64), r"'seed' is malformed: seed must lie in \["),
     **{
         f"missing_{name}": (_drop(name), f"no '{name}' field")
         for name in ("history", "seed", "penalty", "level", "epsilon", "baseline", "pi", "K")

@@ -155,6 +155,32 @@ class TestConfigFile:
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert run_cli(["simulate", "--config", str(tmp_path / "nope.cfg"), "--n", "20"]) == 2
 
+    def test_comment_only_and_blank_lines_are_skipped(self, tmp_path):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("# simulation options\n\n   \nn = 30  # records\n  # seed = 1\nseed = 9\n")
+        out = str(tmp_path / "sim.csv")
+        assert run_cli(["simulate", "--config", str(cfg), "--out", out]) == 0
+        meta = json.load(open(out + ".meta.json"))
+        assert meta["options"]["n"] == 30
+        assert meta["seed"] == 9
+
+    def test_value_outside_choices_is_usage_error(self, tmp_path, data_csv, capsys):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("penalty = lasso\n")
+        code = run_cli(["tune", data_csv, "--config", str(cfg), "--c-grid", "0.5"])
+        assert code == 2
+        assert "bad config value for penalty: 'lasso'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [",", " , ,"])
+    def test_empty_comma_list_is_usage_error(self, tmp_path, data_csv, capsys, text):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"c_grid = {text}\n")
+        code = run_cli(["tune", data_csv, "--config", str(cfg), "--penalty", "scad"])
+        assert code == 2
+        assert "bad config value for c_grid" in capsys.readouterr().err
+        # the same list given as a flag is refused by the parser
+        assert run_cli(["tune", data_csv, "--penalty", "scad", "--c-grid", text]) == 2
+
     def test_uncastable_value_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "opts.cfg"
         cfg.write_text("n = twenty\n")

@@ -102,6 +102,31 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match=f"bad\\.csv: header names {repeated} more than once"):
             load_dataset(str(path))
 
+    def test_missing_covariate_column_errors(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,status,x1\n1.0,1,2.0\n")
+        with pytest.raises(DataError, match=r"bad\.csv: missing covariate column 'x9'"):
+            load_dataset(str(path), covariate_cols=["x1", "x9"])
+
+    @pytest.mark.parametrize("row, column", [(",1,0.5", "time"), ("1.0,,0.5", "status"), ("1.0,1, ", "x1")])
+    def test_missing_value_names_row_and_column(self, tmp_path, row, column):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time,status,x1\n2.0,1,0.1\n{row}\n")
+        with pytest.raises(DataError, match=rf"bad\.csv: row 2, column '{column}': missing value"):
+            load_dataset(str(path))
+
+    def test_negative_time_names_its_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,status,x1\n1.0,1,0.5\n2.0,0,0.1\n-0.5,1,0.2\n")
+        with pytest.raises(DataError, match=r"bad\.csv: row 3: negative time -0\.5"):
+            load_dataset(str(path))
+
+    def test_no_event_rows_errors(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,status,x1\n1.0,0,0.5\n2.0,0,0.1\n")
+        with pytest.raises(DataError, match=r"bad\.csv: dataset contains no event rows"):
+            load_dataset(str(path))
+
     def test_ragged_row_errors(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,status,x1\n1.0,1\n")

@@ -75,6 +75,23 @@ class TestMixtureParams:
         with pytest.raises(ValueError, match="beta"):
             MixtureParams(**mixture_fields(pi=[1.0]))
 
+    def test_empty_pi_rejected(self):
+        with pytest.raises(ValueError, match="pi must be a nonempty 1-d array"):
+            MixtureParams(**mixture_fields(pi=[]))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"event_times": [1.0, 2.0, np.inf]},
+            {"event_times": [np.nan, 2.0, 3.0]},
+            {"increments": [[0.1, np.inf, 0.3], [0.2, 0.0, 0.1]]},
+            {"increments": [[0.1, 0.2, 0.3], [0.2, 0.0, np.nan]]},
+        ],
+    )
+    def test_non_finite_baseline_rejected(self, changes):
+        with pytest.raises(ValueError, match="baseline hazard entries must be finite"):
+            MixtureParams(**mixture_fields(**changes))
+
     def test_k_property(self):
         params = MixtureParams(**mixture_fields())
         assert params.K == 2

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from coxmix.coxfit import NumericalError
 from coxmix.em import EMConfig, fit_mixture
 from coxmix.penalties import PenaltySpec
 from coxmix.simgen import (
@@ -298,6 +299,62 @@ class TestRunStudy:
             run_study(SimConfig(n=50), replications=1, workers=0)
         with pytest.raises(ValueError, match="workers must be an integer"):
             run_study(SimConfig(n=50), replications=1, workers=1.5)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"shape": 1.5}, "SCAD shape parameter must exceed 2"),
+            ({"kinds": ("mcp", "scad"), "shape": 1.5}, "SCAD shape parameter must exceed 2"),
+            ({"kinds": ("mcp",), "shape": 1.0}, "MCP shape parameter must exceed 1"),
+            ({"epsilon": 0.0}, "epsilon must be finite and positive"),
+            ({"prune_threshold": 2.0}, "prune threshold must lie in"),
+            ({"c_grid": [-1.0]}, "grid multipliers must be finite and nonnegative"),
+            ({"c_grid": []}, "c_grid must be a nonempty"),
+            ({"cn_constant": 0.0}, "cn_constant must be finite and positive"),
+        ],
+        ids=["scad_shape", "scad_shape_after_mcp", "mcp_shape", "epsilon", "prune_threshold",
+             "negative_grid", "empty_grid", "cn_constant"],
+    )
+    def test_bad_tuning_option_rejected_before_any_draw(self, monkeypatch, options, message):
+        sizes = []
+        draw = simgen._draw_event_times
+
+        def spy(config, rng, size):
+            sizes.append(size)
+            return draw(config, rng, size)
+
+        monkeypatch.setattr(simgen, "_draw_event_times", spy)
+        with pytest.raises(ValueError, match=message):
+            run_study(SimConfig(50, censor_target=0.2), 1, **options)
+        # neither the 100,000-draw calibration pilot nor a dataset was drawn
+        assert sizes == []
+
+    def test_one_pass_grid_serves_every_replication(self, tiny_study):
+        cfg, em, serial = tiny_study
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = run_study(
+                cfg, replications=2, kinds=("scad",), em_config=em, c_grid=iter([0.8]), workers=1
+            )
+        assert study_to_csv(result) == study_to_csv(serial)
+
+    def test_replication_whose_every_grid_point_fails_is_counted(self, monkeypatch):
+        import coxmix.tuning as tuning_mod
+
+        def broken(*args, **kwargs):
+            raise NumericalError("forced failure")
+
+        monkeypatch.setattr(tuning_mod, "fit_mixture", broken)
+        result = run_study(
+            SimConfig(n=50, censor_target=0.0), replications=2, kinds=("scad", "mcp"), c_grid=[0.5, 1.0]
+        )
+        assert result.failures == {"scad": 2, "mcp": 2}
+        assert result.k_hat_counts == {"scad": {}, "mcp": {}}
+        for row in result.rows:
+            assert row.replications_used == 0
+            assert row.k_hat_mode == 0
+            assert row.k_correct_fraction == 0.0
+            assert math.isnan(row.bias) and math.isnan(row.sd)
 
     def test_first_replication_at_n50_fits_without_floating_point_warnings(self):
         # replication 0 at n = 50 as the study draws it: a restart reaches a

@@ -222,6 +222,25 @@ class TestSelectTuning:
         with pytest.raises(ValueError, match="cn_constant must be finite and positive"):
             select_tuning(tuning_data, "scad", c_grid=[0.6, 0.8], config=QUICK, cn_constant=bad)
 
+    @pytest.mark.parametrize(
+        "kind, options, message",
+        [
+            ("scad", {"shape": 1.5}, "SCAD shape parameter must exceed 2"),
+            ("mcp", {"shape": 0.5}, "MCP shape parameter must exceed 1"),
+            ("lasso", {}, "unknown penalty kind 'lasso'"),
+            ("scad", {"epsilon": math.inf}, "epsilon must be finite and positive"),
+            ("ls", {"prune_threshold": 0.0}, "prune threshold must lie in"),
+        ],
+        ids=["scad_shape", "mcp_shape", "unknown_kind", "epsilon", "prune_threshold"],
+    )
+    def test_bad_penalty_rejected_before_any_pool(self, tuning_data, monkeypatch, kind, options, message):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the grid was mapped")
+
+        monkeypatch.setattr(tuning, "_map_in_pool", no_pool)
+        with pytest.raises(ValueError, match=message):
+            select_tuning(tuning_data, kind, c_grid=[0.6, 0.8], config=QUICK, workers=2, **options)
+
 
 class TestReportOutputs:
     def test_csv_round_trip(self, tmp_path):
