@@ -435,20 +435,28 @@ _CHEB_NODES = np.cos(_CHEB_ANGLES)
 _CHEB_WEIGHTS = (-1.0) ** np.arange(_CHEB_POINTS) * np.sin(_CHEB_ANGLES)
 
 
+# Box offsets the Gaussian smoother keeps, set by the accuracy contract of
+# `smooth_baseline_hazard`: relative error 1e-12 wherever the rate is at
+# least 1e-8 sum(inc)/h, absolute error 1e-14 sum(inc)/h everywhere. A source
+# and a target whose boxes are more than R apart lie more than R bandwidths
+# apart, so the dropped offsets add at most K(R) sum(inc)/h in total. The
+# relative half then needs K(R) <= 1e-12 * 1e-8 = 1e-20, the tighter of the
+# two; the smallest integer R that meets it is 10, where K(10) = 7.7e-23
+# (K(9) = 1.0e-18).
+_BOX_REACH = 10
+
+
 def _box_pair_blocks() -> np.ndarray:
-    """K(d + (z_i - z_j)/2) for box offsets d = -D..D, D the last offset
-    at which exp(-u^2/2) does not underflow to 0 at some pair of nodes."""
-    u = np.arange(64)[:, None, None] + (_CHEB_NODES[:, None] - _CHEB_NODES[None, :]) / 2
+    """K(d + (z_i - z_j)/2) for box offsets d = -_BOX_REACH.._BOX_REACH."""
+    u = np.arange(_BOX_REACH + 1)[:, None, None] + (_CHEB_NODES[:, None] - _CHEB_NODES[None, :]) / 2
     ahead = kernel_values("gaussian", u)
-    reach = int(np.flatnonzero(ahead.any(axis=(1, 2)))[-1])
     # the block at offset -d is the transpose of the one at d
-    blocks = np.concatenate([ahead[reach:0:-1].transpose(0, 2, 1), ahead[: reach + 1]])
+    blocks = np.concatenate([ahead[:0:-1].transpose(0, 2, 1), ahead])
     blocks.setflags(write=False)
     return blocks
 
 
 _BOX_BLOCKS = _box_pair_blocks()
-_BOX_REACH = (_BOX_BLOCKS.shape[0] - 1) // 2
 
 
 def _box_coordinates(u: np.ndarray):
@@ -489,23 +497,24 @@ class _GaussianBoxes:
     The axis is cut into boxes of width h from the first grid point. Each
     occupied box gets 16 Chebyshev nodes: sources are anterpolated onto them,
     box pairs interact through one 16 x 16 block per box offset, and the node
-    potentials are interpolated to the targets. Offsets beyond _BOX_REACH,
-    where the kernel underflows to 0, are dropped. A box's anterpolation and
-    interpolation are each one matrix product with the dense Lagrange rows of
-    its run of sorted points. Only boxes that hold a grid point or a target
-    are built, so memory is 16 (m + len(t)) numbers for the rows, 16 K per
-    source box and per target box for a call, plus at most 2 _BOX_REACH + 1
-    box pairs per target box, whatever the spread of the times. At
+    potentials are interpolated to the targets. Offsets beyond _BOX_REACH =
+    10 boxes are dropped, as the accuracy contract of
+    `smooth_baseline_hazard` cannot see their terms. A box's
+    anterpolation and interpolation are each one matrix product with the
+    dense Lagrange rows of its run of sorted points. Only boxes that hold a
+    grid point or a target are built, so memory is 16 (m + len(t)) numbers
+    for the rows, 16 K per source box and per target box for a call, plus at
+    most 21 box pairs per target box, whatever the spread of the times. At
     m = len(t) = 4598 the build peaked at 2 MB and a call with K = 3 at
-    0.4 MB more; at 10^-4 of the rule-of-thumb bandwidth, where nearly every
-    time has a box of its own, at 10.5 and 4.7 MB.
+    0.25 MB more; at 10^-4 of the rule-of-thumb bandwidth, where nearly every
+    time has a box of its own, at 4.6 and 6.6 MB.
 
     Box coordinates are measured from the first grid point in bandwidths,
     so a position d bandwidths out carries a rounding error of about
-    1e-16 d, and the kernel values' relative error grows with it. Up to a
-    few thousand bandwidths the error stays within the 1e-12 relative
-    bound that `smooth_baseline_hazard` states; at 10^4 bandwidths it
-    reached 2.5e-12 and at 10^5 1.8e-11.
+    1e-16 d, and the kernel values' relative error grows with it. Up to
+    2,000 bandwidths the error stays within the 1e-12 relative bound that
+    `smooth_baseline_hazard` states (8.1e-13 at most in 40 draws); at 2,500
+    bandwidths it reached 1.5e-12, at 10^4 2.5e-12 and at 10^5 1.8e-11.
     """
 
     def __init__(self, grid: np.ndarray, bandwidth: float, t: np.ndarray):
@@ -645,20 +654,23 @@ def smooth_baseline_hazard(params, t):
     that dense sum, the relative error is at most 1e-12 wherever the rate
     is at least 1e-8 sum(increments)/h, and the absolute error at most
     1e-14 sum(increments)/h everywhere. For the Gaussian kernel this holds
-    while the event times and targets lie within a few thousand bandwidths
-    of the first event time; a rule-of-thumb bandwidth spans a few dozen.
+    while the event times and targets lie within 2,000 bandwidths of the
+    first event time; a rule-of-thumb bandwidth spans a few dozen.
     Positions are measured from there in bandwidths (see `_GaussianBoxes`),
-    so the error grows with the span: with 1,000 event times uniform over
-    10^4 bandwidths the relative error reached 2.5e-12, and over 10^5
-    bandwidths 1.8e-11 (8 draws). More than 40h from every event time
-    the Gaussian rate is exactly 0, as the dense sum's terms underflow
-    there; the Epanechnikov rate is 0 beyond h.
+    so the error grows with the span: the relative error reached 1.5e-12
+    over 2,500 bandwidths (40 draws), and with 1,000 event times uniform
+    over 10^4 bandwidths 2.5e-12, over 10^5 1.8e-11 (8 draws). Terms the
+    contract cannot see are dropped: the Gaussian rate is exactly 0 from
+    11h beyond every event time, and may be from 10h (see `_BOX_REACH`),
+    where each of the dense sum's terms is below 8e-23 increment_e/h. The
+    Epanechnikov rate is 0 beyond h.
 
     Each call builds the smoother over all m event times for its targets.
-    At m = 4598 and one row, one target costs about 1.5 ms (Gaussian) or
-    2 ms (Epanechnikov) and 4800 targets about 5 ms on a 2-core Xeon; three
-    rows cost about 10% more (Gaussian) or twice as much (Epanechnikov). So
-    pass all times in one array rather than calling once per time.
+    At m = 4598 and one row, one target costs about 0.75 ms (Gaussian) or
+    0.9 ms (Epanechnikov) and 4800 targets about 2 ms (Gaussian) or 2.4 ms
+    (Epanechnikov) on a 2-core Xeon with one BLAS thread; three rows cost
+    about 5% more (Gaussian) or twice as much (Epanechnikov). So pass all
+    times in one array rather than calling once per time.
     """
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     vals = _smoother(params.event_times, params.kernel, params.bandwidth, arr)(params.increments)

@@ -65,9 +65,12 @@ REFIT_NEWTON_STEPS = 1
 
 def _check_integer(name: str, value, lo: int = 1, hi: int | None = None) -> int:
     """The one check of a count or a seed: `value` as an int; ValueError
-    unless it is an integer (numpy integers pass) of at least `lo` and, when
-    `hi` is given, below `hi`."""
+    unless it is an integer (numpy integers pass, booleans do not) of at
+    least `lo` and, when `hi` is given, below `hi`."""
     try:
+        # operator.index takes True as 1 (numpy's bool it rejects itself)
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None

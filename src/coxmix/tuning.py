@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 
-from .coxfit import NumericalError
+from .coxfit import NumericalError, _check_kernel, _check_smoothing
 from .data import Dataset, _write_csv
 from .em import EMConfig, FittedModel, _check_integer, _penalty_total, fit_mixture
 from .penalties import (
@@ -102,15 +102,20 @@ def _pick_best(rows: list[TuningRow]) -> int:
     return max(scored, key=lambda i: (rows[i].bic, -rows[i].k_hat, -rows[i].level))
 
 
-def _tuning_inputs(kind, c_grid, cn_constant, shape, epsilon, prune_threshold):
+def _tuning_inputs(kind, c_grid, cn_constant, shape, epsilon, prune_threshold, kernel="gaussian", bandwidth=None):
     """(grid of multipliers, the penalty at level 0): the one check of every
-    tuning option, made before any draw, fit or worker."""
+    tuning option, made before any draw, fit or worker. A bandwidth of None
+    is each fit's rule of thumb, checked there."""
     grid = default_c_grid() if c_grid is None else np.asarray(list(c_grid), dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("c_grid must be a nonempty 1-d collection")
     if np.any(grid < 0) or not np.all(np.isfinite(grid)):
         raise ValueError("grid multipliers must be finite and nonnegative")
     _check_cn_constant(cn_constant)
+    if bandwidth is None:
+        _check_kernel(kernel)
+    else:
+        _check_smoothing(kernel, float(bandwidth))
     return grid, PenaltySpec(kind, 0.0, shape, epsilon, prune_threshold)
 
 
@@ -173,11 +178,11 @@ def select_tuning(
     at every grid point. Ties in BIC break toward fewer components, then the
     smaller level. Grid points whose fit fails are kept in the report with a
     NaN score; only a fully failed grid raises. The kind, shape, epsilon,
-    prune threshold, grid and C_n constant are checked before any fit or
-    worker starts.
+    prune threshold, grid, C_n constant, kernel and a given bandwidth are
+    checked before any fit or worker starts.
     """
     config = EMConfig() if config is None else config
-    grid, spec = _tuning_inputs(kind, c_grid, cn_constant, shape, epsilon, prune_threshold)
+    grid, spec = _tuning_inputs(kind, c_grid, cn_constant, shape, epsilon, prune_threshold, kernel, bandwidth)
     fit_point = partial(
         _fit_grid_point, data=data, spec=spec, config=config, cn_constant=cn_constant,
         kernel=kernel, bandwidth=bandwidth,

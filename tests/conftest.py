@@ -98,7 +98,11 @@ MALFORMED_MODELS = {
     "K_fractional": (_put("K", 1.5), "'K' is malformed: K must be an integer"),
     "K_whole_float": (_put("K", 2.0), "'K' is malformed: K must be an integer"),
     "K_zero": (_put("K", 0), "'K' is malformed: K must be at least 1"),
+    "K_true": (_put("K", True), "'K' is malformed: K must be an integer"),
+    "K_false": (_put("K", False), "'K' is malformed: K must be an integer"),
     "seed_fractional": (_put("seed", 7.9), "'seed' is malformed: seed must be an integer"),
+    "seed_true": (_put("seed", True), "'seed' is malformed: seed must be an integer"),
+    "seed_false": (_put("seed", False), "'seed' is malformed: seed must be an integer"),
     "seed_string": (_put("seed", "7"), "'seed' is malformed: seed must be an integer"),
     "seed_negative": (_put("seed", -3), r"'seed' is malformed: seed must lie in \[0, 18446744073709551616\)"),
     "seed_too_large": (_put("seed", 2**64), r"'seed' is malformed: seed must lie in \["),

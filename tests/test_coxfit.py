@@ -892,19 +892,55 @@ class TestSmoother:
 
     @pytest.mark.parametrize("K", [1, 10])
     def test_clusters_either_side_of_box_reach(self, K):
-        # clusters 3h wide with gaps of 5, 20, 39, 40 and 41 bandwidths, so
-        # some clusters meet across the gap and some are out of each other's
-        # reach; the targets lie near the clusters and far beyond both ends
+        # clusters 3h wide with gaps of 9, 10, 11 and 12 bandwidths, either
+        # side of the 10-box reach, so some clusters meet across the gap and
+        # some are out of each other's reach; the targets lie near the
+        # clusters and far beyond both ends
         gen = np.random.default_rng(8 + K)
         h = 0.5
-        gaps = np.array([5.0, 20.0, 39.0, 40.0, 41.0]) * h
+        gaps = np.array([9.0, 10.0, 11.0, 12.0]) * h
         starts = np.concatenate([[0.0], np.cumsum(3.0 * h + gaps)])
         grid = np.sort(np.concatenate([s + gen.uniform(0.0, 3.0 * h, size=60) for s in starts]))
-        far = h * np.array([38.0, 39.5, 40.5, 45.0])
+        far = h * np.array([9.5, 10.5, 11.5, 15.0])
         t = np.concatenate([grid, grid - 0.3 * h, grid + 0.3 * h, grid[0] - far, grid[-1] + far])
         inc = gen.gamma(2.0, 0.5 / grid.size, size=(K, grid.size))
         got = _smoother(grid, "gaussian", h, t)(inc)
         assert_rate_contract(got, dense_rates(grid, "gaussian", h, t, inc), inc, h)
+
+    def test_box_reach_is_the_contracts(self):
+        # the dropped offsets add at most K(reach) sum(inc)/h, and the
+        # relative bound needs that below 1e-12 * 1e-8 sum(inc)/h
+        reach = next(r for r in range(1, 64) if kernel_values("gaussian", r) <= 1e-20)
+        assert coxfit._BOX_REACH == reach == 10
+        assert coxfit._BOX_BLOCKS.shape == (21, 16, 16)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-2])
+    @pytest.mark.parametrize("K", [1, 10])
+    def test_contract_at_the_box_reach(self, K, scale):
+        # an n = 600 sample spans under 2,000 bandwidths at 1e-2 of its rule
+        # of thumb, inside the span the Gaussian contract holds for
+        gen = np.random.default_rng(20 + K)
+        data = simulate_single(600, 2, [0.8, -0.5], seed=20 + K, censor_frac=0.1)
+        grid = np.unique(data.y[data.delta == 1])
+        h = scale * default_time_bandwidth(data.y)
+        assert (grid[-1] - grid[0]) / h < 2000
+        steps = h * np.array([9.5, 10.0, 10.5, 11.5])
+        t = np.concatenate([smoothing_targets(grid, h, gen), grid[0] - steps, grid[-1] + steps])
+        inc = gen.gamma(2.0, 0.5 / grid.size, size=(K, grid.size))
+        assert_rate_contract(_smoother(grid, "gaussian", h, t)(inc), dense_rates(grid, "gaussian", h, t, inc), inc, h)
+
+    def test_rate_is_exactly_zero_past_the_box_reach(self):
+        # within 10h of an event time every rate is positive; past 11h of
+        # every one they are all exactly 0, though the dense sum's are not
+        gen = np.random.default_rng(12)
+        grid, h = smoothing_grid("untied", gen)
+        inc = gen.gamma(2.0, 0.5 / grid.size, size=(3, grid.size))
+        near = np.array([grid[0] - 10.0 * h, grid[-1] + 10.0 * h])
+        beyond = h * np.array([11.0 * (1 + 1e-12), 11.5, 15.0])
+        far = np.concatenate([grid[0] - beyond, grid[-1] + beyond])
+        assert np.all(_smoother(grid, "gaussian", h, near)(inc) > 0.0)
+        assert np.all(_smoother(grid, "gaussian", h, far)(inc) == 0.0)
+        assert np.all(dense_rates(grid, "gaussian", h, far[[0, 3]], inc) > 0.0)
 
     def test_bandwidth_far_below_spacing_keeps_memory_linear(self):
         # event times about 100 boxes apart: boxes spanning the gaps between

@@ -545,8 +545,9 @@ class TestEMConfig:
         with pytest.raises(ValueError):
             EMConfig(seed=2**64)
         for name in ("k_init", "max_iterations", "restarts", "seed"):
-            with pytest.raises(ValueError, match=f"{name} must be an integer"):
-                EMConfig(**{name: 2.5})
+            for bad in (2.5, True, False):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    EMConfig(**{name: bad})
         config = EMConfig(k_init=np.int64(3), max_iterations=np.int32(7), restarts=np.uint8(2), seed=np.uint64(5))
         assert (config.k_init, config.max_iterations, config.restarts, config.seed) == (3, 7, 2, 5)
 
@@ -1159,6 +1160,18 @@ class TestSerialization:
         assert model_to_json(model_from_json(text)) == text
         with pytest.raises(ValueError, match=MALFORMED_MODELS[case][1]):
             model_from_json(malformed_model_text(text, case))
+
+    def test_boolean_k_rejected_for_one_component_model(self, small_data):
+        # True == 1, so only the integer check tells it from this model's K
+        model = FittedModel(
+            params=stack_fits(small_data, [1.0], [np.ones(small_data.n)]),
+            spec=PenaltySpec(kind="scad", level=0.0),
+            seed=0,
+        )
+        doc = json.loads(model_to_json(model))
+        assert doc["K"] == 1
+        with pytest.raises(ValueError, match="'K' is malformed: K must be an integer"):
+            model_from_json(json.dumps({**doc, "K": True}))
 
     def test_save_and_load_file(self, tmp_path, small_data):
         model = fit_mixture(

@@ -241,6 +241,25 @@ class TestSelectTuning:
         with pytest.raises(ValueError, match=message):
             select_tuning(tuning_data, kind, c_grid=[0.6, 0.8], config=QUICK, workers=2, **options)
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"bandwidth": 0.0}, "bandwidth must be positive and finite"),
+            ({"bandwidth": math.nan}, "bandwidth must be positive and finite"),
+            ({"bandwidth": -1.0, "kernel": "epanechnikov"}, "bandwidth must be positive and finite"),
+            ({"kernel": "box"}, "unknown kernel 'box'"),
+            ({"kernel": "box", "bandwidth": 0.5}, "unknown kernel 'box'"),
+        ],
+        ids=["zero_bandwidth", "nan_bandwidth", "negative_bandwidth", "unknown_kernel", "unknown_kernel_with_bandwidth"],
+    )
+    def test_bad_smoothing_rejected_before_any_pool(self, tuning_data, monkeypatch, options, message):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the grid was mapped")
+
+        monkeypatch.setattr(tuning, "_map_in_pool", no_pool)
+        with pytest.raises(ValueError, match=message):
+            select_tuning(tuning_data, "scad", c_grid=[0.5, 1.0], config=QUICK, workers=2, **options)
+
 
 class TestReportOutputs:
     def test_csv_round_trip(self, tmp_path):
