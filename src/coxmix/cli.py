@@ -14,7 +14,9 @@ smoother's in fit and tune, and roc's marker kernel takes
 `marker_bandwidth`. Each command writes a `<output>.meta.json` sidecar
 holding every resolved option, the seed (null for predict and roc, which
 draw no random numbers) and the coxmix, numpy and Python versions, so a
-run can be reproduced byte-identically.
+run can be reproduced byte-identically. Its `outcome` is what the run did:
+for fit, the winning restart's `converged` and `iterations` and the fit's
+`em_iterations_total` and `restarts_screened`; null for the others.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
@@ -38,6 +40,7 @@ from .em import (
     DEFAULT_K_INIT,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_RESTARTS,
+    SCREEN_ITERATIONS,
     EMConfig,
     fit_mixture,
     load_model,
@@ -96,7 +99,11 @@ GRID = (
 )
 EM = (
     Opt("--k-init", int, DEFAULT_K_INIT, help="initial component count"),
-    Opt("--restarts", int, DEFAULT_RESTARTS, help="random restarts per fit"),
+    Opt(
+        "--restarts", int, DEFAULT_RESTARTS,
+        help=f"random restarts per fit: each runs up to {SCREEN_ITERATIONS} EM iterations, then only the one "
+        "with the best objective so far runs to convergence",
+    ),
     Opt("--max-iter", int, DEFAULT_MAX_ITERATIONS, help="iteration cap per run"),
     Opt("--eps-abs", float, DEFAULT_EPS_ABS, help="absolute convergence tolerance"),
     Opt("--eps-rel", float, DEFAULT_EPS_REL, help="relative convergence tolerance"),
@@ -113,10 +120,11 @@ SCORING = (
 )
 
 
-def _write_meta(out_path: str, command: str, options: dict, seed: int | None) -> None:
+def _write_meta(out_path: str, command: str, options: dict, seed: int | None, outcome: dict | None) -> None:
     meta = {
         "command": command,
         "options": options,
+        "outcome": outcome,
         "seed": seed,
         "versions": {
             "coxmix": __version__,
@@ -137,7 +145,9 @@ def _em_config(o) -> EMConfig:
 
 
 # Each cmd_* takes the resolved options and returns the meta entries that the
-# options cannot know; `main` writes the sidecar.
+# options cannot know; `main` writes the sidecar. What the run did, under the
+# key "outcome", goes beside the options rather than among them, so that a
+# config file written from the options still reproduces the run.
 
 
 def cmd_simulate(o) -> dict:
@@ -160,7 +170,11 @@ def cmd_fit(o) -> dict:
     save_model(model, o.out)
     # the fit's last objective is the penalized observed log-likelihood
     print(f"wrote {o.out}: K = {model.params.K}, penalized loglik = {model.history[-1]:.6f}")
-    return {"shape": model.spec.shape}
+    # the winning restart's convergence and iterations, and the fit's work counts
+    outcome = {
+        key: model.diagnostics[key] for key in ("converged", "iterations", "em_iterations_total", "restarts_screened")
+    }
+    return {"shape": model.spec.shape, "outcome": outcome}
 
 
 def cmd_tune(o) -> dict:
@@ -377,7 +391,8 @@ def main(argv=None) -> int:
         values = _resolve(args, options)
         results = run(argparse.Namespace(**values))
         seed = values.pop("seed", None)
-        _write_meta(values["out"], args.command, {**values, **results}, seed)
+        outcome = results.pop("outcome", None)
+        _write_meta(values["out"], args.command, {**values, **results}, seed, outcome)
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -62,6 +62,14 @@ PI_NEWTON_MAX_STEPS = 100
 # step that raises the weighted partial likelihood makes a generalized EM
 REFIT_NEWTON_STEPS = 1
 
+# EM iterations every restart runs before only the leader by best objective
+# so far goes on (the "small EM" of Biernacki, Celeux & Govaert, CSDA 2003).
+# On replications 12-59 of the criterion-5 cell, the grid points whose two
+# restarts reached different fixed points were ranked right by the best
+# objective from iteration 8 on; the screen is 2.5 times that, since the
+# iterations a ranking needs vary between data sets
+SCREEN_ITERATIONS = 20
+
 
 def _check_integer(name: str, value, lo: int = 1, hi: int | None = None) -> int:
     """The one check of a count or a seed: `value` as an int; ValueError
@@ -178,10 +186,11 @@ class _FitContext:
         self.rs = _RiskSets(data.x, data.y, data.delta)
         self.density = _record_density(data, self.rs.grid, kernel, self.bandwidth)
         # Newton solves on this context, their accepted steps, and the solves
-        # that failed
+        # that failed; EM iterations run on it
         self.newton_fits = 0
         self.newton_iterations = 0
         self.newton_unconverged = 0
+        self.em_iterations = 0
 
     def fit_coefficients(self, w_r: np.ndarray, beta: np.ndarray, max_steps: int = DEFAULT_MAX_ITER) -> np.ndarray:
         """Newton fit of one component's coefficients from beta in at most
@@ -471,19 +480,28 @@ def _em_step(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, state: _EMSt
     observed = state.observe(pi, ctx.log_density(state.params))
     state.history.append(observed - _penalty_total(pi, spec, ctx.n))
     state.iterations += 1
+    ctx.em_iterations += 1
     state.converged = check_convergence(state.history[-1], state.history[-2], config)
 
 
-def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.random.Generator) -> _EMState:
+def _iterate(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, state: _EMState, budget: int) -> None:
+    """EM iterations on `state` until the convergence test holds or it has
+    run `budget` in all."""
+    while not state.converged and state.iterations < budget:
+        _em_step(ctx, spec, config, state)
+
+
+def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.random.Generator, budget: int) -> _EMState:
     """One restart: a random start, then EM iterations until the convergence
-    test holds or `config.max_iterations` have run."""
+    test holds or `budget` have run. The rng is read only by the start, so a
+    run paused at its budget resumes with `_iterate` as if it had never
+    stopped."""
     params = _initialize(ctx, config.k_init, rng)
     state = _EMState(params)
     # each E-step also yields the objective at the (pi, log f) it reads
     observed = state.observe(params.pi, ctx.log_density(params))
     state.history.append(observed - _penalty_total(params.pi, spec, ctx.n))
-    while not state.converged and state.iterations < config.max_iterations:
-        _em_step(ctx, spec, config, state)
+    _iterate(ctx, spec, config, state, budget)
     return state
 
 
@@ -508,9 +526,17 @@ def fit_mixture(
     beta is on the columns' own scale and each baseline is the one at
     x = 0. That baseline must be representable: one that overflows there
     fails its restart (see `coxfit._increments`). A covariate column whose
-    values are all equal gives a warning; its coefficients stay 0. The
-    best restart by final penalized observed log-likelihood wins;
-    components are ordered by decreasing proportion.
+    values are all equal gives a warning; its coefficients stay 0.
+
+    Every restart first runs at most SCREEN_ITERATIONS EM iterations. Only
+    the leader, the restart with the highest penalized objective so far
+    (ties to the earlier restart), then runs on to convergence or
+    `config.max_iterations`; if it fails, the next in that order runs on. A
+    restart that converged inside the screen, or reached
+    `config.max_iterations` there, is finished already. Of the
+    finished restarts, the one with the highest final penalized observed
+    log-likelihood wins. With one restart there is no screen. Components
+    are ordered by decreasing proportion.
 
     `diagnostics` holds, for the winning restart:
 
@@ -527,12 +553,15 @@ def fit_mixture(
     - `responsibility_row_max_dev` and `pi_sum_max_dev`: the largest
       deviation from 1 of a responsibility row sum and of the proportions'
       sum;
-    - `restart_failures`: the messages of restarts that failed;
+    - `restart_failures`: the messages of restarts that failed, in the
+      screen or while running on;
     - `newton_fits`, `newton_iterations` and `newton_unconverged`: Newton
       solves, their accepted steps, and the solves that failed: a line
       search that ran out of halvings, or a slope that was too negative or
       NaN. An initial fit solves in full, up to 25 steps; each EM refit
-      takes at most one step and stops there, which is not a failure.
+      takes at most one step and stops there, which is not a failure;
+    - `em_iterations_total`: the EM iterations run, the screen's included;
+    - `restarts_screened`: the restarts stopped at the screen.
 
     The model JSON stores no diagnostics.
 
@@ -562,25 +591,38 @@ def fit_mixture(
     if not np.all(ctx.rs.design[1 : ctx.p + 1].any(axis=1)):
         warnings.warn("constant covariate columns", stacklevel=2)
     children = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    best: _EMState | None = None
+    # one restart has nothing to be screened against: it runs to the end at once
+    screen = config.max_iterations if config.restarts == 1 else min(SCREEN_ITERATIONS, config.max_iterations)
+    runs: list[_EMState] = []
     failures: list[str] = []
-    row_dev = 0.0
-    pi_dev = 0.0
     for child in children:
-        rng = np.random.default_rng(child)
         try:
-            run = _run_em(ctx, spec, config, rng)
+            runs.append(_run_em(ctx, spec, config, np.random.default_rng(child), screen))
         except NumericalError as exc:
             failures.append(str(exc))
-            continue
-        row_dev = max(row_dev, run.row_dev)
-        pi_dev = max(pi_dev, run.pi_dev)
-        if best is None or run.history[-1] > best.history[-1]:
-            best = run
-    if best is None:
+
+    def finished(run: _EMState) -> bool:
+        return run.converged or run.iterations >= config.max_iterations
+
+    # the leader by best objective so far goes on, since the objective can
+    # drop; sorted is stable, so ties go to spawn order. A leader that fails
+    # hands over to the next; one that finished inside the screen ends it
+    for run in sorted(runs, key=lambda r: max(r.history), reverse=True):
+        if finished(run):
+            break
+        try:
+            _iterate(ctx, spec, config, run, config.max_iterations)
+            break
+        except NumericalError as exc:
+            failures.append(str(exc))
+            runs.remove(run)
+    done = [run for run in runs if finished(run)]
+    if not done:
         raise NumericalError(
             "every EM restart failed: " + "; ".join(failures[:3]) + ("..." if len(failures) > 3 else "")
         )
+    # the first of the highest final objectives, in spawn order
+    best = max(done, key=lambda r: r.history[-1])
     order = np.argsort(-best.params.pi, kind="stable")
     params = ctx.mixture(best.params.pi[order], best.params.beta[order], best.params.increments[order])
     if not _distinct_components(params):
@@ -599,8 +641,8 @@ def fit_mixture(
         seed=config.seed,
         history=list(best.history),
         diagnostics={
-            "responsibility_row_max_dev": row_dev,
-            "pi_sum_max_dev": pi_dev,
+            "responsibility_row_max_dev": max(run.row_dev for run in runs),
+            "pi_sum_max_dev": max(run.pi_dev for run in runs),
             "restart_failures": failures,
             "converged": best.converged,
             "iterations": best.iterations,
@@ -609,6 +651,8 @@ def fit_mixture(
             "newton_fits": ctx.newton_fits,
             "newton_iterations": ctx.newton_iterations,
             "newton_unconverged": ctx.newton_unconverged,
+            "em_iterations_total": ctx.em_iterations,
+            "restarts_screened": len(runs) - len(done),
         },
     )
 

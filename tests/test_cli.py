@@ -15,7 +15,7 @@ import coxmix
 from coxmix import cli
 from coxmix.cli import COMMANDS, build_parser, main
 from coxmix.data import Dataset, load_dataset, save_dataset
-from coxmix.em import FittedModel, load_model, model_to_json
+from coxmix.em import EMConfig, FittedModel, fit_mixture, load_model, model_to_json
 from coxmix.penalties import PenaltySpec
 from coxmix.simgen import SimConfig, generate_dataset
 from coxmix.tdroc import auc, censoring_weights, compute_marker, roc_curve
@@ -286,6 +286,28 @@ class TestFit:
         assert meta["command"] == "fit"
         assert meta["options"]["penalty"] == "scad"
         assert "K = 1" in capsys.readouterr().out
+
+    def test_fit_meta_records_the_outcome(self, tmp_path, data_csv):
+        out = str(tmp_path / "m.json")
+        code = run_cli(
+            ["fit", data_csv, "--penalty", "scad", "--level", "0.05", "--k-init", "3",
+             "--restarts", "3", "--max-iter", "200", "--seed", "4", "--out", out]
+        )
+        assert code == 0
+        meta = json.load(open(out + ".meta.json"))
+        spec = PenaltySpec(kind="scad", level=0.05)
+        config = EMConfig(k_init=3, max_iterations=200, restarts=3, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = fit_mixture(load_dataset(data_csv), spec, config)
+        d = model.diagnostics
+        assert meta["outcome"] == {
+            "converged": d["converged"], "iterations": d["iterations"],
+            "em_iterations_total": d["em_iterations_total"], "restarts_screened": d["restarts_screened"],
+        }
+        assert meta["outcome"]["em_iterations_total"] >= meta["outcome"]["iterations"] > 0
+        # what the run did is not an option a config file could set
+        assert "converged" not in meta["options"]
 
     def test_fit_prints_the_last_objective(self, tmp_path, data_csv, capsys):
         out = str(tmp_path / "m.json")

@@ -2,7 +2,6 @@ import json
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -738,18 +737,17 @@ class TestEMState:
             return out
 
         monkeypatch.setattr(em, "_softmax_rows", recording)
-        whole = em._run_em(ctx, spec, config, np.random.default_rng(0))
+        whole = em._run_em(ctx, spec, config, np.random.default_rng(0), config.max_iterations)
         assert whole.converged and whole.prune_events > 0
         # every E-step of the run is folded in: the start, each iteration's
         # (the last one included) and each post-prune one
         assert len(devs) > whole.iterations + 1
         assert whole.row_dev == max(devs)
 
-        paused = em._run_em(ctx, spec, replace(config, max_iterations=3), np.random.default_rng(0))
+        paused = em._run_em(ctx, spec, config, np.random.default_rng(0), 3)
         assert paused.iterations == 3 and not paused.converged
         assert paused.prune_events < whole.prune_events
-        while not paused.converged and paused.iterations < config.max_iterations:
-            em._em_step(ctx, spec, config, paused)
+        em._iterate(ctx, spec, config, paused, config.max_iterations)
         for name in ("pi", "beta", "event_times", "increments"):
             assert np.array_equal(getattr(paused.params, name), getattr(whole.params, name))
         assert paused.history == whole.history
@@ -768,7 +766,7 @@ class TestEMState:
         config = EMConfig(k_init=10, max_iterations=400, restarts=1, seed=seed)
         # the restart stream fit_mixture gives this config's one restart
         rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-        state = em._run_em(ctx, spec, config, rng)
+        state = em._run_em(ctx, spec, config, rng, config.max_iterations)
         assert state.converged
         before = state.params
         em._em_step(ctx, spec, config, state)
@@ -779,10 +777,11 @@ class TestEMState:
 
 @pytest.fixture(scope="class")
 def criterion_5_m_steps():
-    """Replication 0 of the criterion-5 cell (data from SeedSequence([2026, 0, 0]))
-    tuned as run_study does: every `_fit_coefficients` result as (beta,
-    iterations, outcome, step budget), and each fitted model with the
-    results made while fitting it."""
+    """Replications 0-2 of the criterion-5 cell (data from SeedSequence([2026,
+    i, 0])) tuned as run_study does: every `_fit_coefficients` result as
+    (beta, iterations, outcome, step budget), and each fitted model with the
+    results made while fitting it. Three replications, since the restart
+    screen leaves one replication about 600 solves."""
     made, models = [], []
     fit_coefficients = em._fit_coefficients
     fit_mixture_ = tuning.fit_mixture
@@ -803,7 +802,7 @@ def criterion_5_m_steps():
         mp.setattr(tuning, "fit_mixture", fitting)
         warnings.simplefilter("ignore")
         run_study(
-            SimConfig(n=600, censor_target=0.05, seed=2026), replications=1, kinds=("scad",),
+            SimConfig(n=600, censor_target=0.05, seed=2026), replications=3, kinds=("scad",),
             em_config=EMConfig(k_init=10, max_iterations=400, restarts=2),
             c_grid=np.array([0.6, 0.8]), cn_constant=2.0,
         )
@@ -836,7 +835,7 @@ class TestFitMixture:
 
     def test_newton_counts_in_diagnostics(self, criterion_5_m_steps):
         _, models = criterion_5_m_steps
-        assert len(models) == 2
+        assert len(models) == 2 * 3
         for model, made in models:
             d = model.diagnostics
             assert d["newton_fits"] == len(made) > 0
@@ -1003,6 +1002,136 @@ class TestFitMixture:
         assert np.all((marker >= 0) & (marker <= 1))
         again = model_from_json(model_to_json(mixture))
         assert np.array_equal(again.params.increments, mixture.params.increments)
+
+
+class TestRestartScreen:
+    """fit_mixture's screen: every restart runs SCREEN_ITERATIONS, the leader
+    by best objective so far runs on, and the best finished run wins."""
+
+    @pytest.fixture
+    def scripted(self, monkeypatch):
+        """fit_mixture over scripted restarts: `script` takes one
+        (screen history, converged, final objective or error) per restart in
+        spawn order. The screen returns a state with that history; running
+        on converges it at the final objective, or raises the error. Returns
+        (fit, the states run on, in order); fit(script) returns (the model,
+        the states in spawn order)."""
+        data = simulate_single(40, 2, [0.6, -0.6], seed=5)
+        params = stack_fits(data, [1.0], [np.ones(data.n)])
+        ran_on = []
+
+        def fit(script):
+            states = [
+                em._EMState(params, history=list(history), iterations=len(history) - 1, converged=converged)
+                for history, converged, _ in script
+            ]
+            outcome = {id(s): final for s, (_, _, final) in zip(states, script)}
+            pending = iter(states)
+
+            def screen(ctx, spec, config, rng, budget):
+                assert budget == em.SCREEN_ITERATIONS
+                return next(pending)
+
+            def run_on(ctx, spec, config, state, budget):
+                assert budget == config.max_iterations
+                ran_on.append(state)
+                final = outcome[id(state)]
+                if isinstance(final, Exception):
+                    raise final
+                state.history.append(final)
+                state.iterations += 1
+                state.converged = True
+
+            monkeypatch.setattr(em, "_run_em", screen)
+            monkeypatch.setattr(em, "_iterate", run_on)
+            config = EMConfig(k_init=1, max_iterations=400, restarts=len(script), seed=0)
+            return fit_mixture(data, PenaltySpec(kind="scad", level=0.05), config), states
+
+        return fit, ran_on
+
+    def test_one_restart_is_not_screened(self, monkeypatch):
+        data, _ = generate_dataset(SimConfig(200, censor_target=0.2, seed=2026), np.random.default_rng(1))
+        spec = PenaltySpec(kind="scad", level=tuning.level_from_c(0.6, data.n))
+        config = EMConfig(k_init=4, max_iterations=400, restarts=1, seed=5)
+        ctx = _FitContext(data, "gaussian", default_time_bandwidth(data.y))
+        run = em._run_em(
+            ctx, spec, config, np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0]), config.max_iterations
+        )
+        assert run.converged and run.iterations > em.SCREEN_ITERATIONS
+        order = np.argsort(-run.params.pi, kind="stable")
+        params = ctx.mixture(run.params.pi[order], run.params.beta[order], run.params.increments[order])
+        whole = FittedModel(params=params, spec=spec, seed=5, history=run.history)
+        budgets = []
+        run_em = em._run_em
+
+        def recording(ctx, spec, config, rng, budget):
+            budgets.append(budget)
+            return run_em(ctx, spec, config, rng, budget)
+
+        monkeypatch.setattr(em, "_run_em", recording)
+        model = fit_mixture(data, spec, config)
+        assert budgets == [config.max_iterations]
+        assert model_to_json(model) == model_to_json(whole)
+        assert model.diagnostics["em_iterations_total"] == run.iterations
+        assert model.diagnostics["restarts_screened"] == 0
+
+    def test_leader_is_the_best_so_far_not_the_last(self, scripted):
+        fit, ran_on = scripted
+        model, states = fit([([0.0, 10.0, 5.0], False, 6.0), ([0.0, 6.0, 7.0], False, 8.0)])
+        assert ran_on == [states[0]]
+        assert model.history == [0.0, 10.0, 5.0, 6.0]
+        assert model.diagnostics["restarts_screened"] == 1
+
+    def test_ties_go_to_spawn_order(self, scripted):
+        fit, ran_on = scripted
+        model, states = fit([([0.0, 3.0], False, 4.0), ([0.0, 8.0], False, 8.5), ([0.0, 8.0], False, 9.0)])
+        assert ran_on == [states[1]]
+        assert model.history[-1] == 8.5
+        assert model.diagnostics["restarts_screened"] == 2
+
+    def test_restart_converged_in_the_screen_can_win(self, scripted):
+        fit, ran_on = scripted
+        # the leader runs on and ends below the restart that already converged
+        model, states = fit([([0.0, 9.0], True, None), ([0.0, 10.0], False, 8.0)])
+        assert ran_on == [states[1]]
+        assert model.history == [0.0, 9.0]
+        assert model.diagnostics["converged"] and model.diagnostics["restarts_screened"] == 0
+
+    def test_converged_leader_runs_nothing_on(self, scripted):
+        fit, ran_on = scripted
+        model, _ = fit([([0.0, 4.0], False, 50.0), ([0.0, 11.0], True, None)])
+        assert ran_on == []
+        assert model.history == [0.0, 11.0]
+        assert model.diagnostics["restarts_screened"] == 1
+
+    def test_failed_leader_hands_over(self, scripted):
+        fit, ran_on = scripted
+        model, states = fit([([0.0, 10.0], False, NumericalError("leader broke")), ([0.0, 9.0], False, 7.0)])
+        assert ran_on == states
+        assert model.history == [0.0, 9.0, 7.0]
+        assert model.diagnostics["restart_failures"] == ["leader broke"]
+        assert model.diagnostics["restarts_screened"] == 0
+
+    def test_every_restart_failing_raises(self, scripted):
+        fit, _ = scripted
+        with pytest.raises(NumericalError, match="every EM restart failed: one; two"):
+            fit([([0.0, 10.0], False, NumericalError("one")), ([0.0, 9.0], False, NumericalError("two"))])
+
+    def test_screen_counts_on_real_data(self, large_n_600):
+        spec = PenaltySpec(kind="scad", level=tuning.level_from_c(0.6, large_n_600.n))
+        config = EMConfig(k_init=10, max_iterations=400, restarts=3, seed=0)
+        unscreened = []
+        for child in np.random.SeedSequence(0).spawn(3):
+            ctx = _FitContext(large_n_600, "gaussian", default_time_bandwidth(large_n_600.y))
+            unscreened.append(em._run_em(ctx, spec, config, np.random.default_rng(child), config.max_iterations))
+        model = fit_mixture(large_n_600, spec, config)
+        d = model.diagnostics
+        assert d["restarts_screened"] == 2 and d["restart_failures"] == []
+        # the leader runs exactly as it would have unscreened
+        leader = next(run for run in unscreened if run.history == model.history)
+        assert d["iterations"] == leader.iterations and d["converged"]
+        assert d["em_iterations_total"] == leader.iterations + 2 * em.SCREEN_ITERATIONS
+        assert "screen" not in model_to_json(model) and "em_iterations" not in model_to_json(model)
 
 
 @pytest.fixture(scope="module")

@@ -434,12 +434,12 @@ class TestRunStudy:
         assert study_to_csv(result) == (
             "penalty,n,censor_target,component,parameter,bias,sd,"
             "replications_used,K_hat_mode,K_correct_fraction\n"
-            "scad,80,0.050000000000000003,1,pi,-0.076794910579471465,0.10250567968633624,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,1,beta1,0.22894340719078876,1.3827238668353208,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,1,beta2,-0.29353052755383047,0.74651731794521436,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,2,pi,0.07679491057947152,0.10250567968633628,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,2,beta1,0.012315451415845002,0.1628571232710159,9,2,0.90000000000000002\n"
-            "scad,80,0.050000000000000003,2,beta2,-0.079156013590881646,0.27498197310239197,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,1,pi,-0.076991364979195009,0.10241925464386076,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,1,beta1,0.2384421863719437,1.3734848925447247,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,1,beta2,-0.28788086453994488,0.74749161723278756,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,pi,0.076991364979195009,0.10241925464386081,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,beta1,0.011025930770303116,0.16247967885754416,9,2,0.90000000000000002\n"
+            "scad,80,0.050000000000000003,2,beta2,-0.080838931632394528,0.27589931975424131,9,2,0.90000000000000002\n"
         )
         assert result.k_hat_counts == {"scad": {1: 1, 2: 9}}
         assert result.failures == {"scad": 0}

@@ -2,13 +2,14 @@ import concurrent.futures
 import csv
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from coxmix.coxfit import NumericalError
 from coxmix import simgen, tuning
-from coxmix.em import EMConfig, observed_loglik
+from coxmix.em import EMConfig, model_to_json, observed_loglik
 from coxmix.tuning import (
     TuningReport,
     TuningRow,
@@ -139,12 +140,19 @@ class TestSelectTuning:
         assert report.rows[0] == report.rows[1]
 
     def test_worker_count_does_not_change_rows(self, tuning_data):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            serial = select_tuning(tuning_data, "scad", c_grid=[0.3, 0.9], config=QUICK, workers=1)
-            parallel = select_tuning(tuning_data, "scad", c_grid=[0.3, 0.9], config=QUICK, workers=2)
-        assert serial.rows == parallel.rows
-        assert serial.best_index == parallel.best_index
+        # three restarts run the restart screen, which one restart skips
+        for restarts in (1, 3):
+            config = replace(QUICK, restarts=restarts)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                serial = select_tuning(tuning_data, "scad", c_grid=[0.3, 0.9], config=config, workers=1)
+                parallel = select_tuning(tuning_data, "scad", c_grid=[0.3, 0.9], config=config, workers=2)
+            assert serial.rows == parallel.rows
+            assert serial.best_index == parallel.best_index
+            assert model_to_json(serial.best_model) == model_to_json(parallel.best_model)
+            screened = [m.diagnostics["restarts_screened"] for m in parallel.models]
+            assert screened == [m.diagnostics["restarts_screened"] for m in serial.models]
+            assert (sum(screened) > 0) == (restarts > 1)
 
     def test_failed_point_kept_as_nan(self, tuning_data, monkeypatch):
         import coxmix.tuning as tuning_mod
