@@ -431,7 +431,7 @@ def monotonicity_failures(history) -> list[tuple[int, float]]:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class _EMState:
     """What one EM run carries from one iteration to the next, so a run can be
     paused after any iteration and resumed with `_em_step`: the current
@@ -439,7 +439,8 @@ class _EMState:
     objective `history` (one entry per E-step on fresh params), the largest
     responsibility row-sum deviation `row_dev` over every E-step, the largest
     proportion-sum deviation `pi_dev`, the components pruned so far, the
-    iterations run, and whether the last one met the convergence test."""
+    iterations run, and whether the last one met the convergence test.
+    Two states are equal only when they are the same run."""
 
     params: MixtureParams
     logd: np.ndarray | None = None
@@ -535,8 +536,9 @@ def fit_mixture(
     restart that converged inside the screen, or reached
     `config.max_iterations` there, is finished already. Of the
     finished restarts, the one with the highest final penalized observed
-    log-likelihood wins. With one restart there is no screen. Components
-    are ordered by decreasing proportion.
+    log-likelihood wins. A lone restart is its own leader, so it runs
+    exactly as it would unscreened. Components are ordered by decreasing
+    proportion.
 
     `diagnostics` holds, for the winning restart:
 
@@ -591,8 +593,7 @@ def fit_mixture(
     if not np.all(ctx.rs.design[1 : ctx.p + 1].any(axis=1)):
         warnings.warn("constant covariate columns", stacklevel=2)
     children = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    # one restart has nothing to be screened against: it runs to the end at once
-    screen = config.max_iterations if config.restarts == 1 else min(SCREEN_ITERATIONS, config.max_iterations)
+    screen = min(SCREEN_ITERATIONS, config.max_iterations)
     runs: list[_EMState] = []
     failures: list[str] = []
     for child in children:

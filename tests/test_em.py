@@ -1017,13 +1017,17 @@ class TestRestartScreen:
         (fit, the states run on, in order); fit(script) returns (the model,
         the states in spawn order)."""
         data = simulate_single(40, 2, [0.6, -0.6], seed=5)
-        params = stack_fits(data, [1.0], [np.ones(data.n)])
         ran_on = []
+
+        def params(i):
+            # two components, distinct per restart, as real restarts carry
+            w = np.linspace(0.1 + 0.2 * i, 0.9, data.n)
+            return stack_fits(data, [0.5, 0.5], [w, 1.0 - w])
 
         def fit(script):
             states = [
-                em._EMState(params, history=list(history), iterations=len(history) - 1, converged=converged)
-                for history, converged, _ in script
+                em._EMState(params(i), history=list(history), iterations=len(history) - 1, converged=converged)
+                for i, (history, converged, _) in enumerate(script)
             ]
             outcome = {id(s): final for s, (_, _, final) in zip(states, script)}
             pending = iter(states)
@@ -1049,7 +1053,7 @@ class TestRestartScreen:
 
         return fit, ran_on
 
-    def test_one_restart_is_not_screened(self, monkeypatch):
+    def test_one_restart_is_not_screened(self):
         data, _ = generate_dataset(SimConfig(200, censor_target=0.2, seed=2026), np.random.default_rng(1))
         spec = PenaltySpec(kind="scad", level=tuning.level_from_c(0.6, data.n))
         config = EMConfig(k_init=4, max_iterations=400, restarts=1, seed=5)
@@ -1061,19 +1065,12 @@ class TestRestartScreen:
         order = np.argsort(-run.params.pi, kind="stable")
         params = ctx.mixture(run.params.pi[order], run.params.beta[order], run.params.increments[order])
         whole = FittedModel(params=params, spec=spec, seed=5, history=run.history)
-        budgets = []
-        run_em = em._run_em
-
-        def recording(ctx, spec, config, rng, budget):
-            budgets.append(budget)
-            return run_em(ctx, spec, config, rng, budget)
-
-        monkeypatch.setattr(em, "_run_em", recording)
         model = fit_mixture(data, spec, config)
-        assert budgets == [config.max_iterations]
         assert model_to_json(model) == model_to_json(whole)
-        assert model.diagnostics["em_iterations_total"] == run.iterations
-        assert model.diagnostics["restarts_screened"] == 0
+        d = model.diagnostics
+        assert (d["converged"], d["iterations"], d["em_iterations_total"]) == (True, run.iterations, run.iterations)
+        assert d["restarts_screened"] == 0 and d["restart_failures"] == []
+        assert (d["newton_fits"], d["newton_iterations"]) == (ctx.newton_fits, ctx.newton_iterations)
 
     def test_leader_is_the_best_so_far_not_the_last(self, scripted):
         fit, ran_on = scripted
@@ -1111,6 +1108,22 @@ class TestRestartScreen:
         assert model.history == [0.0, 9.0, 7.0]
         assert model.diagnostics["restart_failures"] == ["leader broke"]
         assert model.diagnostics["restarts_screened"] == 0
+
+    def test_failed_leader_after_the_first_hands_over(self, scripted):
+        # the failed leader is not the first run, so dropping it must not
+        # compare runs' arrays with one another
+        fit, ran_on = scripted
+        model, states = fit(
+            [
+                ([0.0, 8.0], False, 6.0),
+                ([0.0, 10.0], False, NumericalError("leader broke")),
+                ([0.0, 9.0], False, 7.0),
+            ]
+        )
+        assert ran_on == [states[1], states[2]]
+        assert model.history == [0.0, 9.0, 7.0]
+        assert model.diagnostics["restart_failures"] == ["leader broke"]
+        assert model.diagnostics["restarts_screened"] == 1
 
     def test_every_restart_failing_raises(self, scripted):
         fit, _ = scripted
