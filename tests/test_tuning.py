@@ -140,7 +140,7 @@ class TestSelectTuning:
         assert report.rows[0] == report.rows[1]
 
     def test_worker_count_does_not_change_rows(self, tuning_data):
-        # three restarts run the restart screen, which one restart skips
+        # three restarts are screened; one restart is its own leader and runs as unscreened
         for restarts in (1, 3):
             config = replace(QUICK, restarts=restarts)
             with warnings.catch_warnings():
