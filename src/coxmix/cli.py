@@ -403,7 +403,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -175,13 +175,13 @@ def select_tuning(
     """Fit the mixture at every level of the grid and rank by modified BIC.
 
     The same EM configuration (and therefore the same restart seeds) is reused
-    at every grid point. Ties in BIC break toward fewer components, then the
-    smaller level. Grid points whose fit fails are kept in the report with a
-    NaN score; only a fully failed grid raises. The kind, shape, epsilon,
-    prune threshold, grid, C_n constant, kernel and a given bandwidth are
-    checked before any fit or worker starts.
+    at every grid point; with no `config`, that is `fit_mixture`'s default.
+    Ties in BIC break toward fewer components, then the smaller level. Grid
+    points whose fit fails are kept in the report with a NaN score; only a
+    fully failed grid raises. The kind, shape, epsilon, prune threshold,
+    grid, C_n constant, kernel and a given bandwidth are checked before any
+    fit or worker starts.
     """
-    config = EMConfig() if config is None else config
     grid, spec = _tuning_inputs(kind, c_grid, cn_constant, shape, epsilon, prune_threshold, kernel, bandwidth)
     fit_point = partial(
         _fit_grid_point, data=data, spec=spec, config=config, cn_constant=cn_constant,

@@ -369,6 +369,19 @@ class TestPiUpdate:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             update_mixing_proportions(S, np.array([0.5, 0.5]), PenaltySpec(kind="ls", level=0.1))
 
+    def test_underflowing_column(self):
+        # column 1 holds one subnormal entry, so colsum / n underflows to 0
+        S = np.zeros((100, 2))
+        S[:, 0] = 1.0
+        S[0, 1] = 5e-324
+        # at level 0.1 both proportions are past shape * level, so the update
+        # is the column means, with an exact 0 that pruning removes
+        out = update_mixing_proportions(S, np.array([0.5, 0.5]), PenaltySpec(kind="scad", level=0.1))
+        assert np.array_equal(out, [1.0, 0.0])
+        # at level 1.0 the Newton path runs and refuses the zero share
+        with pytest.raises(NumericalError, match="zero or non-finite proportion"):
+            update_mixing_proportions(S, np.array([0.5, 0.5]), PenaltySpec(kind="scad", level=1.0))
+
     def test_huge_level_stays_on_simplex(self):
         S = np.tile(np.array([0.2, 0.8]), (10, 1))
         spec = PenaltySpec(kind="ls", level=50.0)
@@ -819,6 +832,21 @@ class TestFitMixture:
         assert model.params.K == 1
         assert np.array_equal(model.params.beta, direct.beta)
         assert np.array_equal(model.params.increments, direct.increments)
+
+    def test_objective_drops_are_listed_not_warned(self):
+        # an unpenalized K = 3 fit that prunes nothing: the smoothed E-step and
+        # the Breslow M-step let its objective fall at many iterations
+        data, _ = generate_dataset(SimConfig(300, censor_target=0.05, seed=2026), np.random.default_rng(0))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="objective decreased")
+            model = fit_mixture(
+                data, PenaltySpec(kind="scad", level=0.0), EMConfig(k_init=3, restarts=1, max_iterations=200, seed=0)
+            )
+        drops = model.diagnostics["monotonicity_failures"]
+        assert model.params.K == 3
+        assert model.diagnostics["prune_events"] == 0
+        assert len(drops) > 100
+        assert drops == monotonicity_failures(model.history)
 
     def test_every_m_step_converges_on_criterion_5_data(self, criterion_5_m_steps):
         # a Newton search that ran out of halvings used to report
