@@ -318,12 +318,13 @@ CONFIG_KEYS = frozenset(opt.name for _, _, options in COMMANDS.values() for opt 
 
 
 def _load_config(path: str | None) -> dict:
-    """Parse key=value lines; '#' starts a comment, dashes match underscores."""
+    """Parse key=value lines; '#' starts a comment, dashes match underscores,
+    and a UTF-8 byte-order mark is read past."""
     if path is None:
         return {}
     out = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:

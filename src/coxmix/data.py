@@ -90,9 +90,10 @@ def load_dataset(
 
     Columns other than the time and status columns are treated as covariates
     unless `covariate_cols` narrows the selection. Data rows are numbered from
-    1 in error messages.
+    1 in error messages. A UTF-8 byte-order mark is read past. An empty line
+    is skipped, and the rows after it keep the numbers they have in the file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -119,6 +120,8 @@ def load_dataset(
         status: list[int] = []
         covs: list[list[float]] = []
         for row_no, row in enumerate(reader, start=1):
+            if not row:
+                continue
             if len(row) != len(header):
                 raise DataError(f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}")
 

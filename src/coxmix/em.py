@@ -32,7 +32,6 @@ __all__ = [
     "e_step",
     "update_mixing_proportions",
     "observed_loglik",
-    "penalized_observed_loglik",
     "check_convergence",
     "monotonicity_failures",
     "fit_mixture",
@@ -401,11 +400,6 @@ def _penalty_total(pi: np.ndarray, spec: PenaltySpec, n: int) -> float:
     return n * spec.level * sum(log_scale_term(spec, float(p)) for p in pi)
 
 
-def penalized_observed_loglik(data: Dataset, params: MixtureParams, spec: PenaltySpec) -> float:
-    """Observed log-likelihood minus n * level * sum_k [log(eps + p(pi_k)) - log(eps)]."""
-    return observed_loglik(data, params) - _penalty_total(params.pi, spec, data.n)
-
-
 def check_convergence(current: float, previous: float, config: EMConfig) -> bool:
     """True when the step satisfies the absolute and relative criteria together."""
     diff = abs(current - previous)
@@ -442,7 +436,7 @@ class _EMState:
     """What one EM run carries from one iteration to the next, so a run can be
     paused after any iteration and resumed with `_em_step`: the current
     `params`, their n x K log density `logd` and responsibilities `S`, the
-    objective `history` (one entry per E-step on fresh params), the largest
+    objective `history` (one entry per `_evaluate`), the largest
     responsibility row-sum deviation `row_dev` over every E-step, the largest
     proportion-sum deviation `pi_dev`, the components pruned so far, the
     iterations run, and whether the last one met the convergence test.
@@ -468,6 +462,16 @@ class _EMState:
         return observed
 
 
+def _evaluate(ctx: _FitContext, spec: PenaltySpec, state: _EMState, params: MixtureParams) -> None:
+    """Move `state` to `params`: the E-step on their log density, and the
+    penalized objective it yields, the observed log-likelihood less
+    n * level * sum_k [log(eps + p(pi_k)) - log(eps)], appended to the
+    history. The one evaluation of that objective."""
+    state.params = params
+    observed = state.observe(params.pi, ctx.log_density(params))
+    state.history.append(observed - _penalty_total(params.pi, spec, ctx.n))
+
+
 def _em_step(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, state: _EMState) -> None:
     """One EM iteration on `state`: the penalized pi update, pruning, the
     component refits, the E-step on their log density, and the convergence
@@ -483,9 +487,7 @@ def _em_step(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, state: _EMSt
         # responsibilities must reflect the reduced model before refitting
         state.observe(pi, state.logd[:, keep])
     betas, incs = zip(*(ctx.refit_component(state.S[:, k], b) for k, b in enumerate(beta)))
-    state.params = ctx.mixture(pi, np.array(betas), np.array(incs))
-    observed = state.observe(pi, ctx.log_density(state.params))
-    state.history.append(observed - _penalty_total(pi, spec, ctx.n))
+    _evaluate(ctx, spec, state, ctx.mixture(pi, np.array(betas), np.array(incs)))
     state.iterations += 1
     ctx.em_iterations += 1
     state.converged = check_convergence(state.history[-1], state.history[-2], config)
@@ -505,17 +507,15 @@ def _run_em(ctx: _FitContext, spec: PenaltySpec, config: EMConfig, rng: np.rando
     stopped."""
     params = _initialize(ctx, config.k_init, rng)
     state = _EMState(params)
-    # each E-step also yields the objective at the (pi, log f) it reads
-    observed = state.observe(params.pi, ctx.log_density(params))
-    state.history.append(observed - _penalty_total(params.pi, spec, ctx.n))
+    _evaluate(ctx, spec, state, params)
     _iterate(ctx, spec, config, state, budget)
     return state
 
 
-def _distinct_components(params: MixtureParams, tol: float = DISTINCT_TOL) -> bool:
+def _distinct_components(params: MixtureParams) -> bool:
     # sup-norm distance between every pair of coefficient rows; 0 with no covariates
     gap = np.max(np.abs(params.beta[:, None, :] - params.beta[None, :, :]), axis=2, initial=0.0)
-    return not np.any(gap[np.triu_indices(params.K, 1)] < tol)
+    return not np.any(gap[np.triu_indices(params.K, 1)] < DISTINCT_TOL)
 
 
 def fit_mixture(
@@ -565,10 +565,12 @@ def fit_mixture(
     - `restart_failures`: the messages of restarts that failed, in the
       screen or while running on;
     - `newton_fits`, `newton_iterations` and `newton_unconverged`: Newton
-      solves, their accepted steps, and the solves that failed: a line
-      search that ran out of halvings, or a slope that was too negative or
-      NaN. An initial fit solves in full, up to 25 steps; each EM refit
-      takes at most one step and stops there, which is not a failure;
+      solves (a component with no weight at any event keeps its beta, gets
+      a zero baseline and takes none), their accepted steps, and the solves
+      that failed (see `coxfit._newton`): a line search that ran out of
+      halvings, or a slope that was too negative or NaN. An initial fit
+      solves in full, up to 25 steps; each EM refit takes at most one step
+      and stops there, which is not a failure;
     - `em_iterations_total`: the EM iterations run, the screen's included;
     - `restarts_screened`: the restarts stopped at the screen.
 

@@ -173,7 +173,6 @@ class StudyRow:
 @dataclass(frozen=True)
 class StudyResult:
     rows: tuple
-    replications: int
     failures: dict
     k_hat_counts: dict
 
@@ -280,12 +279,7 @@ def run_study(
                     k_correct_fraction=k_frac,
                 )
             )
-    return StudyResult(
-        rows=tuple(rows),
-        replications=replications,
-        failures=failures,
-        k_hat_counts=k_counts,
-    )
+    return StudyResult(rows=tuple(rows), failures=failures, k_hat_counts=k_counts)
 
 
 def study_to_csv(result: StudyResult) -> str:

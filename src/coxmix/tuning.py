@@ -81,8 +81,6 @@ class TuningReport:
 
     rows: list[TuningRow]
     best_index: int
-    cn_constant: float
-    n: int
     models: list[FittedModel | None] = field(default_factory=list, repr=False)
 
     @property
@@ -191,7 +189,7 @@ def select_tuning(
     rows = [r for r, _ in results]
     models = [m for _, m in results]
     best = _pick_best(rows)
-    return TuningReport(rows=rows, best_index=best, cn_constant=cn_constant, n=data.n, models=models)
+    return TuningReport(rows=rows, best_index=best, models=models)
 
 
 def report_to_csv(report: TuningReport, path: str) -> None:

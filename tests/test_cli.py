@@ -164,6 +164,15 @@ class TestConfigFile:
         assert meta["options"]["n"] == 30
         assert meta["seed"] == 9
 
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfn = 30\nseed = 9\n")
+        out = str(tmp_path / "sim.csv")
+        assert run_cli(["simulate", "--config", str(cfg), "--out", out]) == 0
+        meta = json.load(open(out + ".meta.json"))
+        assert meta["options"]["n"] == 30
+        assert meta["seed"] == 9
+
     def test_value_outside_choices_is_usage_error(self, tmp_path, data_csv, capsys):
         cfg = tmp_path / "opts.cfg"
         cfg.write_text("penalty = lasso\n")

@@ -161,6 +161,28 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="no data rows"):
             load_dataset(str(path))
 
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        # spreadsheet programs save "CSV UTF-8" with a byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbftime,status,x1\n1.0,1,0.5\n2.0,0,0.1\n")
+        data = load_dataset(str(path))
+        assert data.y.tolist() == [1.0, 2.0]
+        assert data.x[:, 0].tolist() == [0.5, 0.1]
+
+    def test_empty_lines_are_skipped_and_rows_keep_their_numbers(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("time,status,x1\n1.0,1,0.5\n\n2.0,0,0.1\n\n")
+        data = load_dataset(str(path))
+        assert data.y.tolist() == [1.0, 2.0]
+        # the bad row after an empty line keeps its place in the file
+        path.write_text("time,status,x1\n1.0,1,0.5\n\n-2.0,0,0.1\n")
+        with pytest.raises(DataError, match=r"blank\.csv: row 3: negative time"):
+            load_dataset(str(path))
+        # a row of empty cells is not an empty line
+        path.write_text("time,status,x1\n1.0,1,0.5\n,,\n")
+        with pytest.raises(DataError, match=r"blank\.csv: row 2, column 'time': missing value"):
+            load_dataset(str(path))
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(str(tmp_path / "nope.csv"))

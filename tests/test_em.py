@@ -23,6 +23,7 @@ from coxmix.em import (
     _apply_prune,
     _FitContext,
     _initialize,
+    _penalty_total,
     _prune_mask,
     check_convergence,
     e_step,
@@ -32,7 +33,6 @@ from coxmix.em import (
     model_to_json,
     monotonicity_failures,
     observed_loglik,
-    penalized_observed_loglik,
     save_model,
     update_mixing_proportions,
 )
@@ -389,6 +389,16 @@ class TestPiUpdate:
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(out > 0)
 
+    def test_newton_step_cap_raises(self, monkeypatch):
+        S = np.random.default_rng(0).dirichlet(np.ones(3), size=50)
+        pi_prev = np.array([0.5, 0.3, 0.2])
+        spec = PenaltySpec(kind="scad", level=0.2)
+        # the root search needs more than one step here, and finds it within the cap
+        assert update_mixing_proportions(S, pi_prev, spec).sum() == pytest.approx(1.0, abs=1e-12)
+        monkeypatch.setattr(em, "PI_NEWTON_MAX_STEPS", 1)
+        with pytest.raises(NumericalError, match="not found in 1 Newton steps"):
+            update_mixing_proportions(S, pi_prev, spec)
+
 
 class TestPrune:
     def test_unchanged_above_threshold(self, small_data):
@@ -452,10 +462,8 @@ class TestLoglikFunctions:
         )
         params = two_component_params(data)
         spec = PenaltySpec(kind="mcp", level=0.12, shape=3.0)
-        expected = observed_loglik(data, params) - data.n * 0.12 * sum(
-            log_scale_term(spec, float(p)) for p in params.pi
-        )
-        assert penalized_observed_loglik(data, params, spec) == pytest.approx(expected, abs=1e-10)
+        expected = data.n * 0.12 * sum(log_scale_term(spec, float(p)) for p in params.pi)
+        assert _penalty_total(params.pi, spec, data.n) == pytest.approx(expected, abs=1e-10)
 
     def test_level_zero_single_component_is_cox_loglik(self):
         data = simulate_single(25, 2, [0.7, -0.4], seed=41, censor_frac=0.2)
@@ -467,7 +475,8 @@ class TestLoglikFunctions:
             (lam,) = smooth_baseline_hazard(params, float(data.y[i]))
             (cum,) = cumulative_hazard(params, float(data.y[i]))
             expected += data.delta[i] * (math.log(lam) + eta) - math.exp(eta) * cum
-        assert penalized_observed_loglik(data, params, spec) == pytest.approx(expected, abs=1e-10)
+        assert _penalty_total(params.pi, spec, data.n) == 0.0
+        assert observed_loglik(data, params) == pytest.approx(expected, abs=1e-10)
 
     def test_duplicate_component_leaves_mixture_term_unchanged(self, small_data):
         w = np.ones(small_data.n)
@@ -922,7 +931,7 @@ class TestFitMixture:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 model = fit_mixture(data, spec, EMConfig(k_init=3, max_iterations=100, restarts=2, seed=5))
-            want = penalized_observed_loglik(data, model.params, model.spec)
+            want = observed_loglik(data, model.params) - _penalty_total(model.params.pi, spec, data.n)
             assert model.history[-1] == pytest.approx(want, rel=1e-9, abs=0)
 
     def test_logged_drops_match_history(self):
@@ -946,8 +955,8 @@ class TestFitMixture:
             pi=params.pi[::-1], beta=params.beta[::-1], event_times=params.event_times,
             increments=params.increments[::-1], kernel=params.kernel, bandwidth=params.bandwidth,
         )
-        a = penalized_observed_loglik(small_data, params, spec)
-        b = penalized_observed_loglik(small_data, flipped, spec)
+        a = observed_loglik(small_data, params) - _penalty_total(params.pi, spec, small_data.n)
+        b = observed_loglik(small_data, flipped) - _penalty_total(flipped.pi, spec, small_data.n)
         assert a == pytest.approx(b, rel=1e-12)
 
     @pytest.mark.parametrize(

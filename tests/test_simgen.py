@@ -227,8 +227,9 @@ class TestRunStudy:
         cfg, _, result = tiny_study
         # one row per component and parameter: K * (1 + p)
         assert len(result.rows) == cfg.K * (1 + cfg.p)
-        assert result.replications == 2
         assert set(result.failures) == {"scad"}
+        # every replication is either a fit counted by its K-hat or a failure
+        assert sum(result.k_hat_counts["scad"].values()) + result.failures["scad"] == 2
         params = [(r.component, r.parameter) for r in result.rows]
         assert params == [
             (1, "pi"), (1, "beta1"), (1, "beta2"),
@@ -457,7 +458,7 @@ class TestRunStudy:
                 k_hat_mode=0, k_correct_fraction=0.0,
             ),
         )
-        result = StudyResult(rows=rows, replications=3, failures={}, k_hat_counts={})
+        result = StudyResult(rows=rows, failures={}, k_hat_counts={})
         assert study_to_csv(result) == (
             "penalty,n,censor_target,component,parameter,bias,sd,"
             "replications_used,K_hat_mode,K_correct_fraction\n"
@@ -471,7 +472,7 @@ class TestRunStudy:
             bias=float("nan"), sd=float("nan"), replications_used=0,
             k_hat_mode=0, k_correct_fraction=0.0,
         )
-        result = StudyResult(rows=(row,), replications=1, failures={"mcp": 1}, k_hat_counts={"mcp": {}})
+        result = StudyResult(rows=(row,), failures={"mcp": 1}, k_hat_counts={"mcp": {}})
         lines = study_to_csv(result).strip().split("\n")
         cells = lines[1].split(",")
         assert math.isnan(float(cells[5]))

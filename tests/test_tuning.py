@@ -11,6 +11,7 @@ from coxmix.coxfit import NumericalError
 from coxmix import simgen, tuning
 from coxmix.em import EMConfig, model_to_json, observed_loglik
 from coxmix.tuning import (
+    DEFAULT_CN_CONSTANT,
     TuningReport,
     TuningRow,
     bic_score,
@@ -118,7 +119,6 @@ class TestSelectTuning:
             warnings.simplefilter("ignore")
             report = select_tuning(tuning_data, "scad", c_grid=[0.3, 0.8], config=QUICK)
         assert len(report.rows) == 2
-        assert report.n == tuning_data.n
         for c, row in zip([0.3, 0.8], report.rows):
             assert row.c == c
             assert row.level == pytest.approx(level_from_c(c, tuning_data.n))
@@ -130,7 +130,7 @@ class TestSelectTuning:
         assert model.params.K == best.k_hat
         assert observed_loglik(tuning_data, model.params) == pytest.approx(best.loglik, abs=1e-10)
         assert bic_score(
-            best.loglik, tuning_data.n, best.k_hat, tuning_data.p, report.cn_constant
+            best.loglik, tuning_data.n, best.k_hat, tuning_data.p, DEFAULT_CN_CONSTANT
         ) == pytest.approx(best.bic, abs=1e-12)
 
     def test_repeated_grid_point_gives_identical_rows(self, tuning_data):
@@ -275,7 +275,7 @@ class TestReportOutputs:
             _row(0.3, 0.04321, 2, -123.456789012345, -100.1, 17, True),
             _row(0.9, float("nan"), 0, float("nan"), float("nan"), 0, False),
         ]
-        report = TuningReport(rows=rows, best_index=0, cn_constant=1.0, n=50)
+        report = TuningReport(rows=rows, best_index=0)
         path = str(tmp_path / "grid.csv")
         report_to_csv(report, path)
         with open(path, newline="") as fh:
@@ -296,7 +296,7 @@ class TestReportOutputs:
             _row(1.5, 2.0 / 3.0, 1, math.inf, -1e-300, 400, np.bool_(False)),
         ]
         path = tmp_path / "grid.csv"
-        report_to_csv(TuningReport(rows=rows, best_index=0, cn_constant=1.0, n=50), str(path))
+        report_to_csv(TuningReport(rows=rows, best_index=0), str(path))
         assert path.read_bytes() == (
             b"c,level,k_hat,bic,loglik,iterations,converged\n"
             b"0.29999999999999999,0.029999999999999999,2,-123.456789012345,-inf,17,true\n"
